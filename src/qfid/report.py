@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .bench import BenchSpec, generate
 from .circuit import Circuit, Gate, circuit_depth
@@ -387,7 +387,10 @@ def sweep_rows(
 
     The same oracle seed is reused across deltas so a looser tolerance can
     only stop earlier on the identical shot stream.  Wall time is left
-    blank unless requested, keeping default output byte-stable.
+    blank unless requested, keeping default output byte-stable.  A run that
+    raises leaves a row whose stop_reason cell reads
+    ``error:<Type>: <message>``, with commas and line breaks in the message
+    replaced so the row keeps its 17 cells.
     """
     base_cfg = plan_cfg or PlanConfig()
     rows = []
@@ -395,14 +398,7 @@ def sweep_rows(
         for seed in seeds:
             circuit = None
             for delta in deltas:
-                cfg = PlanConfig(
-                    delta=delta,
-                    alpha=base_cfg.alpha,
-                    p_max=base_cfg.p_max,
-                    batch_min=base_cfg.batch_min,
-                    min_batches_before_stop=base_cfg.min_batches_before_stop,
-                    estimator=base_cfg.estimator,
-                )
+                cfg = replace(base_cfg, delta=delta)
                 t0 = time.perf_counter()
                 try:
                     if circuit is None:
@@ -417,9 +413,12 @@ def sweep_rows(
                         collect_shots=False,
                     )
                 except Exception as exc:  # noqa: BLE001 - partial rows keep the sweep alive
+                    # one cell: the message must not split the row or the file
+                    message = " ".join(f"{type(exc).__name__}: {exc}".splitlines())
+                    message = message.replace(",", ";")
                     rows.append(
                         f"{spec.family},{spec.n},{seed},{format_float(delta)},"
-                        f",,,,,,,,error:{type(exc).__name__},,,,"
+                        f",,,,,,,,error:{message},,,,"
                     )
                     continue
                 wall = (

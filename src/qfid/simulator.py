@@ -9,6 +9,18 @@ character and ``int(text, 2)`` is the distribution index.
 Measurements are treated as terminal: the state is evolved through all
 unitaries, then read out.  A gate acting on an already-measured qubit is
 rejected, which keeps the deferred readout exact.
+
+The noisy simulator writes each gate with its depolarizing noise as one
+channel in superoperator form (Nielsen & Chuang, section 8.2): the
+4^k x 4^k matrix (1-p) U (x) conj(U) + (p/2^k) |I><I| acting on the gate's
+ket and bra axes of rho.  Consecutive channels whose qubit sets nest are
+multiplied into one superoperator before they touch rho, so single-qubit
+gates fold into their neighbouring cx and the three cx of a routed SWAP
+cost one contraction.  Only the active qubits -- those a gate or the
+readout touches -- are simulated, and ``DENSITY_MAX_QUBITS`` caps their
+number, so a small circuit routed onto a large coupling map stays cheap.
+A circuit without measurements reads out every qubit, so all of its
+qubits are active.
 """
 
 from __future__ import annotations
@@ -91,23 +103,85 @@ class OutcomeDistribution:
 
 
 # -- state evolution -------------------------------------------------------
+#
+# A pure state is a (2,)*n tensor and a density matrix a (2,)*2n tensor: ket
+# axis j owns qubit n-1-j, matching index bit q = (x >> q) & 1, and bra axis
+# n+j pairs with ket axis j.  Every gate, channel and unitary goes through
+# ``_apply_matrix``.
 
 
-def _apply_to_statevector(psi: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    """Apply a gate unitary in place of the axes owned by its qubits.
+def _axes(qubits: tuple[int, ...], n: int) -> list[int]:
+    """Ket axes of a gate's qubits, most significant local bit first.
 
-    The state is reshaped to (2,)*n with axis j owning qubit n-1-j, matching
-    index bit q = (x >> q) & 1.
+    Local bit j of a gate matrix belongs to ``qubits[j]``, so the last qubit
+    carries the most significant bit.
     """
-    u = gate_unitary(gate)
-    qk = len(gate.qubits)
-    tensor = psi.reshape((2,) * n)
-    # gate-local bit j <-> gate.qubits[j]; local axis for bit j is qk-1-j
-    axes = [n - 1 - q for q in reversed(gate.qubits)]
-    u_t = u.reshape((2,) * (2 * qk))
-    moved = np.moveaxis(tensor, axes, range(qk))
-    out = np.tensordot(u_t, moved, axes=(list(range(qk, 2 * qk)), list(range(qk))))
-    return np.moveaxis(out, range(qk), axes).reshape(-1)
+    return [n - 1 - q for q in reversed(qubits)]
+
+
+def _apply_matrix(tensor: np.ndarray, m: np.ndarray, axes: list[int]) -> np.ndarray:
+    """Contract the 2^k x 2^k matrix ``m`` into ``axes`` of a (2,)*d tensor.
+
+    ``axes[0]`` carries the most significant bit of m's row and column
+    index; the result keeps the input's axis order.
+    """
+    order = axes + [a for a in range(tensor.ndim) if a not in axes]
+    out = m @ tensor.transpose(order).reshape(len(m), -1)
+    return out.reshape(tensor.shape).transpose(np.argsort(order))
+
+
+def _channel(u: np.ndarray, p: float) -> np.ndarray:
+    """Superoperator of rho -> (1-p) U rho U† + p Tr(rho) I/d.
+
+    Rows and columns index (ket, bra) pairs as ket * d + bra, so the unitary
+    part is U (x) conj(U) and the depolarizing part is |I><I|/d.
+    """
+    dim = len(u)
+    unitary = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(dim * dim, -1)
+    vec_eye = np.eye(dim).reshape(-1)
+    return (1.0 - p) * unitary + (p / dim) * np.outer(vec_eye, vec_eye)
+
+
+def _channel_axes(qubits: tuple[int, ...], n: int) -> list[int]:
+    """(ket, bra) axes of a channel on ``qubits`` of a (2,)*2n density tensor."""
+    axes = _axes(qubits, n)
+    return axes + [n + a for a in axes]
+
+
+def _compose(
+    late: np.ndarray, late_q: tuple[int, ...], early: np.ndarray, early_q: tuple[int, ...]
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Channel ``early`` followed by ``late``, where one qubit set holds the other.
+
+    A superoperator on k qubits, reshaped to (2,)*4k, has the axes of a
+    k-qubit density tensor for its rows and again for its columns.  The
+    smaller channel goes onto the larger one's rows (applied after it) or,
+    transposed, onto its columns (applied before it).
+    """
+    if set(late_q) <= set(early_q):
+        k, qubits = len(early_q), early_q
+        pos = tuple(early_q.index(q) for q in late_q)
+        t = _apply_matrix(early.reshape((2,) * (4 * k)), late, _channel_axes(pos, k))
+    else:
+        k, qubits = len(late_q), late_q
+        pos = tuple(late_q.index(q) for q in early_q)
+        axes = [2 * k + a for a in _channel_axes(pos, k)]
+        t = _apply_matrix(late.reshape((2,) * (4 * k)), early.T, axes)
+    return t.reshape(4**k, 4**k), qubits
+
+
+def _apply_to_density(rho: np.ndarray, gate: Gate, n: int) -> np.ndarray:
+    """rho -> U rho U† for a 2^n x 2^n density matrix."""
+    s = _channel(gate_unitary(gate), 0.0)
+    out = _apply_matrix(rho.reshape((2,) * (2 * n)), s, _channel_axes(gate.qubits, n))
+    return out.reshape(2**n, 2**n)
+
+
+def _depolarize(rho: np.ndarray, qubits: tuple[int, ...], p: float, n: int) -> np.ndarray:
+    """rho -> (1-p) rho + p * (Tr_Q rho) (x) I/2^|Q| at the positions of Q."""
+    s = _channel(np.eye(2 ** len(qubits)), p)
+    out = _apply_matrix(rho.reshape((2,) * (2 * n)), s, _channel_axes(qubits, n))
+    return out.reshape(2**n, 2**n)
 
 
 def _readout_plan(c: Circuit) -> list[tuple[int, int]]:
@@ -141,7 +215,6 @@ def _qubit_probs_to_outcome(
     qprobs: np.ndarray, plan: list[tuple[int, int]], num_clbits: int
 ) -> OutcomeDistribution:
     """Marginalize the qubit-space diagonal onto the clbit space."""
-    n = int(np.log2(len(qprobs)))
     m = num_clbits
     out = np.zeros(2**m)
     indices = np.arange(len(qprobs))
@@ -158,61 +231,13 @@ def ideal_distribution(c: Circuit) -> OutcomeDistribution:
     if n > STATEVECTOR_MAX_QUBITS:
         raise TooManyQubits(f"{n} qubits exceeds statevector cap {STATEVECTOR_MAX_QUBITS}")
     plan = _readout_plan(c)
-    psi = np.zeros(2**n, dtype=complex)
-    psi[0] = 1.0
-    for op in c.ops:
-        if isinstance(op, Gate):
-            psi = _apply_to_statevector(psi, op, n)
-    qprobs = np.abs(psi) ** 2
+    psi = np.zeros((2,) * n, dtype=complex)
+    psi[(0,) * n] = 1.0
+    for gate in c.gates:
+        psi = _apply_matrix(psi, gate_unitary(gate), _axes(gate.qubits, n))
+    qprobs = np.abs(psi.reshape(-1)) ** 2
     num_clbits = c.num_clbits if c.measures else c.num_qubits
     return _qubit_probs_to_outcome(qprobs, plan, num_clbits)
-
-
-def _apply_to_density(rho: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    """rho -> U rho U† using the statevector kernel on both sides."""
-    u = gate_unitary(gate)
-    qk = len(gate.qubits)
-    axes = [n - 1 - q for q in reversed(gate.qubits)]
-    u_t = u.reshape((2,) * (2 * qk))
-    tensor = rho.reshape((2,) * (2 * n))
-
-    ket_axes = axes
-    moved = np.moveaxis(tensor, ket_axes, range(qk))
-    out = np.tensordot(u_t, moved, axes=(list(range(qk, 2 * qk)), list(range(qk))))
-    tensor = np.moveaxis(out, range(qk), ket_axes)
-
-    bra_axes = [n + a for a in axes]
-    moved = np.moveaxis(tensor, bra_axes, range(qk))
-    out = np.tensordot(u_t.conj(), moved, axes=(list(range(qk, 2 * qk)), list(range(qk))))
-    tensor = np.moveaxis(out, range(qk), bra_axes)
-    return tensor.reshape(2**n, 2**n)
-
-
-def _depolarize(rho: np.ndarray, qubits: tuple[int, ...], p: float, n: int) -> np.ndarray:
-    """rho -> (1-p) rho + p * (Tr_Q rho) (x) I/2^|Q| at the positions of Q."""
-    if p == 0.0:
-        return rho
-    qk = len(qubits)
-    axes = [n - 1 - q for q in qubits]
-    tensor = rho.reshape((2,) * (2 * n))
-    traced = tensor
-    # trace ket/bra axis pairs, highest axis first to keep indices valid
-    for a in sorted(axes, reverse=True):
-        traced = np.trace(traced, axis1=a, axis2=a + (traced.ndim // 2))
-    eye = np.eye(2**qk, dtype=complex).reshape((2,) * (2 * qk)) / (2**qk)
-    mixed = np.tensordot(eye, traced, axes=0)
-    # tensordot puts the identity axes first: [ket_Q, bra_Q, ket_rest, bra_rest]
-    rest = [a for a in range(n) if a not in axes]
-    src = list(range(2 * qk + 2 * (n - qk)))
-    dest_ket = axes + rest
-    dest = (
-        [dest_ket[i] for i in range(qk)]
-        + [n + dest_ket[i] for i in range(qk)]
-        + [dest_ket[qk + i] for i in range(n - qk)]
-        + [n + dest_ket[qk + i] for i in range(n - qk)]
-    )
-    mixed = np.moveaxis(mixed, src, dest).reshape(2**n, 2**n)
-    return (1.0 - p) * rho + p * mixed
 
 
 def _apply_readout_flips(qprobs: np.ndarray, qubits: list[int], p_ro: float) -> np.ndarray:
@@ -227,20 +252,45 @@ def _apply_readout_flips(qprobs: np.ndarray, qubits: list[int], p_ro: float) -> 
 
 
 def noisy_distribution(c: Circuit, nm: NoiseModel) -> OutcomeDistribution:
-    """Exact outcome distribution under depolarizing + readout noise."""
-    n = c.num_qubits
-    if n > DENSITY_MAX_QUBITS:
-        raise TooManyQubits(f"{n} qubits exceeds density-matrix cap {DENSITY_MAX_QUBITS}")
+    """Exact outcome distribution under depolarizing + readout noise.
+
+    Only the active qubits -- those a gate or the readout touches -- are
+    simulated, renumbered in order.  Channels wait in open blocks: a gate's
+    channel is multiplied onto each open block whose qubits hold, or are
+    held by, its own, and every other open block it overlaps is applied to
+    rho first.  So rho takes one contraction per block rather than per gate,
+    and no block spans more qubits than one gate.  Every channel on a qubit
+    that rho has not seen sits in that qubit's block, in order, and blocks
+    on disjoint qubits commute, so this is exact.
+    """
     plan = _readout_plan(c)
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    rho[0, 0] = 1.0
-    for op in c.ops:
-        if not isinstance(op, Gate):
-            continue
-        rho = _apply_to_density(rho, op, n)
-        p = nm.p1 if len(op.qubits) == 1 else nm.p2
-        rho = _depolarize(rho, op.qubits, p, n)
-    qprobs = np.real(np.diag(rho)).copy()
+    active = sorted({q for g in c.gates for q in g.qubits} | {q for q, _ in plan})
+    n = len(active)
+    if n > DENSITY_MAX_QUBITS:
+        raise TooManyQubits(
+            f"{n} active qubits exceeds density-matrix cap {DENSITY_MAX_QUBITS}"
+        )
+    local = {q: i for i, q in enumerate(active)}
+    rho = np.zeros((2,) * (2 * n), dtype=complex)
+    rho[(0,) * (2 * n)] = 1.0
+    blocks: dict[int, tuple] = {}  # local qubit -> (superoperator, qubits) of its open block
+    for gate in c.gates:
+        qubits = tuple(local[q] for q in gate.qubits)
+        s = _channel(gate_unitary(gate), nm.p1 if len(qubits) == 1 else nm.p2)
+        overlapped = {blocks[q][1]: blocks[q] for q in qubits if q in blocks}  # each block once
+        for early, early_q in overlapped.values():
+            if set(early_q) <= set(qubits) or set(qubits) <= set(early_q):
+                s, qubits = _compose(s, qubits, early, early_q)
+            else:
+                rho = _apply_matrix(rho, early, _channel_axes(early_q, n))
+            for q in early_q:
+                del blocks[q]
+        blocks.update((q, (s, qubits)) for q in qubits)
+    for s, qubits in {b[1]: b for b in blocks.values()}.values():  # each block once
+        rho = _apply_matrix(rho, s, _channel_axes(qubits, n))
+    qprobs = np.real(np.diagonal(rho.reshape(2**n, 2**n)))
+    qprobs = qprobs / qprobs.sum()  # the channels preserve trace; drop rounding drift
+    plan = [(local[q], clbit) for q, clbit in plan]
     qprobs = _apply_readout_flips(qprobs, [q for q, _ in plan], nm.p_ro)
     num_clbits = c.num_clbits if c.measures else c.num_qubits
     return _qubit_probs_to_outcome(qprobs, plan, num_clbits)
@@ -251,13 +301,10 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     n = c.num_qubits
     if n > 10:
         raise TooManyQubits(f"{n} qubits is too large for a dense unitary")
-    u = np.eye(2**n, dtype=complex)
-    for op in c.ops:
-        if isinstance(op, Gate):
-            u = np.column_stack(
-                [_apply_to_statevector(u[:, j].copy(), op, n) for j in range(2**n)]
-            )
-    return u
+    u = np.eye(2**n, dtype=complex).reshape((2,) * (2 * n))
+    for gate in c.gates:
+        u = _apply_matrix(u, gate_unitary(gate), _axes(gate.qubits, n))
+    return u.reshape(2**n, 2**n)
 
 
 # -- shot oracles ------------------------------------------------------------

@@ -225,6 +225,37 @@ def test_estimate_simulator_cap_exit_4(capsys):
     assert "TooManyQubits" in err
 
 
+def test_estimate_on_large_maps_matches_linear(capsys):
+    # ghz:4 routes with no SWAPs, so only 4 of the 27 (16) map qubits are simulated
+    def estimate(coupling):
+        code, out, err = run(["estimate", "--bench", "ghz:4", "--coupling", coupling,
+                              "--noise", "p1=1e-3,p2=1e-2,ro=1e-2", "--seed", "7"], capsys)
+        assert code == 0, err
+        return json.loads(out)
+
+    linear = estimate("linear")
+    for coupling in ("heavyhex27", "grid:4x4"):
+        report = estimate(coupling)
+        assert report["transpile"]["swap_count"] == 0
+        assert report["estimate"]["shots_used"] == linear["estimate"]["shots_used"]
+        assert abs(report["estimate"]["fhat"] - linear["estimate"]["fhat"]) <= 1e-12
+        assert abs(report["bias"]["f_true_exact"] - linear["bias"]["f_true_exact"]) <= 1e-12
+
+
+def test_sweep_error_row_carries_message(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([{"family": "qpe", "n": 12}]))
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--suite", f"@{suite}", "--coupling", "linear", "--deltas", "0.01",
+            "--seeds", "1", "--out", str(out)]
+    assert main(argv) == 0
+    _, line = out.read_text().strip().splitlines()
+    cells = line.split(",")
+    assert len(cells) == len(SWEEP_COLUMNS.split(",")) == 17
+    assert cells[12].startswith("error:TooManyQubits: ")
+    assert "13" in cells[12]
+
+
 def test_requires_exactly_one_source(capsys):
     code, _, err = run(["analyze"], capsys)
     assert code == 1

@@ -1,5 +1,7 @@
 """Simulator: statevector vs kron oracle, noise channels, oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,120 @@ def test_density_trace_preserved_gate_by_gate():
         assert abs(trace - 1.0) < 1e-10
         assert np.abs(rho - rho.conj().T).max() < 1e-10
         assert np.real(np.diag(rho)).min() > -1e-12
+
+
+PAULIS = (
+    np.eye(2),
+    np.array([[0, 1], [1, 0]]),
+    np.array([[0, -1j], [1j, 0]]),
+    np.diag([1.0, -1.0]),
+)
+
+
+def embed(ops_by_qubit: dict, n: int) -> np.ndarray:
+    """Full 2^n operator with ops_by_qubit[q] on qubit q; qubit n-1 is the top bit."""
+    full = np.eye(1)
+    for q in reversed(range(n)):
+        full = np.kron(full, ops_by_qubit.get(q, np.eye(2)))
+    return full
+
+
+def dense_noisy_oracle(c: Circuit, nm: NoiseModel) -> np.ndarray:
+    """Exact distribution from full 2^n matrices, one gate at a time.
+
+    rho -> (1-p) U rho U† + p Tr_Q(rho) (x) I/2^|Q|, with the depolarizing
+    term written as the Pauli twirl (1/4^k) sum_P P (U rho U†) P† over Q.
+    """
+    n = c.num_qubits
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    for gate in c.gates:
+        u = kron_unitary(gate, n)
+        rho = u @ rho @ u.conj().T
+        k = len(gate.qubits)
+        p = nm.p1 if k == 1 else nm.p2
+        twirl = np.zeros_like(rho)
+        for paulis in itertools.product(PAULIS, repeat=k):
+            pf = embed(dict(zip(gate.qubits, paulis)), n)
+            twirl += pf @ rho @ pf.conj().T
+        rho = (1.0 - p) * rho + p * twirl / 4**k
+    qprobs = np.real(np.diag(rho))
+    plan = [(m.qubit, m.clbit) for m in c.measures] or [(q, q) for q in range(n)]
+    m = c.num_clbits if c.measures else n
+    probs = np.zeros(2**m)
+    for x, px in enumerate(qprobs):
+        probs[sum(((x >> q) & 1) << b for q, b in plan)] += px
+    confusion = np.array([[1.0 - nm.p_ro, nm.p_ro], [nm.p_ro, 1.0 - nm.p_ro]])
+    return embed({b: confusion for _, b in plan}, m) @ probs
+
+
+def random_noisy_circuit(seed: int) -> Circuit:
+    """1-5 qubits, a gate mix with ccx, swap and cz; every other one measures a subset."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    pool = [("h", 1, 0), ("sx", 1, 0), ("t", 1, 0), ("rz", 1, 1), ("u", 1, 3), ("cx", 2, 0),
+            ("cz", 2, 0), ("swap", 2, 0), ("ccx", 3, 0)]
+    pool = [entry for entry in pool if entry[1] <= n]
+    measured = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False) if seed % 2 else []
+    c = Circuit(n, len(measured))
+    for _ in range(int(rng.integers(1, 16))):
+        kind, width, npar = pool[int(rng.integers(len(pool)))]
+        qubits = [int(q) for q in rng.choice(n, size=width, replace=False)]
+        c.add(kind, qubits, rng.uniform(-np.pi, np.pi, size=npar))
+    for clbit, q in enumerate(measured):
+        c.measure(int(q), clbit)
+    return c
+
+
+def test_fused_simulator_matches_dense_oracle():
+    kinds = set()
+    for seed in range(30):
+        c = random_noisy_circuit(seed)
+        kinds |= {g.kind for g in c.gates}
+        for p in (0.0, 1e-2, 1.0):
+            nm = NoiseModel(p1=p, p2=p, p_ro=0.05 if seed % 2 else 0.0)
+            got = noisy_distribution(c, nm).probs
+            assert np.abs(got - dense_noisy_oracle(c, nm)).max() <= 1e-12, (seed, p)
+    assert {"ccx", "swap", "cz"} <= kinds
+
+
+def test_idle_qubits_leave_distribution_unchanged():
+    def build(n: int, where: tuple[int, ...]) -> Circuit:
+        c = Circuit(n, 3)
+        c.add("h", (where[0],))
+        c.add("cx", (where[0], where[1]))
+        c.add("ry", (where[2],), (0.7,))
+        c.add("ccx", (where[0], where[2], where[1]))
+        c.add("cz", (where[1], where[2]))
+        for clbit, q in enumerate(where):
+            c.measure(q, clbit)
+        return c
+
+    nm = NoiseModel(p1=1e-2, p2=5e-2, p_ro=2e-2)
+    compact = noisy_distribution(build(3, (0, 1, 2)), nm)
+    padded = noisy_distribution(build(13, (2, 7, 11)), nm)  # 3 of 13 qubits active
+    assert np.abs(compact.probs - padded.probs).max() <= 1e-12
+
+
+def test_density_cap_counts_active_qubits():
+    with pytest.raises(TooManyQubits):
+        noisy_distribution(Circuit(13), NoiseModel())  # no measure: all 13 read out
+    c = Circuit(13, 1)
+    for q in range(12):
+        c.add("cx", (q, q + 1))
+    c.measure(0, 0)  # one readout, but gates touch all 13 qubits
+    with pytest.raises(TooManyQubits, match="13 active qubits"):
+        noisy_distribution(c, NoiseModel())
+
+
+def test_noisy_probabilities_sum_to_one():
+    # the channels preserve trace, so a deep routed circuit must not lose
+    # probability to rounding drift: qft's exact success fidelity is the sum
+    from qfid.transpile import linear_map, transpile
+
+    c = transpile(generate(BenchSpec.make("qft", 6)), linear_map(6), 1).circuit_t
+    d = noisy_distribution(c, NoiseModel(p1=1e-3, p2=1e-2, p_ro=1e-2))
+    assert abs(d.probs.sum() - 1.0) <= 1e-15
 
 
 def test_oracle_determinism():

@@ -8,10 +8,11 @@ mass.  Because P is similar to the symmetric S = D^-1/2 K D^-1/2, the whole
 spectrum is real and lives in [-1, 1], with the Perron eigenvalue pinned
 at 1.
 
-Two eigensolver paths are exposed: a dense full decomposition (LAPACK
-symmetric solver) for n <= 1024, and a deflated power iteration on S^2
-with sign recovery for larger problems.  The iterative path is validated
-against the dense one in the test suite.
+The kernel is held as its nonzero entries.  Two eigensolver paths are
+exposed: a dense full decomposition (LAPACK symmetric solver) for
+n <= 1024, and ARPACK's implicitly restarted Lanczos with a deflation check
+for missed copies of repeated eigenvalues beyond.  The iterative path is
+validated against the dense one in the test suite.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dag import (
     EmptyGraph,
@@ -33,6 +33,7 @@ from .deformation import DeformationReport
 
 DENSE_LIMIT = 1024
 _POWER_SEED = 0x5EED1E5  # fixed: the iterative path must be reproducible
+_SCALE_ROWS = 128  # rows of S scaled per block in the dense path
 
 
 class SpectralError(ValueError):
@@ -40,7 +41,7 @@ class SpectralError(ValueError):
 
 
 class ConvergenceFailure(SpectralError):
-    """Power iteration hit its cap; carries whatever modes were resolved."""
+    """The iterative solver hit its cap; carries whatever modes were resolved."""
 
     def __init__(self, message: str, partial: list[float]):
         self.partial = partial
@@ -61,23 +62,34 @@ class KernelConfig:
 
 @dataclass
 class WeightedKernel:
-    """Symmetric nonnegative kernel K = (W + W^T)/2 + s*I over DAG nodes."""
+    """Symmetric nonnegative kernel K = (W + W^T)/2 + s*I over DAG nodes.
+
+    Held as its nonzero entries K[rows[i], cols[i]] = vals[i], one per position.
+    """
 
     n: int
-    matrix: np.ndarray | sp.csr_matrix
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
     self_loop: float
 
     @property
     def is_dense(self) -> bool:
-        return isinstance(self.matrix, np.ndarray)
+        """Whether method "auto" solves this kernel with the dense solver."""
+        return self.n <= DENSE_LIMIT
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """K as a new dense n x n array."""
+        k = np.zeros((self.n, self.n))
+        k[self.rows, self.cols] = self.vals
+        return k
 
     def degrees(self) -> np.ndarray:
-        if self.is_dense:
-            return self.matrix.sum(axis=1)
-        return np.asarray(self.matrix.sum(axis=1)).ravel()
+        return np.bincount(self.rows, weights=self.vals, minlength=self.n)
 
     def total_weight(self) -> float:
-        return float(self.matrix.sum())
+        return float(self.vals.sum())
 
 
 @dataclass
@@ -90,6 +102,8 @@ class PropagationSpectrum:
     fanin_quantile: float
     method: str
     converged: bool = True
+    # max ||S v - theta v|| over the Ritz pairs; 0.0 if dense, inf if unconverged
+    residual: float = 0.0
 
 
 def _fanin_threshold(degrees: np.ndarray, quantile: float) -> float:
@@ -141,106 +155,105 @@ def build_kernel(
                 mult *= conn_mult
             weights[(i, j)] *= mult
 
-    if n <= DENSE_LIMIT:
-        w = np.zeros((n, n))
-        for (i, j), val in weights.items():
-            w[i, j] = val
-        kernel = 0.5 * (w + w.T) + cfg.self_loop * np.eye(n)
-        return WeightedKernel(n, kernel, cfg.self_loop)
-
-    rows, cols, vals = [], [], []
-    for (i, j), val in weights.items():
-        rows += [i, j]
-        cols += [j, i]
-        vals += [0.5 * val, 0.5 * val]
-    rows += list(range(n))
-    cols += list(range(n))
-    vals += [cfg.self_loop] * n
-    kernel = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return WeightedKernel(n, kernel, cfg.self_loop)
+    # a DAG has no self-loops and no antiparallel edges, so every entry of
+    # (W + W^T)/2 + s*I below is one term and takes one position
+    pairs = np.array(list(weights), dtype=np.intp).reshape(-1, 2)
+    half = 0.5 * np.fromiter(weights.values(), float, len(weights))
+    diag = np.arange(n)
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1], diag])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0], diag])
+    vals = np.concatenate([half, half, np.full(n, cfg.self_loop)])
+    return WeightedKernel(n, rows, cols, vals, cfg.self_loop)
 
 
 def operator_rows(kernel: WeightedKernel) -> np.ndarray:
     """Dense row-stochastic operator P = D^-1 K (for inspection and tests)."""
-    if not kernel.is_dense:
-        raise SpectralError("operator_rows is only available for dense kernels")
-    d = kernel.degrees()
-    return kernel.matrix / d[:, None]
+    k = kernel.matrix
+    return k / k.sum(axis=1)[:, None]
 
 
-def _symmetric_similar(kernel: WeightedKernel):
-    """S = D^-1/2 K D^-1/2, sharing P's spectrum but symmetric."""
-    d = kernel.degrees()
-    isq = 1.0 / np.sqrt(d)
-    if kernel.is_dense:
-        return kernel.matrix * np.outer(isq, isq)
-    scale = sp.diags(isq)
-    return (scale @ kernel.matrix @ scale).tocsr()
+def _symmetric_similar(kernel: WeightedKernel) -> np.ndarray:
+    """Dense S = D^-1/2 K D^-1/2, sharing P's spectrum but symmetric.
 
-
-def _dense_top_k(kernel: WeightedKernel, k: int) -> list[float]:
-    s = _symmetric_similar(kernel)
-    if not kernel.is_dense:
-        s = s.toarray()
-    eigs = np.linalg.eigvalsh(s)
-    ordered = sorted(eigs, key=lambda x: (-abs(x), -x))
-    return [float(v) for v in ordered[:k]]
-
-
-_BLOCK_BUFFER = 8  # oversampling columns beyond k; shields retained modes from boundary ties
+    Degrees are dense row sums, a fixed summation order; scaling is in place,
+    by row blocks of np.outer(isq, isq), so no second n x n array is live.
+    """
+    s = kernel.matrix
+    isq = 1.0 / np.sqrt(s.sum(axis=1))
+    for start in range(0, kernel.n, _SCALE_ROWS):
+        s[start : start + _SCALE_ROWS] *= np.outer(isq[start : start + _SCALE_ROWS], isq)
+    return s
 
 
 def _iterative_top_k(
     kernel: WeightedKernel, k: int, tol: float, max_iter: int
-) -> tuple[list[float], bool]:
-    """Block power iteration on S^2 with Rayleigh-Ritz extraction on S.
+) -> tuple[np.ndarray, float]:
+    """ARPACK's implicitly restarted Lanczos (``eigsh``) on S, then a deflation check.
 
-    Squaring S orders the invariant subspace by |lambda| without +/-
-    oscillation; the small projected eigenproblem then recovers signed
-    values.  The block (k plus a buffer) keeps clustered or paired modes
-    converging together, where one-vector deflation stalls.  Convergence is
-    declared when every retained Ritz pair has residual ||S y - theta y||
-    within tol (relative to the spectral scale).
+    Lanczos from one start vector can miss a copy of a repeated eigenvalue
+    (a DAG with c components has lambda = 1 c times).  So eigsh(k=1) from a
+    fresh start vector runs on S - V Theta V^T, the k pairs found deflated;
+    a mode beating the k-th |lambda| replaces it, and the check repeats, at
+    most k times.  Needs k < n - 1 (_top_k sends larger k to the dense
+    solver).  Returns the k eigenvalues and the largest ||S v - theta v||.
     """
     n = kernel.n
-    s = _symmetric_similar(kernel)
-    dense = kernel.is_dense
+    # scipy.sparse.linalg imports scipy.linalg: a cost only this path pays
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    def matvec_block(x: np.ndarray) -> np.ndarray:
-        return s @ x if dense else np.asarray(s @ x)
-
-    width = min(n, k + _BLOCK_BUFFER)
+    isq = 1.0 / np.sqrt(kernel.degrees())
+    svals = kernel.vals * isq[kernel.rows] * isq[kernel.cols]
+    s = csr_matrix((svals, (kernel.rows, kernel.cols)), shape=(n, n))
     rng = np.random.default_rng(_POWER_SEED)
-    q, _ = np.linalg.qr(rng.standard_normal((n, width)))
 
-    values: list[float] = []
-    for _ in range(max_iter):
-        z = matvec_block(matvec_block(q))
-        q_next, r = np.linalg.qr(z)
-        # rank collapse: the dropped directions carry (numerically) zero
-        # spectrum, so keep iterating with the smaller block
-        keep = np.abs(np.diag(r)) > 1e-14
-        if not keep.all():
-            q_next = q_next[:, keep]
-        if q_next.shape[1] == 0:
-            values += [0.0] * (k - len(values))
-            return values, True
-        q = q_next
-        sq = matvec_block(q)
-        t = q.T @ sq
-        t = 0.5 * (t + t.T)
-        theta, vect = np.linalg.eigh(t)
-        order = sorted(range(len(theta)), key=lambda i: (-abs(theta[i]), -theta[i]))
-        retained = order[:k]
-        values = [float(theta[i]) for i in retained]
-        scale = max(1e-30, max(abs(v) for v in values))
-        ritz = sq @ vect[:, retained] - (q @ vect[:, retained]) * theta[retained]
-        residual = float(np.linalg.norm(ritz, axis=0).max())
-        if residual <= tol * scale:
-            values += [0.0] * (k - len(values))
-            return values, True
-    values += [0.0] * (k - len(values))
-    return values, False
+    def solve(op, count: int) -> tuple[np.ndarray, np.ndarray]:
+        v0 = rng.standard_normal(n)
+        try:
+            return eigsh(op, count, which="LM", v0=v0, tol=tol, maxiter=max_iter)
+        except ArpackNoConvergence as exc:
+            found = sorted(map(float, exc.eigenvalues), key=abs, reverse=True)[:k]
+            partial = found + [0.0] * (k - len(found))
+            raise ConvergenceFailure(f"ARPACK exceeded {max_iter} restarts", partial) from None
+
+    theta, vecs = solve(s, k)
+    for _ in range(k):
+        kth = np.abs(theta).min()
+
+        def deflated(x: np.ndarray) -> np.ndarray:
+            return s @ x - vecs @ (theta * (vecs.T @ x))
+
+        extra, u = solve(LinearOperator((n, n), matvec=deflated, dtype=float), 1)
+        # |lambda| <= 1 with the Perron value at 1, so tol is absolute here
+        if abs(extra[0]) <= kth + tol:
+            break
+        keep = np.argsort(-np.abs(theta))[: k - 1]
+        theta = np.append(theta[keep], extra)
+        vecs = np.hstack([vecs[:, keep], u])
+    return theta, float(np.linalg.norm(s @ vecs - vecs * theta, axis=0).max())
+
+
+def _resolve_method(kernel: WeightedKernel, method: str) -> str:
+    if method == "auto":
+        return "dense" if kernel.is_dense else "iterative"
+    if method in ("dense", "iterative"):
+        return method
+    raise SpectralError(f"method must be auto|dense|iterative, got {method!r}")
+
+
+def _top_k(
+    kernel: WeightedKernel, k: int, method: str, tol: float = 1e-8, max_iter: int = 10_000
+) -> tuple[list[float], float]:
+    """Eigenvalues and the largest Ritz residual; see top_eigenvalues."""
+    if k < 1:
+        raise SpectralError(f"k must be >= 1, got {k}")
+    k = min(k, kernel.n)
+    if _resolve_method(kernel, method) == "dense" or k >= kernel.n - 1:
+        values, residual = np.linalg.eigvalsh(_symmetric_similar(kernel)), 0.0
+    else:
+        values, residual = _iterative_top_k(kernel, k, tol, max_iter)
+    ordered = sorted(values, key=lambda x: (-abs(x), -x))
+    return [float(v) for v in ordered[:k]], residual
 
 
 def top_eigenvalues(
@@ -252,25 +265,12 @@ def top_eigenvalues(
 ) -> list[float]:
     """Top-k eigenvalues of P by magnitude, descending; all real.
 
-    method "auto" uses the dense solver up to n = 1024 and the deflated
-    power iteration beyond.  Raises ConvergenceFailure (carrying partial
-    results) if the iterative path stalls.
+    method "auto" uses the dense solver up to n = 1024 and ARPACK's Lanczos
+    with the deflation check beyond; ``tol`` bounds each pair's residual and
+    ``max_iter`` caps ARPACK's restarts.  Raises ConvergenceFailure
+    (carrying partial results) if the iterative path does not converge.
     """
-    if k < 1:
-        raise SpectralError(f"k must be >= 1, got {k}")
-    k = min(k, kernel.n)
-    if method == "auto":
-        method = "dense" if kernel.n <= DENSE_LIMIT else "iterative"
-    if method == "dense":
-        return _dense_top_k(kernel, k)
-    if method == "iterative":
-        values, ok = _iterative_top_k(kernel, k, tol, max_iter)
-        if not ok:
-            raise ConvergenceFailure(
-                f"power iteration exceeded {max_iter} iterations", values
-            )
-        return values
-    raise SpectralError(f"method must be auto|dense|iterative, got {method!r}")
+    return _top_k(kernel, k, method, tol, max_iter)[0]
 
 
 def spectral_complexity(eigenvalues: list[float], k: int) -> float:
@@ -294,13 +294,11 @@ def analyze_spectrum(
     """Convenience wrapper: eigenvalues + complexity, flagging non-convergence."""
     cfg = cfg or KernelConfig()
     k = default_mode_count(kernel.n) if k is None else min(k, kernel.n)
-    converged = True
-    used = method if method != "auto" else ("dense" if kernel.n <= DENSE_LIMIT else "iterative")
+    used = _resolve_method(kernel, method)
     try:
-        eigs = top_eigenvalues(kernel, k, method=method)
+        eigs, residual = _top_k(kernel, k, used)
     except ConvergenceFailure as exc:
-        eigs = exc.partial
-        converged = False
+        eigs, residual = exc.partial, math.inf
     return PropagationSpectrum(
         n=kernel.n,
         k=k,
@@ -309,5 +307,6 @@ def analyze_spectrum(
         self_loop=kernel.self_loop,
         fanin_quantile=cfg.fanin_quantile,
         method=used,
-        converged=converged,
+        converged=math.isfinite(residual),
+        residual=residual,
     )

@@ -46,6 +46,15 @@ def test_analyze_ghz(capsys):
     assert report["plan"]["batch_size"] >= 20
 
 
+def test_analyze_spectrum_keys_leave_out_solver_residual(capsys):
+    # default JSON stays byte-stable: PropagationSpectrum.residual is not emitted
+    code, out, _ = run(["analyze", "--bench", "qpe:4", "--coupling", "linear"], capsys)
+    assert code == 0
+    assert set(json.loads(out)["spectrum"]) == {
+        "n", "k", "eigenvalues", "complexity", "self_loop", "fanin_quantile", "method", "converged"
+    }
+
+
 def test_analyze_qft_forces_swaps(capsys):
     code, out, _ = run(["analyze", "--bench", "qft:4", "--coupling", "linear"], capsys)
     assert code == 0

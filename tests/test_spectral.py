@@ -1,17 +1,30 @@
 """Spectral engine: kernel construction, operator rows, both eigen paths."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qfid
 from qfid.bench import random_circuit
 from qfid.circuit import Circuit
-from qfid.dag import EmptyGraph, GateDag, build_dag
+from qfid.dag import (
+    EmptyGraph,
+    GateDag,
+    build_dag,
+    longest_dist_from_sources,
+    longest_dist_to_sinks,
+    longest_path_len,
+)
 from qfid.deformation import DeformationReport
 from qfid.spectral import (
     KernelConfig,
     SpectralError,
+    _symmetric_similar,
     analyze_spectrum,
     build_kernel,
     default_mode_count,
@@ -266,3 +279,103 @@ def test_convergence_failure_carries_partial_results():
     spec = analyze_spectrum(k, k=3, method="iterative")
     assert spec.converged  # the default iteration budget is enough
 
+
+def dense_kernel_oracle(dag: GateDag, report: DeformationReport, cfg: KernelConfig):
+    """0.5*(W + W^T) + s*I with W filled edge by edge, as a dense array."""
+    n = dag.num_nodes
+    index = dag.node_index()
+    w = np.zeros((n, n))
+    for src, dst, _ in dag.edges:
+        w[index[src], index[dst]] += 1.0
+    total = dag.total_degrees()
+    degs = [total[node.id] for node in dag.nodes]
+    threshold = sorted(degs)[max(1, math.ceil(cfg.fanin_quantile * n)) - 1]
+    dist_src, dist_sink = longest_dist_from_sources(dag), longest_dist_to_sinks(dag)
+    longest = longest_path_len(dag)
+    for i, j in zip(*np.nonzero(w)):
+        mult = 1.0
+        if dist_src[dag.nodes[i].id] + 1 + dist_sink[dag.nodes[j].id] == longest:
+            mult *= 1.0 + max(0.0, report.delta_path)
+        if degs[i] >= threshold or degs[j] >= threshold:
+            mult *= 1.0 + max(0.0, report.delta_conn)
+        w[i, j] *= mult
+    return 0.5 * (w + w.T) + cfg.self_loop * np.eye(n)
+
+
+def test_kernel_entries_bit_exact_against_dense_oracle():
+    rng = np.random.default_rng(5)
+    for trial in range(15):
+        nq, ng = int(rng.integers(1, 6)), int(rng.integers(1, 80))
+        dag = build_dag(random_circuit(nq, ng, trial, measure=True))
+        report = DeformationReport(0.0, *(float(rng.uniform(-0.2, 1)) for _ in range(2)))
+        cfg = KernelConfig(
+            self_loop=float(rng.uniform(0.1, 2)), fanin_quantile=float(rng.uniform(0, 1))
+        )
+        kernel = build_kernel(dag, report, cfg)
+        assert np.array_equal(kernel.matrix, dense_kernel_oracle(dag, report, cfg)), trial
+        k = kernel.matrix
+        isq = 1.0 / np.sqrt(k.sum(axis=1))
+        assert np.array_equal(_symmetric_similar(kernel), k * np.outer(isq, isq)), trial
+
+
+def criterion_2_kernels(trials):
+    """Replay test_criterion_2's kernel stream (rng 77) and keep the given trials."""
+    rng = np.random.default_rng(77)
+    kernels, trial = [], 0
+    while trial < max(trials):
+        trial += 1
+        nq, ng = int(rng.integers(2, 6)), int(rng.integers(4, 40))
+        dag = build_dag(random_circuit(nq, ng, seed=1000 + trial, measure=True))
+        if dag.num_nodes > 64:
+            continue
+        report = DeformationReport(*(float(rng.uniform(0, hi)) for hi in (0.5, 1, 1)))
+        if trial in trials:
+            kernels.append(build_kernel(dag, report))
+    return kernels
+
+
+def test_iterative_finds_every_copy_of_repeated_eigenvalues():
+    # three disjoint identical chains: every eigenvalue, lambda = 1 among them,
+    # three times; n is large enough that ARPACK's Krylov space is not all of R^n
+    chains = Circuit(3)
+    for _ in range(12):
+        for q in range(3):
+            chains.add("h", (q,))
+    kernel = build_kernel(build_dag(chains), ZERO)
+    assert kernel.n == 36
+    assert top_eigenvalues(kernel, 10, method="dense")[:3] == pytest.approx([1.0] * 3, abs=1e-12)
+    # the criterion-2 kernels on which Lanczos alone missed a repeated mode
+    for kernel in [kernel, *criterion_2_kernels({3, 36, 48})]:
+        k = min(10, kernel.n)
+        assert k < kernel.n - 1
+        dense = top_eigenvalues(kernel, k, method="dense")
+        spec = analyze_spectrum(kernel, k=k, method="iterative")
+        assert np.allclose(spec.eigenvalues, dense, rtol=0, atol=1e-10)
+        assert spec.converged and spec.residual <= 1e-8
+
+
+def test_iterative_reproducible_beyond_dense_limit():
+    kernel = build_kernel(build_dag(random_circuit(4, 1100, seed=5, measure=True)), ZERO)
+    assert kernel.n > 1024
+    first = analyze_spectrum(kernel)
+    assert first.method == "iterative"
+    assert 0 < first.residual <= 1e-8
+    assert top_eigenvalues(kernel, first.k, method="iterative") == first.eigenvalues
+    dense = analyze_spectrum(kernel, method="dense")
+    assert dense.residual == 0.0
+    assert np.allclose(first.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-10)
+
+
+def test_importing_cli_leaves_scipy_linalg_unloaded():
+    # scipy.sparse.linalg pulls in scipy.linalg; only the iterative eigensolver
+    # may load it, so runs that never take that path skip its import time and memory
+    paths = [str(Path(qfid.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    code = (
+        "import sys, qfid.cli; "
+        "print([m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

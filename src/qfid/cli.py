@@ -148,10 +148,11 @@ def _load_circuit(args) -> tuple:
     return circuit, source
 
 
-def _plan_config(args) -> PlanConfig:
+def _plan_config(args, delta: float | None = None) -> PlanConfig:
+    """The flags' plan config, at ``delta`` if given instead of ``--delta``."""
     try:
         return PlanConfig(
-            delta=args.delta,
+            delta=args.delta if delta is None else delta,
             alpha=args.alpha,
             p_max=args.pmax,
             batch_min=args.batch_min,
@@ -278,6 +279,8 @@ def cmd_sweep(args) -> int:
         raise CliError("sweep needs nonempty --deltas and --seeds", EXIT_PARSE)
     noise = parse_noise(args.noise)
     plan = _plan_config(args)
+    for delta in deltas:  # a bad delta fails before any row is computed
+        _plan_config(args, delta)
 
     def factory(width: int) -> CouplingMap:
         return parse_coupling(args.coupling, width)

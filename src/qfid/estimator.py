@@ -195,7 +195,7 @@ def estimate(
         a, b = xeb_scale(ideal)
         value_of = a * ideal.probs + b
 
-    trace = EstimationTrace(batch_size=batch, estimator=cfg.estimator)
+    batches: list[BatchStat] = []
     total = 0
     running_sum = 0.0
     running_sumsq = 0.0
@@ -211,28 +211,64 @@ def estimate(
         else:
             var = 0.0
         std = math.sqrt(var)
-        ci = z * std / math.sqrt(total)
-        trace.batches.append(
-            BatchStat(
-                index=len(trace.batches),
-                size=batch,
-                batch_mean=float(values.mean()),
-                cum_mean=mean,
-                cum_std=std,
-                ci=ci,
-                total_shots=total,
-            )
+        stat = BatchStat(
+            index=len(batches),
+            size=batch,
+            batch_mean=float(values.mean()),
+            cum_mean=mean,
+            cum_std=std,
+            ci=z * std / math.sqrt(total),
+            total_shots=total,
         )
-        trace.fhat, trace.sigma, trace.ci, trace.shots_used = mean, std, ci, total
-        if ci <= cfg.delta and len(trace.batches) >= cfg.min_batches_before_stop:
-            trace.stop_reason = "ci_met"
-            break
-        if total >= cfg.p_max:
-            trace.stop_reason = "cap_reached"
-            break
+        batches.append(stat)
+        reason = stop_reason(stat, cfg)
+        if reason:
+            return _stopped(batch, cfg, batches, reason)
+
+
+def stop_reason(stat: BatchStat, cfg: PlanConfig) -> str:
+    """Why sampling stops after this batch: ``ci_met``, ``cap_reached`` or ""."""
+    if stat.ci <= cfg.delta and stat.index + 1 >= cfg.min_batches_before_stop:
+        return "ci_met"
+    if stat.total_shots >= cfg.p_max:
+        return "cap_reached"
+    return ""
+
+
+def _stopped(
+    batch: int, cfg: PlanConfig, batches: list[BatchStat], reason: str
+) -> EstimationTrace:
+    last = batches[-1]
+    fhat = last.cum_mean
     if cfg.estimator == "xeb":
-        trace.fhat = min(max(trace.fhat, 0.0), 1.05)
-    return trace
+        fhat = min(max(fhat, 0.0), 1.05)
+    return EstimationTrace(
+        batch_size=batch,
+        estimator=cfg.estimator,
+        batches=batches,
+        fhat=fhat,
+        sigma=last.cum_std,
+        ci=last.ci,
+        shots_used=last.total_shots,
+        stop_reason=reason,
+    )
+
+
+def truncate(trace: EstimationTrace, cfg: PlanConfig) -> EstimationTrace:
+    """The trace ``estimate`` returns under ``cfg``, cut from a longer one.
+
+    ``trace`` must come from the same oracle seed, batch size and config
+    except for a tolerance no looser than ``cfg.delta``: the batches then
+    agree, and the loop under ``cfg`` stops at the first batch where
+    ``stop_reason`` holds, which is no later than the end of ``trace``.
+    """
+    if trace.estimator != cfg.estimator:
+        raise EstimationError(f"trace is {trace.estimator}, config is {cfg.estimator}")
+    for stat in trace.batches:
+        reason = stop_reason(stat, cfg)
+        if reason:
+            return _stopped(trace.batch_size, cfg, trace.batches[: stat.index + 1], reason)
+    raise EstimationError(f"trace ends before the stop rule holds at delta {cfg.delta}")
 
 
 def hellinger_distance(p: OutcomeDistribution, q: OutcomeDistribution) -> float:

@@ -1,9 +1,11 @@
 """Pipeline orchestration and report serialization.
 
 ``analyze_circuit`` runs the shot-free half of the pipeline (DAG,
-transpile, deformation, spectrum, batch size); ``run_estimate`` adds the
-adaptive sampling loop and bias accounting against the exact noisy
-distribution.  Reports serialize to JSON/CSV with every float rendered at
+transpile, deformation, spectrum, batch size); ``build_pipeline`` adds the
+exact ideal and noisy distributions, and ``sample_pipeline`` the adaptive
+sampling loop and bias accounting against the exact noisy distribution.
+``run_estimate`` is those two steps in a row; a sweep reuses one build
+across seeds and one sampling trace across tolerances.  Reports serialize to JSON/CSV with every float rendered at
 17 significant digits so identical configurations produce byte-identical
 files.
 
@@ -36,6 +38,7 @@ from .estimator import (
     estimate,
     hellinger_distance,
     success_set,
+    truncate,
     xeb_scale,
 )
 from .simulator import (
@@ -260,6 +263,84 @@ def _true_fidelity(
     return float((a * ideal.probs + b) @ noisy.probs)
 
 
+@dataclass
+class Pipeline:
+    """Everything an estimate needs before its first shot."""
+
+    artifacts: PipelineArtifacts
+    noise: NoiseModel
+    ideal: OutcomeDistribution
+    noisy: OutcomeDistribution
+
+
+def build_pipeline(
+    circuit: Circuit,
+    coupling: CouplingMap,
+    noise: NoiseModel,
+    source: dict | None = None,
+    transpile_seed: int = 0,
+    kernel_cfg: KernelConfig | None = None,
+    plan_cfg: PlanConfig | None = None,
+    k: int | None = None,
+) -> Pipeline:
+    """Analyze the circuit and compute its exact ideal and noisy distributions.
+
+    The shot oracle runs over the transpiled circuit (noise acts on what
+    the hardware would execute); the ideal distribution that defines shot
+    values comes from the logical circuit.
+    """
+    artifacts = analyze_circuit(
+        circuit, coupling, source, transpile_seed, kernel_cfg, plan_cfg, k
+    )
+    ideal = ideal_distribution(circuit)
+    noisy = noisy_distribution(artifacts.transpile_result.circuit_t, noise)
+    return Pipeline(artifacts, noise, ideal, noisy)
+
+
+def _fidelity_bias(fhat: float, f_true: float) -> dict:
+    return {
+        "f_true_exact": f_true,
+        "fidelity_abs": abs(fhat - f_true),
+        "fidelity_hellinger": bernoulli_hellinger(fhat, f_true),
+    }
+
+
+def sample_pipeline(
+    pipeline: Pipeline,
+    oracle_seed: int,
+    plan_cfg: PlanConfig,
+    reference_shots: int = 0,
+    collect_shots: bool = True,
+) -> RunRecord:
+    """Sample adaptively from the noisy distribution; record bias vs the oracle."""
+    noisy = pipeline.noisy
+    oracle = _RecordingOracle(noisy, oracle_seed) if collect_shots else DistributionOracle(noisy, oracle_seed)
+    trace = estimate(oracle, pipeline.ideal, plan_cfg, pipeline.artifacts.batch)
+
+    bias = _fidelity_bias(
+        trace.fhat, _true_fidelity(plan_cfg.estimator, pipeline.ideal, noisy)
+    )
+    if collect_shots:
+        counts = counts_from_shots(oracle.shots)
+        empirical = empirical_distribution(noisy.num_bits, counts)
+        bias["outcome_hellinger"] = hellinger_distance(empirical, noisy)
+        if reference_shots > 0:
+            ref_oracle = DistributionOracle(noisy, oracle_seed + 1)
+            ref_counts = counts_from_shots(ref_oracle.sample(reference_shots))
+            ref_dist = empirical_distribution(noisy.num_bits, ref_counts)
+            bias["outcome_hellinger_ref"] = hellinger_distance(empirical, ref_dist)
+            bias["reference_shots"] = reference_shots
+
+    noise = pipeline.noise
+    return RunRecord(
+        analyze=pipeline.artifacts.report,
+        trace=trace,
+        bias=bias,
+        noise={"p1": noise.p1, "p2": noise.p2, "ro": noise.p_ro},
+        oracle_seed=oracle_seed,
+    )
+
+
 def run_estimate(
     circuit: Circuit,
     coupling: CouplingMap,
@@ -273,48 +354,17 @@ def run_estimate(
     reference_shots: int = 0,
     collect_shots: bool = True,
 ) -> RunRecord:
-    """Full pipeline: analyze, sample adaptively, record bias vs the oracle.
-
-    The shot oracle runs over the transpiled circuit (noise acts on what
-    the hardware would execute); the ideal distribution that defines shot
-    values comes from the logical circuit.
-    """
+    """Full pipeline: ``build_pipeline`` then ``sample_pipeline``."""
     plan_cfg = plan_cfg or PlanConfig()
     t_start = time.perf_counter()
-    artifacts = analyze_circuit(
-        circuit, coupling, source, transpile_seed, kernel_cfg, plan_cfg, k
+    pipeline = build_pipeline(
+        circuit, coupling, noise, source, transpile_seed, kernel_cfg, plan_cfg, k
     )
-    ideal = ideal_distribution(circuit)
-    noisy = noisy_distribution(artifacts.transpile_result.circuit_t, noise)
-    oracle = _RecordingOracle(noisy, oracle_seed) if collect_shots else DistributionOracle(noisy, oracle_seed)
-    trace = estimate(oracle, ideal, plan_cfg, artifacts.batch)
-
-    f_true = _true_fidelity(plan_cfg.estimator, ideal, noisy)
-    bias = {
-        "f_true_exact": f_true,
-        "fidelity_abs": abs(trace.fhat - f_true),
-        "fidelity_hellinger": bernoulli_hellinger(trace.fhat, f_true),
-    }
-    if collect_shots:
-        counts = counts_from_shots(oracle.shots)
-        empirical = empirical_distribution(noisy.num_bits, counts)
-        bias["outcome_hellinger"] = hellinger_distance(empirical, noisy)
-        if reference_shots > 0:
-            ref_oracle = DistributionOracle(noisy, oracle_seed + 1)
-            ref_counts = counts_from_shots(ref_oracle.sample(reference_shots))
-            ref_dist = empirical_distribution(noisy.num_bits, ref_counts)
-            bias["outcome_hellinger_ref"] = hellinger_distance(empirical, ref_dist)
-            bias["reference_shots"] = reference_shots
-
-    wall_ms = (time.perf_counter() - t_start) * 1000.0
-    return RunRecord(
-        analyze=artifacts.report,
-        trace=trace,
-        bias=bias,
-        noise={"p1": noise.p1, "p2": noise.p2, "ro": noise.p_ro},
-        oracle_seed=oracle_seed,
-        wall_time_ms=wall_ms,
+    record = sample_pipeline(
+        pipeline, oracle_seed, plan_cfg, reference_shots, collect_shots
     )
+    record.wall_time_ms = (time.perf_counter() - t_start) * 1000.0
+    return record
 
 
 class _RecordingOracle(DistributionOracle):
@@ -374,6 +424,13 @@ def csv_row(
     return ",".join(fields)
 
 
+def _record_at(record: RunRecord, cfg: PlanConfig) -> RunRecord:
+    """A shot-free ``record`` cut back to the looser tolerance of ``cfg``."""
+    trace = truncate(record.trace, cfg)
+    bias = _fidelity_bias(trace.fhat, record.bias["f_true_exact"])
+    return replace(record, trace=trace, bias=bias)
+
+
 def sweep_rows(
     suite: list[BenchSpec],
     deltas: list[float],
@@ -383,52 +440,68 @@ def sweep_rows(
     plan_cfg: PlanConfig | None = None,
     include_walltime: bool = False,
 ) -> list[str]:
-    """One CSV row per (spec, delta, seed), ordered deterministically.
+    """One CSV row per (spec, seed, delta), ordered deterministically.
 
-    The same oracle seed is reused across deltas so a looser tolerance can
-    only stop earlier on the identical shot stream.  Wall time is left
-    blank unless requested, keeping default output byte-stable.  A run that
-    raises leaves a row whose stop_reason cell reads
-    ``error:<Type>: <message>``, with commas and line breaks in the message
-    replaced so the row keeps its 17 cells.
+    Each distinct circuit of a suite entry is built once (``build_pipeline``,
+    a failure included), and each seed samples once, at the tightest delta.
+    Every delta's row is a prefix of that trace, cut where the stop rule
+    first holds at its delta (``estimator.truncate``): the batch size and
+    the oracle seed do not depend on delta, so the cut equals a run made at
+    that delta.  Wall time is left blank unless requested, keeping default
+    output byte-stable; when requested, every delta row of a (spec, seed)
+    carries the time that (spec, seed) took, its build included when the
+    circuit was not built before.  A run that raises leaves a row whose
+    stop_reason cell reads ``error:<Type>: <message>``, with commas and line
+    breaks in the message replaced so the row keeps its 17 cells.
     """
+    if not deltas:
+        return []
     base_cfg = plan_cfg or PlanConfig()
+    cfgs = [replace(base_cfg, delta=delta) for delta in deltas]
+    tightest = min(cfgs, key=lambda cfg: cfg.delta)
     rows = []
     for spec in suite:
+        # keyed by the generated circuit; dropped after the entry
+        pipelines: dict[tuple, Pipeline | Exception] = {}
         for seed in seeds:
-            circuit = None
-            for delta in deltas:
-                cfg = replace(base_cfg, delta=delta)
-                t0 = time.perf_counter()
-                try:
-                    if circuit is None:
-                        run_spec = BenchSpec(spec.family, spec.n, seed, spec.extras)
-                        circuit = generate(run_spec)
-                    record = run_estimate(
-                        circuit,
-                        coupling_factory(circuit.num_qubits),
-                        noise,
-                        oracle_seed=seed,
-                        plan_cfg=cfg,
-                        collect_shots=False,
-                    )
-                except Exception as exc:  # noqa: BLE001 - partial rows keep the sweep alive
-                    # one cell: the message must not split the row or the file
-                    message = " ".join(f"{type(exc).__name__}: {exc}".splitlines())
-                    message = message.replace(",", ";")
-                    rows.append(
-                        f"{spec.family},{spec.n},{seed},{format_float(delta)},"
-                        f",,,,,,,,error:{message},,,,"
-                    )
-                    continue
-                wall = (
-                    str(int((time.perf_counter() - t0) * 1000.0))
-                    if include_walltime
-                    else ""
+            t0 = time.perf_counter()
+            try:
+                circuit = generate(BenchSpec(spec.family, spec.n, seed, spec.extras))
+                key = (circuit.num_qubits, circuit.num_clbits, tuple(circuit.ops))
+                if key not in pipelines:
+                    try:
+                        pipelines[key] = build_pipeline(
+                            circuit,
+                            coupling_factory(circuit.num_qubits),
+                            noise,
+                            plan_cfg=tightest,
+                        )
+                    except Exception as exc:  # noqa: BLE001 - every seed reports it
+                        pipelines[key] = exc
+                pipeline = pipelines[key]
+                if isinstance(pipeline, Exception):
+                    raise pipeline
+                record = sample_pipeline(pipeline, seed, tightest, collect_shots=False)
+                cuts = [_record_at(record, cfg) for cfg in cfgs]
+            except Exception as exc:  # noqa: BLE001 - partial rows keep the sweep alive
+                # one cell: the message must not split the row or the file
+                message = " ".join(f"{type(exc).__name__}: {exc}".splitlines())
+                message = message.replace(",", ";")
+                rows.extend(
+                    f"{spec.family},{spec.n},{seed},{format_float(delta)},"
+                    f",,,,,,,,error:{message},,,,"
+                    for delta in deltas
                 )
-                rows.append(
-                    csv_row(spec.family, spec.n, seed, delta, record.analyze, record, wall)
-                )
+                continue
+            wall = (
+                str(int((time.perf_counter() - t0) * 1000.0))
+                if include_walltime
+                else ""
+            )
+            rows.extend(
+                csv_row(spec.family, spec.n, seed, delta, cut.analyze, cut, wall)
+                for delta, cut in zip(deltas, cuts)
+            )
     return rows
 
 

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from qfid.cli import main, parse_bench, parse_coupling, parse_noise
 from qfid.report import SWEEP_COLUMNS, format_float, to_json
 
@@ -263,6 +265,18 @@ def test_sweep_error_row_carries_message(tmp_path, capsys):
     assert len(cells) == len(SWEEP_COLUMNS.split(",")) == 17
     assert cells[12].startswith("error:TooManyQubits: ")
     assert "13" in cells[12]
+
+
+@pytest.mark.parametrize("bad", ["1.5", "0", "nan"])
+def test_sweep_bad_delta_exits_1_before_any_row(bad, tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([{"family": "ghz", "n": 3}]))
+    out = tmp_path / "sweep.csv"
+    code, _, err = run(["sweep", "--suite", f"@{suite}", "--deltas", f"0.01,{bad}",
+                        "--seeds", "1", "--out", str(out)], capsys)
+    assert code == 1
+    assert "delta must be in (0,1)" in err
+    assert not out.exists()
 
 
 def test_requires_exactly_one_source(capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfid.estimator import (
     DimensionMismatch,
@@ -17,6 +19,7 @@ from qfid.estimator import (
     hellinger_distance,
     shot_value,
     success_set,
+    truncate,
     xeb_scale,
     z_quantile,
 )
@@ -254,3 +257,50 @@ def test_bernoulli_hellinger():
     two_cell = hellinger_distance(dist([0.8, 0.2]), dist([0.7, 0.3]))
     assert bernoulli_hellinger(0.2, 0.3) == pytest.approx(two_cell, abs=1e-12)
     assert bernoulli_hellinger(1.04, 1.0) == 0.0  # clamped xeb report
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    weights=st.lists(st.integers(1, 40), min_size=4, max_size=4),
+    noise=st.lists(st.integers(0, 40), min_size=4, max_size=4).filter(any),
+    batch=st.integers(1, 60),
+    min_batches=st.integers(1, 4),
+    p_max=st.integers(1, 3000),
+    estimator=st.sampled_from(["success", "xeb"]),
+    deltas=st.lists(st.floats(0.005, 0.4), min_size=1, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+@example(weights=[9, 1, 1, 1], noise=[1, 1, 1, 1], batch=20, min_batches=2, p_max=200,
+         estimator="xeb", deltas=[0.01, 0.3], seed=0)
+@example(weights=[1, 30, 1, 1], noise=[0, 1, 0, 0], batch=7, min_batches=4, p_max=50,
+         estimator="success", deltas=[0.2, 0.001, 0.05], seed=1)
+def test_truncated_trace_equals_direct_run(
+    weights, noise, batch, min_batches, p_max, estimator, deltas, seed
+):
+    """Cutting the tightest-delta trace gives the trace of a run at each delta."""
+    ideal = dist(np.array(weights) / sum(weights))
+    if estimator == "xeb" and len(set(weights)) == 1:
+        return  # xeb is undefined on a uniform ideal
+    noisy = dist(np.array(noise) / sum(noise))
+    cfgs = [
+        PlanConfig(delta=d, p_max=p_max, batch_min=1, min_batches_before_stop=min_batches,
+                   estimator=estimator)
+        for d in deltas
+    ]
+    tight = min(cfgs, key=lambda cfg: cfg.delta)
+    trace = estimate(DistributionOracle(noisy, seed), ideal, tight, batch)
+    for cfg in cfgs:
+        direct = estimate(DistributionOracle(noisy, seed), ideal, cfg, batch)
+        # every BatchStat, fhat, sigma, ci, shots_used and stop_reason
+        assert truncate(trace, cfg) == direct
+
+
+def test_truncate_refuses_a_trace_it_cannot_cut():
+    ideal = dist([0.05, 0.95])
+    cfg = PlanConfig(delta=0.05)
+    trace = estimate(DistributionOracle(ideal, seed=3), ideal, cfg, batch=20)
+    assert trace.stop_reason == "ci_met"
+    with pytest.raises(EstimationError):
+        truncate(trace, PlanConfig(delta=0.001))  # would need more shots
+    with pytest.raises(EstimationError):
+        truncate(trace, PlanConfig(delta=0.05, estimator="xeb"))

@@ -222,6 +222,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if args.reference_shots < 0:
+        raise CliError(f"--reference-shots must be >= 0, got {args.reference_shots}", EXIT_PARSE)
     circuit, source = _load_circuit(args)
     coupling = parse_coupling(args.coupling, circuit.num_qubits)
     record = run_estimate(
@@ -326,6 +328,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_reference(args) -> int:
+    if args.shots < 1:
+        raise CliError(f"--shots must be >= 1, got {args.shots}", EXIT_PARSE)
     circuit, _ = _load_circuit(args)
     noise = parse_noise(args.noise)
     if noise.is_noiseless:
@@ -334,14 +338,14 @@ def cmd_reference(args) -> int:
         coupling = parse_coupling(args.coupling, circuit.num_qubits)
         from .transpile import transpile
 
-        dist = noisy_distribution(transpile(circuit, coupling, args.seed).circuit_t, noise)
-    oracle = DistributionOracle(dist, args.seed)
-    counts = counts_from_shots(oracle.sample(args.shots))
+        routed = transpile(circuit, coupling, args.seed)
+        dist = noisy_distribution(routed.readout_circuit(), noise)
+    shots = DistributionOracle(dist, args.seed).sample(args.shots)
+    counts = counts_from_shots(shots, dist.num_bits)
     if args.out:
         write_counts_file(args.out, dist.num_bits, counts)
     else:
-        payload = {"n": dist.num_bits, "counts": {k: counts[k] for k in sorted(counts)}}
-        sys.stdout.write(to_json(payload) + "\n")
+        sys.stdout.write(to_json({"n": dist.num_bits, "counts": counts}) + "\n")
     return 0
 
 

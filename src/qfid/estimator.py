@@ -1,6 +1,7 @@
 """Adaptive measurement loop: batch sizing, CI tracking, early stopping.
 
-Each shot contributes one scalar value; the running mean is the fidelity
+Each shot is an outcome index from the oracle and contributes one scalar
+value, looked up in a per-outcome table; the running mean is the fidelity
 estimate.  Two value semantics are available:
 
 * ``success`` (default): 1 if the outcome falls in the high-probability set
@@ -200,10 +201,10 @@ def estimate(
     running_sum = 0.0
     running_sumsq = 0.0
     while True:
-        shots = oracle.sample(batch)
-        values = value_of[[int(s, 2) if s else 0 for s in shots]]
+        values = value_of[oracle.sample(batch)]
+        batch_sum = float(values.sum())
         total += batch
-        running_sum += float(values.sum())
+        running_sum += batch_sum
         running_sumsq += float(np.square(values).sum())
         mean = running_sum / total
         if total > 1:
@@ -214,7 +215,7 @@ def estimate(
         stat = BatchStat(
             index=len(batches),
             size=batch,
-            batch_mean=float(values.mean()),
+            batch_mean=batch_sum / batch,
             cum_mean=mean,
             cum_std=std,
             ci=z * std / math.sqrt(total),

@@ -26,6 +26,8 @@ import math
 import time
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .bench import BenchSpec, generate
 from .circuit import Circuit, Gate, circuit_depth
 from .dag import GateDag, build_dag
@@ -45,7 +47,6 @@ from .simulator import (
     DistributionOracle,
     NoiseModel,
     OutcomeDistribution,
-    counts_from_shots,
     empirical_distribution,
     ideal_distribution,
     noisy_distribution,
@@ -286,14 +287,15 @@ def build_pipeline(
     """Analyze the circuit and compute its exact ideal and noisy distributions.
 
     The shot oracle runs over the transpiled circuit (noise acts on what
-    the hardware would execute); the ideal distribution that defines shot
-    values comes from the logical circuit.
+    the hardware would execute), read out from where routing left each
+    logical qubit; the ideal distribution that defines shot values comes
+    from the logical circuit.
     """
     artifacts = analyze_circuit(
         circuit, coupling, source, transpile_seed, kernel_cfg, plan_cfg, k
     )
     ideal = ideal_distribution(circuit)
-    noisy = noisy_distribution(artifacts.transpile_result.circuit_t, noise)
+    noisy = noisy_distribution(artifacts.transpile_result.readout_circuit(), noise)
     return Pipeline(artifacts, noise, ideal, noisy)
 
 
@@ -321,13 +323,11 @@ def sample_pipeline(
         trace.fhat, _true_fidelity(plan_cfg.estimator, pipeline.ideal, noisy)
     )
     if collect_shots:
-        counts = counts_from_shots(oracle.shots)
-        empirical = empirical_distribution(noisy.num_bits, counts)
+        empirical = empirical_distribution(noisy.num_bits, np.concatenate(oracle.shots))
         bias["outcome_hellinger"] = hellinger_distance(empirical, noisy)
         if reference_shots > 0:
-            ref_oracle = DistributionOracle(noisy, oracle_seed + 1)
-            ref_counts = counts_from_shots(ref_oracle.sample(reference_shots))
-            ref_dist = empirical_distribution(noisy.num_bits, ref_counts)
+            ref_shots = DistributionOracle(noisy, oracle_seed + 1).sample(reference_shots)
+            ref_dist = empirical_distribution(noisy.num_bits, ref_shots)
             bias["outcome_hellinger_ref"] = hellinger_distance(empirical, ref_dist)
             bias["reference_shots"] = reference_shots
 
@@ -368,15 +368,15 @@ def run_estimate(
 
 
 class _RecordingOracle(DistributionOracle):
-    """Distribution oracle that keeps every drawn shot for bias accounting."""
+    """Distribution oracle that keeps every drawn batch for bias accounting."""
 
     def __init__(self, dist: OutcomeDistribution, seed: int):
         super().__init__(dist, seed)
-        self.shots: list[str] = []
+        self.shots: list[np.ndarray] = []
 
-    def sample(self, batch_size: int) -> list[str]:
+    def sample(self, batch_size: int) -> np.ndarray:
         batch = super().sample(batch_size)
-        self.shots.extend(batch)
+        self.shots.append(batch)
         return batch
 
 

@@ -2,9 +2,12 @@
 
 Noise model: depolarizing after every gate (p1 on single-qubit gates, p2 on
 the qubit set of wider gates) and a per-qubit readout confusion matrix at
-measurement.  Distributions live over the classical-bit space; bitstrings
-are written most-significant-clbit first, so clbit 0 is the rightmost
-character and ``int(text, 2)`` is the distribution index.
+measurement.  Distributions live over the classical-bit space, and an
+outcome is its index there: bit j of the index is clbit j.  Inside the
+pipeline a shot is that integer index, and oracles return arrays of them.
+Bitstrings appear only at I/O (counts files and reports); they are written
+most-significant-clbit first, so clbit 0 is the rightmost character and
+``int(text, 2)`` is the index.
 
 Measurements are treated as terminal: the state is evolved through all
 unitaries, then read out.  A gate acting on an already-measured qubit is
@@ -20,7 +23,8 @@ cost one contraction.  Only the active qubits -- those a gate or the
 readout touches -- are simulated, and ``DENSITY_MAX_QUBITS`` caps their
 number, so a small circuit routed onto a large coupling map stays cheap.
 A circuit without measurements reads out every qubit, so all of its
-qubits are active.
+qubits are active; a routed circuit is read out through
+``TranspileResult.readout_circuit``, which measures its logical qubits.
 """
 
 from __future__ import annotations
@@ -71,9 +75,14 @@ class NoiseModel:
         return self.p1 == 0.0 and self.p2 == 0.0 and self.p_ro == 0.0
 
 
+def bitstring(index: int, num_bits: int) -> str:
+    """Outcome index as text, most-significant clbit first."""
+    return format(index, f"0{num_bits}b") if num_bits else ""
+
+
 @dataclass
 class OutcomeDistribution:
-    """Dense probability vector over 2^num_bits readout strings."""
+    """Dense probability vector over the 2^num_bits outcome indices."""
 
     num_bits: int
     probs: np.ndarray
@@ -92,7 +101,7 @@ class OutcomeDistribution:
         self.probs = np.clip(self.probs, 0.0, None)
 
     def bitstring(self, index: int) -> str:
-        return format(index, f"0{self.num_bits}b") if self.num_bits else ""
+        return bitstring(index, self.num_bits)
 
     def prob_of(self, bitstring: str) -> float:
         return float(self.probs[int(bitstring, 2)]) if bitstring else 1.0
@@ -311,7 +320,7 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
 
 
 class DistributionOracle:
-    """Samples i.i.d. bitstrings from a fixed distribution via inverse CDF.
+    """Samples i.i.d. outcome indices from a fixed distribution via inverse CDF.
 
     Owns its RNG stream: the same seed and call sequence always reproduce
     the same shots.  Not safe for concurrent use of one instance.
@@ -324,13 +333,10 @@ class DistributionOracle:
         self._cdf[-1] = 1.0
         self._rng = np.random.default_rng(seed)
 
-    def sample(self, batch_size: int) -> list[str]:
+    def sample(self, batch_size: int) -> np.ndarray:
         if batch_size < 1:
             raise SimulationError(f"batch_size must be >= 1, got {batch_size}")
-        u = self._rng.random(batch_size)
-        idx = np.searchsorted(self._cdf, u, side="right")
-        width = self.num_bits
-        return [format(int(i), f"0{width}b") if width else "" for i in idx]
+        return np.searchsorted(self._cdf, self._rng.random(batch_size), side="right")
 
 
 class ReplayOracle:
@@ -338,17 +344,21 @@ class ReplayOracle:
 
     def __init__(self, num_bits: int, counts: dict[str, int], seed: int = 0):
         self.num_bits = num_bits
-        shots: list[str] = []
-        for bits, count in sorted(counts.items()):
+        outcomes = sorted(counts.items())
+        for bits, count in outcomes:
             if len(bits) != num_bits or set(bits) - {"0", "1"}:
                 raise SimulationError(f"bad bitstring {bits!r} for {num_bits} bits")
-            shots.extend([bits] * int(count))
-        rng = np.random.default_rng(seed)
-        rng.shuffle(shots)
+            if int(count) < 0:
+                raise SimulationError(f"negative count {count} for {bits!r}")
+        shots = np.repeat(
+            np.array([int(bits, 2) if bits else 0 for bits, _ in outcomes], dtype=np.int64),
+            np.array([int(count) for _, count in outcomes], dtype=np.int64),
+        )
+        np.random.default_rng(seed).shuffle(shots)
         self._shots = shots
         self._pos = 0
 
-    def sample(self, batch_size: int) -> list[str]:
+    def sample(self, batch_size: int) -> np.ndarray:
         if self._pos + batch_size > len(self._shots):
             raise ReplayExhausted(
                 f"requested {batch_size} shots with {len(self._shots) - self._pos} remaining"
@@ -367,21 +377,17 @@ def make_ideal_oracle(c: Circuit, seed: int) -> DistributionOracle:
     return DistributionOracle(ideal_distribution(c), seed)
 
 
-def counts_from_shots(shots: list[str]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for s in shots:
-        counts[s] = counts.get(s, 0) + 1
-    return counts
+def counts_from_shots(shots: np.ndarray, num_bits: int) -> dict[str, int]:
+    """Counts-file entries: each drawn outcome as a bitstring, in index order."""
+    outcomes, counts = np.unique(shots, return_counts=True)
+    return {bitstring(int(i), num_bits): int(c) for i, c in zip(outcomes, counts)}
 
 
-def empirical_distribution(num_bits: int, counts: dict[str, int]) -> OutcomeDistribution:
-    total = sum(counts.values())
-    if total <= 0:
+def empirical_distribution(num_bits: int, shots: np.ndarray) -> OutcomeDistribution:
+    """Relative frequency of each outcome index among ``shots``."""
+    if len(shots) == 0:
         raise SimulationError("cannot form a distribution from zero shots")
-    probs = np.zeros(2**num_bits)
-    for bits, count in counts.items():
-        probs[int(bits, 2)] = count / total
-    return OutcomeDistribution(num_bits, probs)
+    return OutcomeDistribution(num_bits, np.bincount(shots, minlength=2**num_bits) / len(shots))
 
 
 def write_counts_file(path: str, num_bits: int, counts: dict[str, int]) -> None:

@@ -144,6 +144,22 @@ class TranspileResult:
     swap_count: int
     coupling: CouplingMap | None = field(repr=False, default=None)
 
+    def readout_circuit(self) -> Circuit:
+        """``circuit_t`` with the input's readout made explicit, for simulation.
+
+        A circuit without measures reads out every logical qubit q into
+        clbit q.  After routing, logical q sits on physical qubit
+        ``final_layout[q]``, so those measures are appended; a circuit that
+        measures already carries its readout through routing unchanged.
+        """
+        c = self.circuit_t
+        if c.measures:
+            return c
+        out = Circuit(c.num_qubits, len(self.final_layout), list(c.ops))
+        for q, p in enumerate(self.final_layout):
+            out.measure(p, q)
+        return out
+
 
 # -- basis decomposition -------------------------------------------------
 

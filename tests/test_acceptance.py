@@ -238,7 +238,7 @@ class _StreamOracle:
         self._pos = 0
 
     def sample(self, batch_size):
-        batch = ["1" if b else "0" for b in self._bits[self._pos : self._pos + batch_size]]
+        batch = self._bits[self._pos : self._pos + batch_size].astype(np.int64)
         self._pos += batch_size
         return batch
 

@@ -315,3 +315,57 @@ def test_to_json_round_trips_floats():
     parsed = json.loads(to_json(payload))
     assert parsed["a"] == 1 / 3
     assert parsed["b"][1] == 2.5e-17
+
+
+@pytest.mark.parametrize("argv", [
+    ["reference", "--bench", "ghz:3", "--shots", "0"],
+    ["reference", "--bench", "ghz:3", "--shots", "-4"],
+    ["estimate", "--bench", "ghz:3", "--reference-shots", "-5"],
+], ids=["shots-0", "shots-negative", "reference-shots-negative"])
+def test_bad_shot_count_exits_1_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    import qfid.cli
+
+    def no_work(args):
+        raise AssertionError("the circuit was loaded before the shot count was checked")
+
+    monkeypatch.setattr(qfid.cli, "_load_circuit", no_work)
+    out = tmp_path / "out.json"
+    code, _, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 1
+    assert "shots must be" in err
+    assert not out.exists()
+
+
+# written by `qfid reference` when shots were bitstrings end to end
+_GHZ3_COUNTS_SEED5 = """{
+  "n": 3,
+  "counts": {
+    "000": 250,
+    "001": 6,
+    "010": 6,
+    "011": 2,
+    "100": 5,
+    "101": 3,
+    "110": 6,
+    "111": 222
+  }
+}
+"""
+
+
+def test_reference_counts_file_bytes_pinned(tmp_path, capsys):
+    out = tmp_path / "counts.json"
+    code, _, _ = run(["reference", "--bench", "ghz:3", "--noise", "p1=1e-3,p2=1e-2,ro=1e-2",
+                      "--seed", "5", "--shots", "500", "--out", str(out)], capsys)
+    assert code == 0
+    assert out.read_text() == _GHZ3_COUNTS_SEED5
+
+
+def test_reference_measureless_qasm_reads_logical_qubits(tmp_path, capsys):
+    # x q0; cx q0,q2 routes one SWAP onto a line: every shot still reads 101
+    qasm = tmp_path / "far.qasm"
+    qasm.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\nx q[0];\ncx q[0],q[2];\n')
+    code, out, _ = run(["reference", "--qasm", str(qasm), "--noise", "p1=1e-9",
+                        "--shots", "50"], capsys)
+    assert code == 0
+    assert json.loads(out) == {"n": 3, "counts": {"101": 50}}

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qfid.estimator import (
+    BatchStat,
     DimensionMismatch,
     DomainError,
     EstimationError,
@@ -18,6 +19,7 @@ from qfid.estimator import (
     estimate,
     hellinger_distance,
     shot_value,
+    stop_reason,
     success_set,
     truncate,
     xeb_scale,
@@ -104,11 +106,11 @@ def test_xeb_scale_normalization():
 
 
 class StubOracle:
-    """Feeds a fixed sequence of bitstrings."""
+    """Feeds a fixed sequence of outcome indices."""
 
     def __init__(self, num_bits: int, sequence):
         self.num_bits = num_bits
-        self._seq = list(sequence)
+        self._seq = np.asarray(sequence, dtype=np.int64)
         self._pos = 0
 
     def sample(self, batch_size: int):
@@ -121,7 +123,7 @@ class StubOracle:
 
 def test_constant_stream_stops_at_min_batches():
     ideal = dist([0.0, 1.0])
-    oracle = StubOracle(1, ["1"] * 200)
+    oracle = StubOracle(1, [1] * 200)
     cfg = PlanConfig(delta=0.01)
     trace = estimate(oracle, ideal, cfg, batch=20)
     assert trace.stop_reason == "ci_met"
@@ -145,7 +147,7 @@ def test_stopping_matches_reference_loop():
     for seed in range(30):
         rng = np.random.default_rng(seed)
         values = (rng.random(40_000) < 0.5).astype(float)
-        stream = ["1" if v else "0" for v in values]
+        stream = values.astype(np.int64)
 
         # reference: plain numpy recomputation after every batch of 20
         stop_ref = None
@@ -167,7 +169,7 @@ def test_stopping_matches_reference_loop():
 def test_cap_reached_on_high_variance_stream():
     ideal = dist([0.0, 1.0])
     rng = np.random.default_rng(0)
-    stream = ["1" if rng.random() < 0.5 else "0" for _ in range(30_000)]
+    stream = [1 if rng.random() < 0.5 else 0 for _ in range(30_000)]
     cfg = PlanConfig(delta=0.001, p_max=1000)
     trace = estimate(StubOracle(1, stream), ideal, cfg, batch=20)
     assert trace.stop_reason == "cap_reached"
@@ -177,7 +179,7 @@ def test_cap_reached_on_high_variance_stream():
 def test_shots_bounded_by_cap_plus_batch():
     ideal = dist([0.0, 1.0])
     rng = np.random.default_rng(1)
-    stream = ["1" if rng.random() < 0.5 else "0" for _ in range(30_000)]
+    stream = [1 if rng.random() < 0.5 else 0 for _ in range(30_000)]
     cfg = PlanConfig(delta=0.0001, p_max=990)  # not a batch multiple
     trace = estimate(StubOracle(1, stream), ideal, cfg, batch=20)
     assert trace.stop_reason == "cap_reached"
@@ -304,3 +306,83 @@ def test_truncate_refuses_a_trace_it_cannot_cut():
         truncate(trace, PlanConfig(delta=0.001))  # would need more shots
     with pytest.raises(EstimationError):
         truncate(trace, PlanConfig(delta=0.05, estimator="xeb"))
+
+
+class _BitstringOracle(DistributionOracle):
+    """A distribution oracle that yields bitstrings, as every oracle once did."""
+
+    def sample(self, batch_size: int):
+        idx = super().sample(batch_size)
+        width = self.num_bits
+        return [format(int(i), f"0{width}b") if width else "" for i in idx]
+
+
+def _bitstring_loop(oracle, ideal, cfg, batch):
+    """The estimate loop as it ran on bitstring shots, verbatim; (batches, reason)."""
+    z = cfg.z_alpha
+    if cfg.estimator == "success":
+        good = success_set(ideal)
+        value_of = np.zeros(2**ideal.num_bits)
+        value_of[list(good)] = 1.0
+    else:
+        a, b = xeb_scale(ideal)
+        value_of = a * ideal.probs + b
+
+    batches: list[BatchStat] = []
+    total = 0
+    running_sum = 0.0
+    running_sumsq = 0.0
+    while True:
+        shots = oracle.sample(batch)
+        values = value_of[[int(s, 2) if s else 0 for s in shots]]
+        total += batch
+        running_sum += float(values.sum())
+        running_sumsq += float(np.square(values).sum())
+        mean = running_sum / total
+        if total > 1:
+            var = max(0.0, (running_sumsq - total * mean * mean) / (total - 1))
+        else:
+            var = 0.0
+        std = math.sqrt(var)
+        stat = BatchStat(
+            index=len(batches),
+            size=batch,
+            batch_mean=float(values.mean()),
+            cum_mean=mean,
+            cum_std=std,
+            ci=z * std / math.sqrt(total),
+            total_shots=total,
+        )
+        batches.append(stat)
+        reason = stop_reason(stat, cfg)
+        if reason:
+            return batches, reason
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num_bits=st.integers(1, 6),
+    zeros=st.floats(0.0, 0.9),
+    batch=st.integers(1, 60),
+    p_max=st.integers(1, 4000),
+    estimator=st.sampled_from(["success", "xeb"]),
+    delta=st.floats(0.005, 0.3),
+    seed=st.integers(0, 2**16),
+)
+@example(num_bits=6, zeros=0.0, batch=1, p_max=300, estimator="xeb", delta=0.01, seed=0)
+def test_index_shots_match_bitstring_loop(num_bits, zeros, batch, p_max, estimator, delta, seed):
+    """Index shots give the bitstring loop's trace, BatchStat for BatchStat."""
+    rng = np.random.default_rng(seed)
+    dim = 2**num_bits
+    ideal_w = rng.random(dim) * (rng.random(dim) >= zeros)
+    noisy_w = rng.random(dim) * (rng.random(dim) >= zeros)
+    ideal_w[rng.integers(dim)] += 1.0  # never all zero
+    noisy_w[rng.integers(dim)] += 1.0
+    ideal, noisy = dist(ideal_w / ideal_w.sum()), dist(noisy_w / noisy_w.sum())
+    if estimator == "xeb" and abs(dim * float(np.square(ideal.probs).sum()) - 1.0) < 1e-9:
+        return  # xeb is undefined on a uniform ideal
+    cfg = PlanConfig(delta=delta, p_max=p_max, batch_min=1, estimator=estimator)
+    trace = estimate(DistributionOracle(noisy, seed), ideal, cfg, batch)
+    batches, reason = _bitstring_loop(_BitstringOracle(noisy, seed), ideal, cfg, batch)
+    assert trace.batches == batches
+    assert trace.stop_reason == reason

@@ -323,15 +323,23 @@ def test_oracle_determinism():
     nm = NoiseModel(p1=1e-3, p2=1e-2, p_ro=1e-2)
     a = make_oracle(c, nm, seed=11)
     b = make_oracle(c, nm, seed=11)
-    assert a.sample(50) == b.sample(50)
-    assert a.sample(10) == b.sample(10)  # streams stay aligned call by call
+    assert np.array_equal(a.sample(50), b.sample(50))
+    assert np.array_equal(a.sample(10), b.sample(10))  # streams stay aligned call by call
+
+
+def test_oracle_draws_pinned():
+    # the first 20 shots of this oracle when it still returned bitstrings
+    c = generate(BenchSpec.make("ghz", 3))
+    oracle = make_oracle(c, NoiseModel(p1=1e-3, p2=1e-2, p_ro=1e-2), seed=11)
+    expected = [0, 3, 7, 0, 0, 7, 0, 0, 7, 7, 0, 5, 7, 0, 0, 7, 7, 6, 7, 7]
+    assert np.array_equal(oracle.sample(20), expected)
 
 
 def test_oracle_frequencies_match_distribution():
     c = generate(BenchSpec.make("ghz", 3))
     oracle = make_ideal_oracle(c, seed=5)
     shots = oracle.sample(1_000_000)
-    counts = counts_from_shots(shots)
+    counts = counts_from_shots(shots, 3)
     # binomial at p = 0.5, n = 1e6: sd = 5e-4, so 0.002 is a 4-sigma bound
     assert abs(counts["000"] / 1_000_000 - 0.5) < 0.002
     assert abs(counts["111"] / 1_000_000 - 0.5) < 0.002
@@ -343,7 +351,7 @@ def test_million_shot_empirical_close_to_exact():
     c = generate(BenchSpec.make("ghz", 4))
     exact = ideal_distribution(c)
     oracle = make_ideal_oracle(c, seed=17)
-    empirical = empirical_distribution(4, counts_from_shots(oracle.sample(1_000_000)))
+    empirical = empirical_distribution(4, oracle.sample(1_000_000))
     assert hellinger_distance(empirical, exact) <= 0.01
 
 
@@ -353,13 +361,20 @@ def test_replay_oracle_roundtrip(tmp_path):
     bits, counts = read_counts_file(str(path))
     oracle = ReplayOracle(bits, counts, seed=3)
     drawn = oracle.sample(100)
-    assert sorted(counts_from_shots(drawn).items()) == [("00", 60), ("11", 40)]
+    assert sorted(counts_from_shots(drawn, 2).items()) == [("00", 60), ("11", 40)]
     with pytest.raises(ReplayExhausted):
         oracle.sample(1)
 
 
+def test_replay_oracle_rejects_bad_counts():
+    with pytest.raises(SimulationError, match="bad bitstring"):
+        ReplayOracle(2, {"0": 3})
+    with pytest.raises(SimulationError, match="negative count"):
+        ReplayOracle(1, {"0": 3, "1": -1})
+
+
 def test_empirical_distribution():
-    d = empirical_distribution(2, {"00": 3, "11": 1})
+    d = empirical_distribution(2, np.array([0, 0, 0, 3]))
     assert d.probs[0] == pytest.approx(0.75)
     assert d.probs[3] == pytest.approx(0.25)
 

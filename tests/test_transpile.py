@@ -296,3 +296,46 @@ def test_statevector_overlap_small_circuits():
         p = layout_permutation(res.final_layout, nq)
         overlap = abs(np.vdot(p @ psi0, psi_t))
         assert overlap >= 1 - 1e-9
+
+
+# -- readout after routing -------------------------------------------------
+
+_X_CX_FAR = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\nx q[0];\ncx q[0],q[2];\n'
+
+
+@pytest.mark.parametrize("cmap", [linear_map(3), grid_map(2, 2)], ids=["linear3", "grid2x2"])
+def test_measureless_circuit_reads_logical_qubits_after_routing(cmap):
+    # no measure: logical q reads into clbit q, wherever routing left it
+    from qfid.qasm import parse_qasm
+    from qfid.report import run_estimate
+    from qfid.simulator import NoiseModel
+
+    record = run_estimate(parse_qasm(_X_CX_FAR), cmap, NoiseModel(), oracle_seed=1)
+    assert record.bias["f_true_exact"] == 1.0
+    assert record.trace.fhat == 1.0
+
+
+def test_readout_circuit_measures_final_layout():
+    from qfid.qasm import parse_qasm
+
+    res = transpile(parse_qasm(_X_CX_FAR), linear_map(3))
+    assert res.swap_count == 1 and res.final_layout == (1, 0, 2)
+    readout = res.readout_circuit()
+    assert readout.ops[: len(res.circuit_t.ops)] == res.circuit_t.ops
+    assert [(m.qubit, m.clbit) for m in readout.measures] == [(1, 0), (0, 1), (2, 2)]
+    assert not res.circuit_t.measures  # the routed circuit itself is left as it was
+    measured = transpile(generate(BenchSpec.make("ghz", 3)), linear_map(3))
+    assert measured.readout_circuit() is measured.circuit_t
+
+
+def test_noiseless_readout_preserved_through_routing_without_measures():
+    from qfid.simulator import NoiseModel, noisy_distribution
+
+    for seed in range(30):
+        rng = np.random.default_rng(2000 + seed)
+        nq = int(rng.integers(2, 6))
+        c = random_circuit(nq, int(rng.integers(1, 30)), seed)
+        cmap = [linear_map(nq), ring_map(max(nq, 3)), grid_map(2, (nq + 1) // 2 + 1)][seed % 3]
+        res = transpile(c, cmap, seed)
+        exact = noisy_distribution(res.readout_circuit(), NoiseModel())
+        assert np.abs(exact.probs - ideal_distribution(c).probs).max() < 1e-9, seed

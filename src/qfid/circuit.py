@@ -141,13 +141,6 @@ class Circuit:
     def measures(self) -> list[Measure]:
         return [op for op in self.ops if isinstance(op, Measure)]
 
-    def count_ops(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for op in self.ops:
-            name = op.kind if isinstance(op, Gate) else type(op).__name__.lower()
-            counts[name] = counts.get(name, 0) + 1
-        return counts
-
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 

@@ -148,6 +148,12 @@ def _load_circuit(args) -> tuple:
     return circuit, source
 
 
+def _check_oracle_seed(flag: str, seed: int) -> None:
+    """Oracle seeds feed ``np.random.default_rng``, which takes no negative."""
+    if seed < 0:
+        raise CliError(f"{flag} must be >= 0, got {seed}", EXIT_PARSE)
+
+
 def _plan_config(args, delta: float | None = None) -> PlanConfig:
     """The flags' plan config, at ``delta`` if given instead of ``--delta``."""
     try:
@@ -200,7 +206,7 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
 def cmd_analyze(args) -> int:
     circuit, source = _load_circuit(args)
     coupling = parse_coupling(args.coupling, circuit.num_qubits)
-    artifacts = analyze_circuit(
+    report, _ = analyze_circuit(
         circuit,
         coupling,
         source=source,
@@ -214,14 +220,15 @@ def cmd_analyze(args) -> int:
     if args.format == "csv":
         family = source.get("family", "")
         n = source.get("n", circuit.num_qubits)
-        row = csv_row(family, n, args.seed, args.delta, artifacts.report)
+        row = csv_row(family, n, args.seed, args.delta, report)
         _write_output(SWEEP_COLUMNS + "\n" + row + "\n", args.out)
     else:
-        _write_output(to_json(artifacts.report.to_dict()) + "\n", args.out)
+        _write_output(to_json(report.to_dict()) + "\n", args.out)
     return 0
 
 
 def cmd_estimate(args) -> int:
+    _check_oracle_seed("--seed", args.seed)
     if args.reference_shots < 0:
         raise CliError(f"--reference-shots must be >= 0, got {args.reference_shots}", EXIT_PARSE)
     circuit, source = _load_circuit(args)
@@ -256,16 +263,27 @@ def _load_suite(text: str) -> list[BenchSpec]:
     if text.startswith("@"):
         import json
 
-        with open(text[1:], encoding="utf-8") as fh:
-            entries = json.load(fh)
+        path = text[1:]
+        with open(path, encoding="utf-8") as fh:
+            try:
+                entries = json.load(fh)
+            except ValueError as exc:
+                raise CliError(f"suite file {path}: {exc}", EXIT_PARSE) from None
+        if not isinstance(entries, list):
+            raise CliError(f"suite file {path} must hold a JSON list of entries", EXIT_PARSE)
         suite = []
         for entry in entries:
+            if not isinstance(entry, dict) or "family" not in entry or "n" not in entry:
+                raise CliError(f'suite entry needs "family" and "n", got {entry!r}', EXIT_PARSE)
+            try:
+                n, seed = int(entry["n"]), int(entry.get("seed", 0))
+            except (TypeError, ValueError):
+                raise CliError(f"suite entry n and seed must be integers, got {entry!r}",
+                               EXIT_PARSE) from None
             extras = {
                 k: v for k, v in entry.items() if k not in ("family", "n", "seed")
             }
-            suite.append(
-                BenchSpec.make(entry["family"], int(entry["n"]), int(entry.get("seed", 0)), **extras)
-            )
+            suite.append(BenchSpec.make(entry["family"], n, seed, **extras))
         return suite
     raise CliError(f"suite must be default|default10|@file.json, got {text!r}", EXIT_PARSE)
 
@@ -279,6 +297,8 @@ def cmd_sweep(args) -> int:
         raise CliError(f"bad sweep axis: {exc}", EXIT_PARSE) from None
     if not deltas or not seeds:
         raise CliError("sweep needs nonempty --deltas and --seeds", EXIT_PARSE)
+    for seed in seeds:
+        _check_oracle_seed("--seeds", seed)
     noise = parse_noise(args.noise)
     plan = _plan_config(args)
     for delta in deltas:  # a bad delta fails before any row is computed
@@ -289,7 +309,7 @@ def cmd_sweep(args) -> int:
 
     text = sweep_csv(
         suite, deltas, seeds, factory, noise,
-        plan_cfg=plan, include_walltime=args.timing,
+        plan_cfg=plan, timing=args.timing,
     )
     _write_output(text, args.out)
     return 0
@@ -328,6 +348,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_reference(args) -> int:
+    _check_oracle_seed("--seed", args.seed)
     if args.shots < 1:
         raise CliError(f"--shots must be >= 1, got {args.shots}", EXIT_PARSE)
     circuit, _ = _load_circuit(args)

@@ -46,8 +46,11 @@ def delta_path(g0: GateDag, gt: GateDag) -> tuple[float, bool]:
     value is 0 if the transpiled graph is also edgeless, else the absolute
     transpiled length, with the degenerate flag set.
     """
-    l0 = longest_path_len(g0)
-    lt = longest_path_len(gt)
+    return _path_growth(longest_path_len(g0), longest_path_len(gt))
+
+
+def _path_growth(l0: int, lt: int) -> tuple[float, bool]:
+    """``delta_path`` from the two longest-path lengths."""
     if l0 == 0:
         return (0.0 if lt == 0 else float(lt)), True
     return (lt - l0) / l0, False
@@ -72,15 +75,16 @@ def delta_conn(g0: GateDag, gt: GateDag) -> tuple[float, bool]:
 def compare(g0: GateDag, gt: GateDag, extra_raw: dict[str, int] | None = None) -> DeformationReport:
     """Full deformation report between a logical and a transpiled DAG."""
     dd = delta_deg(g0, gt)
-    dp, p_flag = delta_path(g0, gt)
+    l0, lt = longest_path_len(g0), longest_path_len(gt)
+    dp, p_flag = _path_growth(l0, lt)
     dc, c_flag = delta_conn(g0, gt)
     raw = {
         "nodes_0": g0.num_nodes,
         "edges_0": g0.num_edges,
         "nodes_t": gt.num_nodes,
         "edges_t": gt.num_edges,
-        "longest_0": longest_path_len(g0),
-        "longest_t": longest_path_len(gt),
+        "longest_0": l0,
+        "longest_t": lt,
     }
     if extra_raw:
         raw.update(extra_raw)

@@ -163,17 +163,6 @@ def xeb_scale(ideal: OutcomeDistribution) -> tuple[float, float]:
     return dim / denom, -1.0 / denom
 
 
-def shot_value(outcome: str, est: str, ideal: OutcomeDistribution) -> float:
-    """Scalar contribution of one measured bitstring."""
-    idx = int(outcome, 2) if outcome else 0
-    if est == "success":
-        return 1.0 if idx in success_set(ideal) else 0.0
-    if est == "xeb":
-        a, b = xeb_scale(ideal)
-        return a * float(ideal.probs[idx]) + b
-    raise EstimationError(f"estimator must be success|xeb, got {est!r}")
-
-
 def estimate(
     oracle: DistributionOracle,
     ideal: OutcomeDistribution,

@@ -4,10 +4,11 @@
 transpile, deformation, spectrum, batch size); ``build_pipeline`` adds the
 exact ideal and noisy distributions, and ``sample_pipeline`` the adaptive
 sampling loop and bias accounting against the exact noisy distribution.
-``run_estimate`` is those two steps in a row; a sweep reuses one build
-across seeds and one sampling trace across tolerances.  Reports serialize to JSON/CSV with every float rendered at
-17 significant digits so identical configurations produce byte-identical
-files.
+``run_estimate`` is those two steps in a row, plus the outcome bias of
+its shots; a sweep reuses one build across seeds and one sampling trace
+across tolerances.  Reports serialize to JSON/CSV with every float
+rendered at 17 significant digits so identical configurations produce
+byte-identical files.
 
 Bias fields recorded per run:
 
@@ -18,6 +19,7 @@ Bias fields recorded per run:
 * ``outcome_hellinger`` -- Hellinger distance between the raw empirical
   outcome histogram and the exact noisy distribution; diagnostic only,
   since it is dominated by the sampling floor at any finite shot count.
+  Only ``run_estimate`` records it (a sweep row has no column for it).
 """
 
 from __future__ import annotations
@@ -26,11 +28,9 @@ import math
 import time
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .bench import BenchSpec, generate
 from .circuit import Circuit, Gate, circuit_depth
-from .dag import GateDag, build_dag
+from .dag import build_dag
 from .deformation import DeformationReport, compare
 from .estimator import (
     EstimationTrace,
@@ -61,9 +61,7 @@ def format_float(value: float) -> str:
         return "NaN"
     if value in (math.inf, -math.inf):
         return "Infinity" if value > 0 else "-Infinity"
-    text = format(value, ".17g")
-    # normalize "1e+05" style exponents emitted by some libcs
-    return text
+    return format(value, ".17g")
 
 
 def to_json(obj, indent: int = 0) -> str:
@@ -141,7 +139,7 @@ class RunRecord:
     oracle_seed: int
     wall_time_ms: float | None = None
 
-    def to_dict(self, include_walltime: bool = True) -> dict:
+    def to_dict(self) -> dict:
         data = {
             **self.analyze.to_dict(),
             "noise": self.noise,
@@ -170,22 +168,9 @@ class RunRecord:
             },
             "bias": self.bias,
         }
-        if include_walltime and self.wall_time_ms is not None:
+        if self.wall_time_ms is not None:
             data["wall_time_ms"] = self.wall_time_ms
         return data
-
-
-@dataclass
-class PipelineArtifacts:
-    """Intermediate objects kept around for tests and the CLI."""
-
-    circuit: Circuit
-    transpile_result: TranspileResult
-    dag_logical: GateDag
-    dag_transpiled: GateDag
-    kernel_spectrum: PropagationSpectrum
-    batch: int
-    report: AnalyzeReport
 
 
 def _gate_counts(c: Circuit) -> dict:
@@ -205,8 +190,7 @@ def analyze_circuit(
     kernel_cfg: KernelConfig | None = None,
     plan_cfg: PlanConfig | None = None,
     k: int | None = None,
-    spectral_method: str = "auto",
-) -> PipelineArtifacts:
+) -> tuple[AnalyzeReport, TranspileResult]:
     """Shot-free pipeline: transpile, compare DAGs, spectrum, batch size."""
     kernel_cfg = kernel_cfg or KernelConfig()
     plan_cfg = plan_cfg or PlanConfig()
@@ -218,7 +202,7 @@ def analyze_circuit(
         g0, gt, extra_raw={"depth_0": depth0, "depth_t": tr.depth_t}
     )
     kernel = build_kernel(gt, deformation, kernel_cfg)
-    spectrum = analyze_spectrum(kernel, k, kernel_cfg, method=spectral_method)
+    spectrum = analyze_spectrum(kernel, k, kernel_cfg)
     batch = batch_size(spectrum.complexity, tr.depth_t, plan_cfg)
     report = AnalyzeReport(
         source=source or {},
@@ -250,7 +234,7 @@ def analyze_circuit(
             "estimator": plan_cfg.estimator,
         },
     )
-    return PipelineArtifacts(circuit, tr, g0, gt, spectrum, batch, report)
+    return report, tr
 
 
 def _true_fidelity(
@@ -268,7 +252,7 @@ def _true_fidelity(
 class Pipeline:
     """Everything an estimate needs before its first shot."""
 
-    artifacts: PipelineArtifacts
+    analyze: AnalyzeReport
     noise: NoiseModel
     ideal: OutcomeDistribution
     noisy: OutcomeDistribution
@@ -291,12 +275,12 @@ def build_pipeline(
     logical qubit; the ideal distribution that defines shot values comes
     from the logical circuit.
     """
-    artifacts = analyze_circuit(
+    analyze, tr = analyze_circuit(
         circuit, coupling, source, transpile_seed, kernel_cfg, plan_cfg, k
     )
     ideal = ideal_distribution(circuit)
-    noisy = noisy_distribution(artifacts.transpile_result.readout_circuit(), noise)
-    return Pipeline(artifacts, noise, ideal, noisy)
+    noisy = noisy_distribution(tr.readout_circuit(), noise)
+    return Pipeline(analyze, noise, ideal, noisy)
 
 
 def _fidelity_bias(fhat: float, f_true: float) -> dict:
@@ -308,32 +292,17 @@ def _fidelity_bias(fhat: float, f_true: float) -> dict:
 
 
 def sample_pipeline(
-    pipeline: Pipeline,
-    oracle_seed: int,
-    plan_cfg: PlanConfig,
-    reference_shots: int = 0,
-    collect_shots: bool = True,
+    pipeline: Pipeline, oracle_seed: int, plan_cfg: PlanConfig
 ) -> RunRecord:
-    """Sample adaptively from the noisy distribution; record bias vs the oracle."""
-    noisy = pipeline.noisy
-    oracle = _RecordingOracle(noisy, oracle_seed) if collect_shots else DistributionOracle(noisy, oracle_seed)
-    trace = estimate(oracle, pipeline.ideal, plan_cfg, pipeline.artifacts.batch)
-
+    """Sample adaptively from the noisy distribution; record the fidelity bias."""
+    oracle = DistributionOracle(pipeline.noisy, oracle_seed)
+    trace = estimate(oracle, pipeline.ideal, plan_cfg, pipeline.analyze.plan["batch_size"])
     bias = _fidelity_bias(
-        trace.fhat, _true_fidelity(plan_cfg.estimator, pipeline.ideal, noisy)
+        trace.fhat, _true_fidelity(plan_cfg.estimator, pipeline.ideal, pipeline.noisy)
     )
-    if collect_shots:
-        empirical = empirical_distribution(noisy.num_bits, np.concatenate(oracle.shots))
-        bias["outcome_hellinger"] = hellinger_distance(empirical, noisy)
-        if reference_shots > 0:
-            ref_shots = DistributionOracle(noisy, oracle_seed + 1).sample(reference_shots)
-            ref_dist = empirical_distribution(noisy.num_bits, ref_shots)
-            bias["outcome_hellinger_ref"] = hellinger_distance(empirical, ref_dist)
-            bias["reference_shots"] = reference_shots
-
     noise = pipeline.noise
     return RunRecord(
-        analyze=pipeline.artifacts.report,
+        analyze=pipeline.analyze,
         trace=trace,
         bias=bias,
         noise={"p1": noise.p1, "p2": noise.p2, "ro": noise.p_ro},
@@ -352,32 +321,31 @@ def run_estimate(
     plan_cfg: PlanConfig | None = None,
     k: int | None = None,
     reference_shots: int = 0,
-    collect_shots: bool = True,
 ) -> RunRecord:
-    """Full pipeline: ``build_pipeline`` then ``sample_pipeline``."""
+    """``build_pipeline`` then ``sample_pipeline``, plus the outcome bias.
+
+    The oracle's stream does not depend on how its draws are batched, so
+    one draw of ``shots_used`` from a fresh oracle on the same seed repeats
+    the shots the estimate saw.  A reference of ``reference_shots`` comes
+    from the next seed.
+    """
     plan_cfg = plan_cfg or PlanConfig()
     t_start = time.perf_counter()
     pipeline = build_pipeline(
         circuit, coupling, noise, source, transpile_seed, kernel_cfg, plan_cfg, k
     )
-    record = sample_pipeline(
-        pipeline, oracle_seed, plan_cfg, reference_shots, collect_shots
-    )
+    record = sample_pipeline(pipeline, oracle_seed, plan_cfg)
+    noisy = pipeline.noisy
+    shots = DistributionOracle(noisy, oracle_seed).sample(record.trace.shots_used)
+    empirical = empirical_distribution(noisy.num_bits, shots)
+    record.bias["outcome_hellinger"] = hellinger_distance(empirical, noisy)
+    if reference_shots > 0:
+        ref_shots = DistributionOracle(noisy, oracle_seed + 1).sample(reference_shots)
+        ref_dist = empirical_distribution(noisy.num_bits, ref_shots)
+        record.bias["outcome_hellinger_ref"] = hellinger_distance(empirical, ref_dist)
+        record.bias["reference_shots"] = reference_shots
     record.wall_time_ms = (time.perf_counter() - t_start) * 1000.0
     return record
-
-
-class _RecordingOracle(DistributionOracle):
-    """Distribution oracle that keeps every drawn batch for bias accounting."""
-
-    def __init__(self, dist: OutcomeDistribution, seed: int):
-        super().__init__(dist, seed)
-        self.shots: list[np.ndarray] = []
-
-    def sample(self, batch_size: int) -> np.ndarray:
-        batch = super().sample(batch_size)
-        self.shots.append(batch)
-        return batch
 
 
 SWEEP_COLUMNS = (
@@ -438,7 +406,7 @@ def sweep_rows(
     coupling_factory,
     noise: NoiseModel,
     plan_cfg: PlanConfig | None = None,
-    include_walltime: bool = False,
+    timing: bool = False,
 ) -> list[str]:
     """One CSV row per (spec, seed, delta), ordered deterministically.
 
@@ -447,10 +415,10 @@ def sweep_rows(
     Every delta's row is a prefix of that trace, cut where the stop rule
     first holds at its delta (``estimator.truncate``): the batch size and
     the oracle seed do not depend on delta, so the cut equals a run made at
-    that delta.  Wall time is left blank unless requested, keeping default
-    output byte-stable; when requested, every delta row of a (spec, seed)
-    carries the time that (spec, seed) took, its build included when the
-    circuit was not built before.  A run that raises leaves a row whose
+    that delta.  Wall time is left blank unless ``timing`` is set, keeping
+    default output byte-stable; when it is set, every delta row of a (spec,
+    seed) carries the time that (spec, seed) took, its build included when
+    the circuit was not built before.  A run that raises leaves a row whose
     stop_reason cell reads ``error:<Type>: <message>``, with commas and line
     breaks in the message replaced so the row keeps its 17 cells.
     """
@@ -481,7 +449,7 @@ def sweep_rows(
                 pipeline = pipelines[key]
                 if isinstance(pipeline, Exception):
                     raise pipeline
-                record = sample_pipeline(pipeline, seed, tightest, collect_shots=False)
+                record = sample_pipeline(pipeline, seed, tightest)
                 cuts = [_record_at(record, cfg) for cfg in cfgs]
             except Exception as exc:  # noqa: BLE001 - partial rows keep the sweep alive
                 # one cell: the message must not split the row or the file
@@ -495,7 +463,7 @@ def sweep_rows(
                 continue
             wall = (
                 str(int((time.perf_counter() - t0) * 1000.0))
-                if include_walltime
+                if timing
                 else ""
             )
             rows.extend(

@@ -100,15 +100,8 @@ class OutcomeDistribution:
             raise SimulationError(f"probabilities sum to {total}, not 1")
         self.probs = np.clip(self.probs, 0.0, None)
 
-    def bitstring(self, index: int) -> str:
-        return bitstring(index, self.num_bits)
-
     def prob_of(self, bitstring: str) -> float:
         return float(self.probs[int(bitstring, 2)]) if bitstring else 1.0
-
-    def top_outcomes(self, count: int = 8) -> list[tuple[str, float]]:
-        order = np.argsort(-self.probs)[:count]
-        return [(self.bitstring(int(i)), float(self.probs[i])) for i in order]
 
 
 # -- state evolution -------------------------------------------------------

@@ -27,7 +27,6 @@ from .dag import (
     GateDag,
     longest_dist_from_sources,
     longest_dist_to_sinks,
-    longest_path_len,
 )
 from .deformation import DeformationReport
 
@@ -141,7 +140,7 @@ def build_kernel(
     if weights:
         dist_src = longest_dist_from_sources(gt)
         dist_sink = longest_dist_to_sinks(gt)
-        longest = longest_path_len(gt)
+        longest = max(dist_src.values())
         total_deg = gt.total_degrees()
         deg_arr = np.array([total_deg[node.id] for node in gt.nodes], dtype=float)
         threshold = _fanin_threshold(deg_arr, cfg.fanin_quantile)

@@ -54,10 +54,6 @@ class CouplingMap:
         edges = frozenset((min(a, b), max(a, b)) for a, b in pairs)
         return CouplingMap(n, edges)
 
-    def neighbors(self, q: int) -> list[int]:
-        out = [b for a, b in self.edges if a == q] + [a for a, b in self.edges if b == q]
-        return sorted(out)
-
     def adjacency(self) -> dict[int, list[int]]:
         adj: dict[int, list[int]] = {q: [] for q in range(self.num_physical_qubits)}
         for a, b in self.edges:

@@ -1,5 +1,6 @@
 """CLI surface: commands, flags, exit codes, report schemas."""
 
+import hashlib
 import json
 
 import pytest
@@ -334,6 +335,82 @@ def test_bad_shot_count_exits_1_before_any_work(argv, tmp_path, capsys, monkeypa
     assert code == 1
     assert "shots must be" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--bench", "ghz:3", "--seed", "-3"],
+    ["reference", "--bench", "ghz:3", "--seed", "-1"],
+    ["sweep", "--suite", "default", "--seeds", "2,-1"],
+], ids=["estimate", "reference", "sweep"])
+def test_negative_oracle_seed_exits_1_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    import qfid.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the seed was checked")
+
+    monkeypatch.setattr(qfid.cli, "_load_circuit", no_work)
+    monkeypatch.setattr(qfid.cli, "sweep_csv", no_work)
+    out = tmp_path / "out"
+    code, _, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 1
+    assert err.startswith("error: --seed") and "must be >= 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [
+    "",
+    '[{"family": "ghz"}]',
+    '{"family": "ghz", "n": 3}',
+], ids=["not-json", "entry-without-n", "object-not-list"])
+def test_malformed_suite_file_exits_1(content, tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text(content)
+    code, out, err = run(["sweep", "--suite", f"@{suite}"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "suite" in err
+    assert "Traceback" not in err
+
+
+# `qfid estimate` reports written when the estimate's own shots were recorded
+# for the outcome bias: sha256 of the text without its wall_time_ms line, and
+# the bias block
+_PINNED_ESTIMATES = {
+    "bv6-reference-shots": (
+        ["--bench", "bv:6", "--reference-shots", "1000"],
+        "765679b79aac4e7b7cc39b8e7c21513184295d37a1bed9fa773bb70aade9124c",
+        {
+            "f_true_exact": 0.80397864490652926,
+            "fidelity_abs": 0.0056539026384879731,
+            "fidelity_hellinger": 0.0050083414717155402,
+            "outcome_hellinger": 0.029180537598001474,
+            "outcome_hellinger_ref": 0.064029860841713124,
+            "reference_shots": 1000,
+        },
+    ),
+    "xeb4-xeb": (
+        ["--bench", "xeb:4", "--estimator", "xeb"],
+        "11aa74742e88eb50f9452cca81b3eb9229c06880d6901cfcbe66b1d56d1603ec",
+        {
+            "f_true_exact": 0.91350498286532822,
+            "fidelity_abs": 0.00022275995024045869,
+            "fidelity_hellinger": 0.00028001947172844445,
+            "outcome_hellinger": 0.014165088432307769,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_ESTIMATES))
+def test_estimate_json_pinned(case, capsys):
+    argv, digest, bias = _PINNED_ESTIMATES[case]
+    code, out, _ = run(["estimate", *argv, "--noise", "p1=1e-3,p2=1e-2,ro=1e-2",
+                        "--seed", "3"], capsys)
+    assert code == 0
+    assert json.loads(out)["bias"] == bias
+    text = "".join(line for line in out.splitlines(keepends=True)
+                   if '"wall_time_ms"' not in line)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # written by `qfid reference` when shots were bitstrings end to end

@@ -1,4 +1,4 @@
-"""Estimator: quantiles, batch sizing, shot values, stopping behavior."""
+"""Estimator: quantiles, batch sizing, shot value tables, stopping behavior."""
 
 import math
 
@@ -18,7 +18,6 @@ from qfid.estimator import (
     bernoulli_hellinger,
     estimate,
     hellinger_distance,
-    shot_value,
     stop_reason,
     success_set,
     truncate,
@@ -76,24 +75,9 @@ def test_success_set_threshold():
     assert success_set(ideal) == {0, 1}  # 0.31 >= 0.5 * 0.6
 
 
-def test_shot_value_success():
-    ideal = dist([0.0, 1.0])  # deterministic answer "1"
-    assert shot_value("1", "success", ideal) == 1.0
-    assert shot_value("0", "success", ideal) == 0.0
-
-
-def test_shot_value_ghz_examples():
-    ideal = dist([0.5, 0, 0, 0, 0, 0, 0, 0.5])
-    assert shot_value("000", "success", ideal) == 1.0
-    assert shot_value("111", "success", ideal) == 1.0
-    assert shot_value("010", "success", ideal) == 0.0
-
-
 def test_xeb_uniform_raises():
     with pytest.raises(UniformIdeal):
         xeb_scale(dist([0.25] * 4))
-    with pytest.raises(UniformIdeal):
-        shot_value("00", "xeb", dist([0.25] * 4))
 
 
 def test_xeb_scale_normalization():

@@ -327,6 +327,15 @@ def test_oracle_determinism():
     assert np.array_equal(a.sample(10), b.sample(10))  # streams stay aligned call by call
 
 
+def test_oracle_stream_does_not_depend_on_batching():
+    # run_estimate re-draws an estimate's shots in one call for its outcome bias
+    c = generate(BenchSpec.make("ghz", 3))
+    nm = NoiseModel(p1=1e-3, p2=1e-2, p_ro=1e-2)
+    batched = make_oracle(c, nm, seed=4)
+    drawn = np.concatenate([batched.sample(size) for size in (1, 7, 20, 33)])
+    assert np.array_equal(drawn, make_oracle(c, nm, seed=4).sample(61))
+
+
 def test_oracle_draws_pinned():
     # the first 20 shots of this oracle when it still returned bitstrings
     c = generate(BenchSpec.make("ghz", 3))

@@ -25,7 +25,6 @@ def per_row_sweep(suite, deltas, seeds, coupling_factory, noise, plan_cfg):
                     record = run_estimate(
                         circuit, coupling_factory(circuit.num_qubits), noise,
                         oracle_seed=seed, plan_cfg=replace(plan_cfg, delta=delta),
-                        collect_shots=False,
                     )
                 except Exception as exc:  # noqa: BLE001
                     message = " ".join(f"{type(exc).__name__}: {exc}".splitlines())

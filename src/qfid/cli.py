@@ -310,6 +310,7 @@ def cmd_sweep(args) -> int:
     text = sweep_csv(
         suite, deltas, seeds, factory, noise,
         plan_cfg=plan, timing=args.timing,
+        kernel_cfg=_kernel_config(args), k=args.k, transpile_seed=args.seed,
     )
     _write_output(text, args.out)
     return 0

@@ -407,6 +407,9 @@ def sweep_rows(
     noise: NoiseModel,
     plan_cfg: PlanConfig | None = None,
     timing: bool = False,
+    kernel_cfg: KernelConfig | None = None,
+    k: int | None = None,
+    transpile_seed: int = 0,
 ) -> list[str]:
     """One CSV row per (spec, seed, delta), ordered deterministically.
 
@@ -418,9 +421,12 @@ def sweep_rows(
     that delta.  Wall time is left blank unless ``timing`` is set, keeping
     default output byte-stable; when it is set, every delta row of a (spec,
     seed) carries the time that (spec, seed) took, its build included when
-    the circuit was not built before.  A run that raises leaves a row whose
-    stop_reason cell reads ``error:<Type>: <message>``, with commas and line
-    breaks in the message replaced so the row keeps its 17 cells.
+    the circuit was not built before.  ``kernel_cfg``, ``k`` and
+    ``transpile_seed`` go to every build, as in ``build_pipeline``; each of
+    ``seeds`` picks the circuit and the oracle.  A run that raises leaves a
+    row whose stop_reason cell reads ``error:<Type>: <message>``, with
+    commas and line breaks in the message replaced so the row keeps its 17
+    cells.
     """
     if not deltas:
         return []
@@ -442,7 +448,10 @@ def sweep_rows(
                             circuit,
                             coupling_factory(circuit.num_qubits),
                             noise,
+                            transpile_seed=transpile_seed,
+                            kernel_cfg=kernel_cfg,
                             plan_cfg=tightest,
+                            k=k,
                         )
                     except Exception as exc:  # noqa: BLE001 - every seed reports it
                         pipelines[key] = exc

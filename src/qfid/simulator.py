@@ -13,22 +13,27 @@ Measurements are treated as terminal: the state is evolved through all
 unitaries, then read out.  A gate acting on an already-measured qubit is
 rejected, which keeps the deferred readout exact.
 
-The noisy simulator writes each gate with its depolarizing noise as one
-channel in superoperator form (Nielsen & Chuang, section 8.2): the
-4^k x 4^k matrix (1-p) U (x) conj(U) + (p/2^k) |I><I| acting on the gate's
-ket and bra axes of rho.  Consecutive channels whose qubit sets nest are
-multiplied into one superoperator before they touch rho, so single-qubit
-gates fold into their neighbouring cx and the three cx of a routed SWAP
-cost one contraction.  Only the active qubits -- those a gate or the
-readout touches -- are simulated, and ``DENSITY_MAX_QUBITS`` caps their
-number, so a small circuit routed onto a large coupling map stays cheap.
-A circuit without measurements reads out every qubit, so all of its
-qubits are active; a routed circuit is read out through
-``TranspileResult.readout_circuit``, which measures its logical qubits.
+The noisy simulator works in the Pauli transfer basis.  rho over n active
+qubits is the real vector r_P = Tr(P rho) over the 4^n Pauli strings P, and
+a gate with its depolarizing noise is the real 4^k x 4^k Pauli transfer
+matrix R_ij = Tr(P_i U P_j U†) / 2^k with every row but the identity row
+scaled by 1-p (Greenbaum, arXiv:1509.02921).  r takes half the memory of
+a complex rho, and every contraction is real.  Consecutive gates whose
+qubit sets nest are multiplied into one matrix before they touch r, so
+single-qubit gates fold into their neighbouring cx and the three cx of a
+routed SWAP cost one contraction.  r moves between two preallocated
+buffers, one copy per contraction at most.  Only the active qubits --
+those a gate or the readout touches -- are simulated, and
+``DENSITY_MAX_QUBITS`` caps their number, so a small circuit routed onto a
+large coupling map stays cheap.  A circuit without measurements reads out
+every qubit, so all of its qubits are active; a routed circuit is read out
+through ``TranspileResult.readout_circuit``, which measures its logical
+qubits.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -108,8 +113,8 @@ class OutcomeDistribution:
 #
 # A pure state is a (2,)*n tensor and a density matrix a (2,)*2n tensor: ket
 # axis j owns qubit n-1-j, matching index bit q = (x >> q) & 1, and bra axis
-# n+j pairs with ket axis j.  Every gate, channel and unitary goes through
-# ``_apply_matrix``.
+# n+j pairs with ket axis j.  A Pauli vector is a real (4,)*n tensor whose
+# axis j owns qubit n-1-j, indexed 0=I, 1=X, 2=Y, 3=Z.
 
 
 def _axes(qubits: tuple[int, ...], n: int) -> list[int]:
@@ -122,9 +127,9 @@ def _axes(qubits: tuple[int, ...], n: int) -> list[int]:
 
 
 def _apply_matrix(tensor: np.ndarray, m: np.ndarray, axes: list[int]) -> np.ndarray:
-    """Contract the 2^k x 2^k matrix ``m`` into ``axes`` of a (2,)*d tensor.
+    """Contract the d^k x d^k matrix ``m`` into ``axes`` of a (d,)*ndim tensor.
 
-    ``axes[0]`` carries the most significant bit of m's row and column
+    ``axes[0]`` carries the most significant digit of m's row and column
     index; the result keeps the input's axis order.
     """
     order = axes + [a for a in range(tensor.ndim) if a not in axes]
@@ -150,28 +155,6 @@ def _channel_axes(qubits: tuple[int, ...], n: int) -> list[int]:
     return axes + [n + a for a in axes]
 
 
-def _compose(
-    late: np.ndarray, late_q: tuple[int, ...], early: np.ndarray, early_q: tuple[int, ...]
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Channel ``early`` followed by ``late``, where one qubit set holds the other.
-
-    A superoperator on k qubits, reshaped to (2,)*4k, has the axes of a
-    k-qubit density tensor for its rows and again for its columns.  The
-    smaller channel goes onto the larger one's rows (applied after it) or,
-    transposed, onto its columns (applied before it).
-    """
-    if set(late_q) <= set(early_q):
-        k, qubits = len(early_q), early_q
-        pos = tuple(early_q.index(q) for q in late_q)
-        t = _apply_matrix(early.reshape((2,) * (4 * k)), late, _channel_axes(pos, k))
-    else:
-        k, qubits = len(late_q), late_q
-        pos = tuple(late_q.index(q) for q in early_q)
-        axes = [2 * k + a for a in _channel_axes(pos, k)]
-        t = _apply_matrix(late.reshape((2,) * (4 * k)), early.T, axes)
-    return t.reshape(4**k, 4**k), qubits
-
-
 def _apply_to_density(rho: np.ndarray, gate: Gate, n: int) -> np.ndarray:
     """rho -> U rho U† for a 2^n x 2^n density matrix."""
     s = _channel(gate_unitary(gate), 0.0)
@@ -184,6 +167,100 @@ def _depolarize(rho: np.ndarray, qubits: tuple[int, ...], p: float, n: int) -> n
     s = _channel(np.eye(2 ** len(qubits)), p)
     out = _apply_matrix(rho.reshape((2,) * (2 * n)), s, _channel_axes(qubits, n))
     return out.reshape(2**n, 2**n)
+
+
+_PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+@functools.lru_cache(maxsize=None)
+def _pauli_basis(k: int) -> np.ndarray:
+    """4^k x 4^k matrix whose column j is the row-major vec of Pauli string j.
+
+    Base-4 digit i of j is the Pauli on local qubit i, so the last local
+    qubit carries the most significant digit, as in a gate matrix.
+    """
+    basis = np.ones((1, 1, 1), dtype=complex)  # (string, row, column)
+    for _ in range(k):
+        dim = 2 * basis.shape[1]
+        basis = np.einsum("iab,jcd->ijacbd", _PAULIS, basis).reshape(-1, dim, dim)
+    t = basis.reshape(len(basis), -1).T
+    t.flags.writeable = False
+    return t
+
+
+def _ptm(u: np.ndarray, p: float) -> np.ndarray:
+    """Pauli transfer matrix of rho -> (1-p) U rho U† + p Tr_Q(rho) I/2^k.
+
+    Entry (i, j) is Tr(P_i U P_j U†) / 2^k.  The channel preserves trace and
+    the identity, so the first row and column are exactly e_0, and the
+    product leaves r_I unchanged.  Depolarizing keeps the identity component
+    and scales every other one by 1-p: it scales every row but the first.
+    """
+    dim = len(u)
+    t = _pauli_basis(dim.bit_length() - 1)
+    superop = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(dim * dim, -1)
+    r = (t.conj().T @ superop @ t).real / dim
+    r[0, :] = r[:, 0] = 0.0
+    r[0, 0] = 1.0
+    r[1:] *= 1.0 - p
+    return r
+
+
+def _compose(
+    late: np.ndarray, late_q: tuple[int, ...], early: np.ndarray, early_q: tuple[int, ...]
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """PTM of ``early`` followed by ``late``, where one qubit set holds the other.
+
+    A PTM on k qubits, reshaped to (4,)*2k, has one Pauli axis per qubit for
+    its rows and again for its columns.  The smaller matrix goes onto the
+    larger one's rows (applied after it) or, transposed, onto its columns
+    (applied before it).
+    """
+    if set(late_q) <= set(early_q):
+        k, qubits = len(early_q), early_q
+        pos = tuple(early_q.index(q) for q in late_q)
+        t = _apply_matrix(early.reshape((4,) * (2 * k)), late, _axes(pos, k))
+    else:
+        k, qubits = len(late_q), late_q
+        pos = tuple(late_q.index(q) for q in early_q)
+        axes = [k + a for a in _axes(pos, k)]
+        t = _apply_matrix(late.reshape((4,) * (2 * k)), early.T, axes)
+    return t.reshape(4**k, 4**k), qubits
+
+
+def _apply_ptm(
+    bufs: list[np.ndarray], order: list[int], m: np.ndarray, axes: list[int]
+) -> list[int]:
+    """Contract the PTM ``m`` into ``axes`` of the Pauli vector in ``bufs[0]``.
+
+    The vector's axes are stored permuted: stored axis i is axis
+    ``order[i]``.  When the gate's axes are stored next to each other, the
+    vector is a stack of (4^k, rest) matrices and m multiplies each of them
+    from the left, straight into the spare buffer ``bufs[1]``.  Otherwise one
+    copy into the spare buffer moves them to the front first.  m's rows and
+    columns are permuted to the stored order of its axes, never the vector.
+    Returns the new storage order, with ``bufs[0]`` holding the result.
+    """
+    k, n = len(axes), len(order)
+    pos = sorted(order.index(a) for a in axes)
+    if pos[-1] - pos[0] != k - 1:
+        new = [order[i] for i in pos] + [a for a in order if a not in axes]
+        stored = bufs[0].reshape((4,) * n).transpose([order.index(a) for a in new])
+        np.copyto(bufs[1].reshape((4,) * n), stored)
+        bufs.reverse()
+        order, pos = new, list(range(k))
+    lead = order[pos[0] : pos[0] + k]
+    if lead != axes:
+        perm = [axes.index(a) for a in lead]
+        m = m.reshape((4,) * (2 * k)).transpose(perm + [k + i for i in perm]).reshape(4**k, -1)
+    src = bufs[0].reshape(4 ** pos[0], 4**k, -1)
+    dst = bufs[1].reshape(src.shape)
+    if src.shape[2] == 1:  # trailing axes: one product on the right
+        np.matmul(src[:, :, 0], m.T, out=dst[:, :, 0])
+    else:
+        np.matmul(m, src, out=dst)
+    bufs.reverse()
+    return order
 
 
 def _readout_plan(c: Circuit) -> list[tuple[int, int]]:
@@ -257,13 +334,15 @@ def noisy_distribution(c: Circuit, nm: NoiseModel) -> OutcomeDistribution:
     """Exact outcome distribution under depolarizing + readout noise.
 
     Only the active qubits -- those a gate or the readout touches -- are
-    simulated, renumbered in order.  Channels wait in open blocks: a gate's
-    channel is multiplied onto each open block whose qubits hold, or are
-    held by, its own, and every other open block it overlaps is applied to
-    rho first.  So rho takes one contraction per block rather than per gate,
-    and no block spans more qubits than one gate.  Every channel on a qubit
-    that rho has not seen sits in that qubit's block, in order, and blocks
-    on disjoint qubits commute, so this is exact.
+    simulated, renumbered in order.  PTMs wait in open blocks: a gate's
+    PTM is multiplied onto each open block whose qubits hold, or are held
+    by, its own, and every other open block it overlaps is applied to the
+    Pauli vector first.  So the vector takes one contraction per block
+    rather than per gate, and no block spans more qubits than one gate.
+    Every gate on a qubit that the vector has not seen sits in that qubit's
+    block, in order, and blocks on disjoint qubits commute, so this is
+    exact.  The vector lives in two buffers of 4^n floats and nothing else
+    of its size is allocated.
     """
     plan = _readout_plan(c)
     active = sorted({q for g in c.gates for q in g.qubits} | {q for q, _ in plan})
@@ -273,24 +352,35 @@ def noisy_distribution(c: Circuit, nm: NoiseModel) -> OutcomeDistribution:
             f"{n} active qubits exceeds density-matrix cap {DENSITY_MAX_QUBITS}"
         )
     local = {q: i for i, q in enumerate(active)}
-    rho = np.zeros((2,) * (2 * n), dtype=complex)
-    rho[(0,) * (2 * n)] = 1.0
-    blocks: dict[int, tuple] = {}  # local qubit -> (superoperator, qubits) of its open block
+    bufs = [np.zeros(4**n), np.empty(4**n)]
+    bufs[0].reshape((4,) * n)[(slice(None, None, 3),) * n] = 1.0  # |0><0| = (I + Z)/2 per qubit
+    order = list(range(n))
+    blocks: dict[int, tuple] = {}  # local qubit -> (PTM, qubits) of its open block
+    ptms: dict[tuple, np.ndarray] = {}  # (kind, params) -> PTM; most gates repeat
     for gate in c.gates:
         qubits = tuple(local[q] for q in gate.qubits)
-        s = _channel(gate_unitary(gate), nm.p1 if len(qubits) == 1 else nm.p2)
+        key = (gate.kind, gate.params)
+        if key not in ptms:
+            ptms[key] = _ptm(gate_unitary(gate), nm.p1 if len(qubits) == 1 else nm.p2)
+        r = ptms[key]
         overlapped = {blocks[q][1]: blocks[q] for q in qubits if q in blocks}  # each block once
         for early, early_q in overlapped.values():
             if set(early_q) <= set(qubits) or set(qubits) <= set(early_q):
-                s, qubits = _compose(s, qubits, early, early_q)
+                r, qubits = _compose(r, qubits, early, early_q)
             else:
-                rho = _apply_matrix(rho, early, _channel_axes(early_q, n))
+                order = _apply_ptm(bufs, order, early, _axes(early_q, n))
             for q in early_q:
                 del blocks[q]
-        blocks.update((q, (s, qubits)) for q in qubits)
-    for s, qubits in {b[1]: b for b in blocks.values()}.values():  # each block once
-        rho = _apply_matrix(rho, s, _channel_axes(qubits, n))
-    qprobs = np.real(np.diagonal(rho.reshape(2**n, 2**n)))
+        blocks.update((q, (r, qubits)) for q in qubits)
+    for r, qubits in {b[1]: b for b in blocks.values()}.values():  # each block once
+        order = _apply_ptm(bufs, order, r, _axes(qubits, n))
+    # Tr(|x><x| rho) with |b><b| = (I + (-1)^b Z)/2 per qubit: the I and Z
+    # slice of the vector, contracted with [[1, 1], [1, -1]]/2 on every axis
+    iz = bufs[0].reshape((4,) * n).transpose(np.argsort(order))[(slice(None, None, 3),) * n]
+    h = np.array([[0.5, 0.5], [0.5, -0.5]])
+    for axis in range(n):
+        iz = _apply_matrix(iz, h, [axis])
+    qprobs = iz.reshape(-1)
     qprobs = qprobs / qprobs.sum()  # the channels preserve trace; drop rounding drift
     plan = [(local[q], clbit) for q, clbit in plan]
     qprobs = _apply_readout_flips(qprobs, [q for q, _ in plan], nm.p_ro)

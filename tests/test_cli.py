@@ -374,28 +374,29 @@ def test_malformed_suite_file_exits_1(content, tmp_path, capsys):
 
 # `qfid estimate` reports written when the estimate's own shots were recorded
 # for the outcome bias: sha256 of the text without its wall_time_ms line, and
-# the bias block
+# the bias block.  The exact-bias digits come from the Pauli-basis simulator;
+# its f_true_exact lies within 1.2e-16 of an extended-precision dense oracle.
 _PINNED_ESTIMATES = {
     "bv6-reference-shots": (
         ["--bench", "bv:6", "--reference-shots", "1000"],
-        "765679b79aac4e7b7cc39b8e7c21513184295d37a1bed9fa773bb70aade9124c",
+        "8ad1906c01a64f463eccc4ebf3f988ed8f8acc55393a0931fd539c9d88befd11",
         {
-            "f_true_exact": 0.80397864490652926,
-            "fidelity_abs": 0.0056539026384879731,
+            "f_true_exact": 0.80397864490652771,
+            "fidelity_abs": 0.0056539026384864188,
             "fidelity_hellinger": 0.0050083414717155402,
-            "outcome_hellinger": 0.029180537598001474,
+            "outcome_hellinger": 0.029180537597999569,
             "outcome_hellinger_ref": 0.064029860841713124,
             "reference_shots": 1000,
         },
     ),
     "xeb4-xeb": (
         ["--bench", "xeb:4", "--estimator", "xeb"],
-        "11aa74742e88eb50f9452cca81b3eb9229c06880d6901cfcbe66b1d56d1603ec",
+        "9fc6d1fc2b0299d3e1c471c776c831644149c3453f4575d1f33f5cc89543405a",
         {
-            "f_true_exact": 0.91350498286532822,
-            "fidelity_abs": 0.00022275995024045869,
-            "fidelity_hellinger": 0.00028001947172844445,
-            "outcome_hellinger": 0.014165088432307769,
+            "f_true_exact": 0.91350498286532744,
+            "fidelity_abs": 0.00022275995023968154,
+            "fidelity_hellinger": 0.0002800194719266848,
+            "outcome_hellinger": 0.01416508843230385,
         },
     ),
 }
@@ -446,3 +447,33 @@ def test_reference_measureless_qasm_reads_logical_qubits(tmp_path, capsys):
                         "--shots", "50"], capsys)
     assert code == 0
     assert json.loads(out) == {"n": 3, "counts": {"101": 50}}
+
+
+def _ghz4_sweep_row(tmp_path, capsys, flags):
+    suite = tmp_path / "ghz4.json"
+    suite.write_text('[{"family": "ghz", "n": 4}]')
+    code, out, _ = run(["sweep", "--suite", f"@{suite}", "--seeds", "1", "--deltas", "0.05",
+                        *flags], capsys)
+    assert code == 0
+    return out.splitlines()[1].split(",")
+
+
+def test_sweep_honours_kernel_flags(tmp_path, capsys):
+    complexity = SWEEP_COLUMNS.split(",").index("complexity")
+    flags = ["--k", "2", "--self-loop", "0.9"]
+    row = _ghz4_sweep_row(tmp_path, capsys, flags)
+    code, out, _ = run(["analyze", "--bench", "ghz:4", *flags], capsys)
+    assert code == 0
+    assert row[complexity] == "1.9398527108385983"
+    assert float(row[complexity]) == json.loads(out)["spectrum"]["complexity"]
+    assert _ghz4_sweep_row(tmp_path, capsys, [])[complexity] == "5.2400056099009582"
+
+
+def test_sweep_analysis_columns_match_analyze(tmp_path, capsys):
+    # every shot-free column of a sweep row equals the analyze row under the same flags
+    flags = ["--k", "3", "--fanin-quantile", "0.5", "--self-loop", "2", "--seed", "4"]
+    row = _ghz4_sweep_row(tmp_path, capsys, flags)
+    code, out, _ = run(["analyze", "--bench", "ghz:4", "--format", "csv", *flags], capsys)
+    assert code == 0
+    analyze_row = out.splitlines()[1].split(",")
+    assert row[4:11] == analyze_row[4:11]

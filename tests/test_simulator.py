@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qfid.bench import BenchSpec, generate, random_circuit
-from qfid.circuit import Circuit, Gate, gate_unitary
+from qfid.circuit import GATE_SIGNATURES, Circuit, Gate, gate_unitary
 from qfid.simulator import (
     MidCircuitMeasurement,
     NoiseModel,
@@ -393,3 +393,115 @@ def test_outcome_distribution_validation():
         OutcomeDistribution(1, np.array([0.7, 0.7]))
     with pytest.raises(SimulationError):
         OutcomeDistribution(2, np.array([1.0, 0.0]))
+
+
+# -- Pauli transfer matrices ----------------------------------------------------
+
+
+def explicit_ptm(u: np.ndarray) -> np.ndarray:
+    """Tr(P_i U P_j U†) / 2^k over explicit k-qubit Pauli strings.
+
+    Base-4 digit q of a string's index is the Pauli on local qubit q, and
+    local qubit k-1 is the top bit, as in a gate matrix.
+    """
+    k = len(u).bit_length() - 1
+    strings = [
+        embed({q: PAULIS[(j >> (2 * q)) & 3] for q in range(k)}, k) for j in range(4**k)
+    ]
+    return np.array([[np.trace(pi @ u @ pj @ u.conj().T).real / 2**k for pj in strings]
+                     for pi in strings])
+
+
+@pytest.mark.parametrize("kind", sorted(GATE_SIGNATURES))
+def test_ptm_of_every_gate_kind(kind):
+    from qfid.simulator import _ptm
+
+    width, npar = GATE_SIGNATURES[kind]
+    params = np.random.default_rng(width + npar).uniform(-np.pi, np.pi, size=npar)
+    u = gate_unitary(Gate(kind, tuple(range(width)), tuple(params)))
+    expected = explicit_ptm(u)
+    for p in (0.0, 0.3):
+        r = _ptm(u, p)
+        assert r.dtype == np.float64
+        assert np.array_equal(r[0], np.eye(4**width)[0])  # trace preserved
+        scale = np.r_[1.0, np.full(4**width - 1, 1.0 - p)][:, None]
+        assert np.abs(r - scale * expected).max() <= 1e-13, p
+
+
+def _counting_contractions(monkeypatch):
+    import qfid.simulator as simulator
+
+    calls = []
+    original = simulator._apply_ptm
+
+    def counted(bufs, order, m, axes):
+        calls.append(len(axes))
+        return original(bufs, order, m, axes)
+
+    monkeypatch.setattr(simulator, "_apply_ptm", counted)
+    return calls
+
+
+def _routed_swap_circuit() -> Circuit:
+    from qfid.transpile import linear_map, transpile
+
+    c = Circuit(3, 2)
+    c.add("ry", (0,), (0.4,))
+    c.add("cx", (0, 2))
+    c.add("h", (2,))
+    c.measure(0, 0)
+    c.measure(2, 1)
+    tr = transpile(c, linear_map(3), 0)
+    assert tr.swap_count == 1
+    return tr.circuit_t
+
+
+NESTED = {
+    # single-qubit gates before and after a cx fold into it
+    "1q-into-cx": ([("h", (0,)), ("t", (1,)), ("cx", (0, 1)), ("sx", (1,)),
+                    ("rz", (0,), (0.3,))], 1),
+    # a cx before and after a ccx fold into it, and the ccx into the last cx
+    "cx-into-ccx": ([("h", (2,)), ("cx", (2, 0)), ("ccx", (0, 1, 2)), ("cx", (1, 2)),
+                     ("u", (0,), (0.1, 0.2, 0.3))], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NESTED) + ["routed-swap"])
+def test_nested_blocks_match_dense_oracle(case, monkeypatch):
+    if case == "routed-swap":
+        # the swap's three cx and the gates around them make one block
+        c, contractions = _routed_swap_circuit(), 2
+    else:
+        gates, contractions = NESTED[case]
+        c = Circuit(3)
+        for kind, qubits, *params in gates:
+            c.add(kind, qubits, *params)
+    calls = _counting_contractions(monkeypatch)
+    for p in (1e-2, 0.3):
+        nm = NoiseModel(p1=p / 2, p2=p, p_ro=0.02)
+        calls.clear()
+        got = noisy_distribution(c, nm).probs
+        assert np.abs(got - dense_noisy_oracle(c, nm)).max() <= 1e-12, (case, p)
+        assert len(calls) == contractions
+
+
+def test_noisy_peak_memory_is_two_pauli_vectors():
+    import tracemalloc
+
+    c = Circuit(10, 10)
+    for q in range(10):
+        c.add("h", (q,))
+    for q in range(9):
+        c.add("cx", (q, q + 1))
+        c.add("rz", (q + 1,), (0.2 * q,))
+    c.add("cx", (9, 0))  # axes far apart: one contraction goes through the copy
+    for q in range(10):
+        c.measure(q, q)
+    nm = NoiseModel(p1=1e-3, p2=1e-2, p_ro=1e-2)
+    tracemalloc.start()
+    try:
+        noisy_distribution(c, nm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.25 * 4**10 * 8

@@ -1,7 +1,7 @@
 """Command-line surface: analyze | estimate | sweep | reference.
 
-Exit codes: 0 success, 1 parse error, 2 transpile/layout error, 3 numeric
-(graph/spectral) error, 4 oracle or estimation error.
+Exit codes: 0 success, 1 parse or usage error, 2 transpile/layout error,
+3 numeric (graph/spectral) error, 4 oracle or estimation error.
 """
 
 from __future__ import annotations
@@ -183,24 +183,43 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _add_shared_flags(p: argparse.ArgumentParser) -> None:
+class _Parser(argparse.ArgumentParser):
+    """Exits with ``EXIT_PARSE`` on a usage error, where argparse exits 2."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
+def _add_circuit_flags(p: argparse.ArgumentParser) -> None:
+    """Flags of a command run on one circuit."""
     p.add_argument("--qasm", help="path to an OpenQASM 2.0 file")
     p.add_argument("--bench", help="benchmark spec family:n[:seed][:key=value]")
+    p.add_argument("--seed", type=int, default=0,
+                   help="oracle seed of estimate and reference; reports record it as the "
+                   "transpile seed, which routing does not use")
+
+
+def _add_backend_flags(p: argparse.ArgumentParser) -> None:
+    """Flags of a command that routes circuits and writes one output."""
     p.add_argument("--coupling", default="linear",
                    help="linear|ring|grid:RxC|heavyhex27|@file.json (default linear)")
-    p.add_argument("--seed", type=int, default=0, help="transpile/oracle seed")
+    p.add_argument("--noise", default="",
+                   help="p1=..,p2=..,ro=.. (default noiseless; analyze draws no shots)")
+    p.add_argument("--out", help="write output to this path instead of stdout")
+
+
+def _add_plan_flags(p: argparse.ArgumentParser) -> None:
+    """Spectral and stopping-rule knobs of a command that plans shots."""
     p.add_argument("--k", type=int, default=None, help="spectral modes kept (default min(10, n))")
     p.add_argument("--self-loop", type=float, default=0.5, dest="self_loop")
     p.add_argument("--fanin-quantile", type=float, default=0.9, dest="fanin_quantile")
-    p.add_argument("--delta", type=float, default=0.01, help="target CI half-width")
+    p.add_argument("--delta", type=float, default=0.01,
+                   help="target CI half-width (sweep takes --deltas instead)")
     p.add_argument("--alpha", type=float, default=0.05, help="two-sided significance level")
     p.add_argument("--pmax", type=int, default=10_000, help="shot cap")
     p.add_argument("--batch-min", type=int, default=20, dest="batch_min")
     p.add_argument("--estimator", choices=("success", "xeb"), default="success")
-    p.add_argument("--noise", default="", help="p1=..,p2=..,ro=.. (default noiseless)")
-    p.add_argument("--out", help="write output to this path instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default="json", dest="format",
-                   help="report format for analyze/estimate (sweep is always CSV)")
 
 
 def cmd_analyze(args) -> int:
@@ -310,7 +329,7 @@ def cmd_sweep(args) -> int:
     text = sweep_csv(
         suite, deltas, seeds, factory, noise,
         plan_cfg=plan, timing=args.timing,
-        kernel_cfg=_kernel_config(args), k=args.k, transpile_seed=args.seed,
+        kernel_cfg=_kernel_config(args), k=args.k,
     )
     _write_output(text, args.out)
     return 0
@@ -360,7 +379,7 @@ def cmd_reference(args) -> int:
         coupling = parse_coupling(args.coupling, circuit.num_qubits)
         from .transpile import transpile
 
-        routed = transpile(circuit, coupling, args.seed)
+        routed = transpile(circuit, coupling)
         dist = noisy_distribution(routed.readout_circuit(), noise)
     shots = DistributionOracle(dist, args.seed).sample(args.shots)
     counts = counts_from_shots(shots, dist.num_bits)
@@ -372,34 +391,41 @@ def cmd_reference(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qfid",
         description="Adaptive shot budgeting for quantum-circuit fidelity estimation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analyze = sub.add_parser("analyze", help="structural pipeline, no shots")
-    _add_shared_flags(p_analyze)
+    p_estimate = sub.add_parser("estimate", help="run the adaptive estimation loop")
+    p_sweep = sub.add_parser("sweep", help="suite x delta x seed CSV")
+    p_ref = sub.add_parser("reference", help="write a counts file for the replay oracle")
+    # each command takes only the flags it reads
+    for p in (p_analyze, p_estimate, p_ref):
+        _add_circuit_flags(p)
+    for p in (p_analyze, p_estimate, p_sweep, p_ref):
+        _add_backend_flags(p)
+    for p in (p_analyze, p_estimate, p_sweep):
+        _add_plan_flags(p)
+    for p in (p_analyze, p_estimate):
+        p.add_argument("--format", choices=("json", "csv"), default="json",
+                       help="report format (default json)")
+
     p_analyze.add_argument("--dot", help="also write the gate DAG in DOT format")
     p_analyze.set_defaults(func=cmd_analyze)
 
-    p_estimate = sub.add_parser("estimate", help="run the adaptive estimation loop")
-    _add_shared_flags(p_estimate)
     p_estimate.add_argument("--reference-shots", type=int, default=0, dest="reference_shots",
                             help="also compare against an n-shot empirical reference")
     p_estimate.set_defaults(func=cmd_estimate)
 
-    p_sweep = sub.add_parser("sweep", help="suite x delta x seed CSV")
-    _add_shared_flags(p_sweep)
     p_sweep.add_argument("--suite", default="default", help="default|default10|@file.json")
     p_sweep.add_argument("--deltas", default="0.01,0.02,0.03")
-    p_sweep.add_argument("--seeds", default="1,2,3")
+    p_sweep.add_argument("--seeds", default="1,2,3", help="circuit and oracle seeds")
     p_sweep.add_argument("--timing", action="store_true",
                          help="fill walltime_ms (off by default to keep output byte-stable)")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_ref = sub.add_parser("reference", help="write a counts file for the replay oracle")
-    _add_shared_flags(p_ref)
     p_ref.add_argument("--shots", type=int, default=10_000)
     p_ref.set_defaults(func=cmd_reference)
 

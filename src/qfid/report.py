@@ -191,11 +191,15 @@ def analyze_circuit(
     plan_cfg: PlanConfig | None = None,
     k: int | None = None,
 ) -> tuple[AnalyzeReport, TranspileResult]:
-    """Shot-free pipeline: transpile, compare DAGs, spectrum, batch size."""
+    """Shot-free pipeline: transpile, compare DAGs, spectrum, batch size.
+
+    Routing takes no seed: ``seed`` is only recorded, as the report's
+    ``transpile.seed``.
+    """
     kernel_cfg = kernel_cfg or KernelConfig()
     plan_cfg = plan_cfg or PlanConfig()
     depth0 = circuit_depth(circuit)
-    tr = transpile(circuit, coupling, seed)
+    tr = transpile(circuit, coupling)
     g0 = build_dag(circuit)
     gt = build_dag(tr.circuit_t)
     deformation = compare(
@@ -409,7 +413,6 @@ def sweep_rows(
     timing: bool = False,
     kernel_cfg: KernelConfig | None = None,
     k: int | None = None,
-    transpile_seed: int = 0,
 ) -> list[str]:
     """One CSV row per (spec, seed, delta), ordered deterministically.
 
@@ -421,12 +424,11 @@ def sweep_rows(
     that delta.  Wall time is left blank unless ``timing`` is set, keeping
     default output byte-stable; when it is set, every delta row of a (spec,
     seed) carries the time that (spec, seed) took, its build included when
-    the circuit was not built before.  ``kernel_cfg``, ``k`` and
-    ``transpile_seed`` go to every build, as in ``build_pipeline``; each of
-    ``seeds`` picks the circuit and the oracle.  A run that raises leaves a
-    row whose stop_reason cell reads ``error:<Type>: <message>``, with
-    commas and line breaks in the message replaced so the row keeps its 17
-    cells.
+    the circuit was not built before.  ``kernel_cfg`` and ``k`` go to every
+    build, as in ``build_pipeline``; each of ``seeds`` picks the circuit and
+    the oracle.  A run that raises leaves a row whose stop_reason cell reads
+    ``error:<Type>: <message>``, with commas and line breaks in the message
+    replaced so the row keeps its 17 cells.
     """
     if not deltas:
         return []
@@ -448,7 +450,6 @@ def sweep_rows(
                             circuit,
                             coupling_factory(circuit.num_qubits),
                             noise,
-                            transpile_seed=transpile_seed,
                             kernel_cfg=kernel_cfg,
                             plan_cfg=tightest,
                             k=k,

@@ -111,9 +111,8 @@ class OutcomeDistribution:
 
 # -- state evolution -------------------------------------------------------
 #
-# A pure state is a (2,)*n tensor and a density matrix a (2,)*2n tensor: ket
-# axis j owns qubit n-1-j, matching index bit q = (x >> q) & 1, and bra axis
-# n+j pairs with ket axis j.  A Pauli vector is a real (4,)*n tensor whose
+# A pure state is a (2,)*n tensor whose axis j owns qubit n-1-j, matching
+# index bit q = (x >> q) & 1.  A Pauli vector is a real (4,)*n tensor whose
 # axis j owns qubit n-1-j, indexed 0=I, 1=X, 2=Y, 3=Z.
 
 
@@ -135,38 +134,6 @@ def _apply_matrix(tensor: np.ndarray, m: np.ndarray, axes: list[int]) -> np.ndar
     order = axes + [a for a in range(tensor.ndim) if a not in axes]
     out = m @ tensor.transpose(order).reshape(len(m), -1)
     return out.reshape(tensor.shape).transpose(np.argsort(order))
-
-
-def _channel(u: np.ndarray, p: float) -> np.ndarray:
-    """Superoperator of rho -> (1-p) U rho U† + p Tr(rho) I/d.
-
-    Rows and columns index (ket, bra) pairs as ket * d + bra, so the unitary
-    part is U (x) conj(U) and the depolarizing part is |I><I|/d.
-    """
-    dim = len(u)
-    unitary = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(dim * dim, -1)
-    vec_eye = np.eye(dim).reshape(-1)
-    return (1.0 - p) * unitary + (p / dim) * np.outer(vec_eye, vec_eye)
-
-
-def _channel_axes(qubits: tuple[int, ...], n: int) -> list[int]:
-    """(ket, bra) axes of a channel on ``qubits`` of a (2,)*2n density tensor."""
-    axes = _axes(qubits, n)
-    return axes + [n + a for a in axes]
-
-
-def _apply_to_density(rho: np.ndarray, gate: Gate, n: int) -> np.ndarray:
-    """rho -> U rho U† for a 2^n x 2^n density matrix."""
-    s = _channel(gate_unitary(gate), 0.0)
-    out = _apply_matrix(rho.reshape((2,) * (2 * n)), s, _channel_axes(gate.qubits, n))
-    return out.reshape(2**n, 2**n)
-
-
-def _depolarize(rho: np.ndarray, qubits: tuple[int, ...], p: float, n: int) -> np.ndarray:
-    """rho -> (1-p) rho + p * (Tr_Q rho) (x) I/2^|Q| at the positions of Q."""
-    s = _channel(np.eye(2 ** len(qubits)), p)
-    out = _apply_matrix(rho.reshape((2,) * (2 * n)), s, _channel_axes(qubits, n))
-    return out.reshape(2**n, 2**n)
 
 
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
@@ -261,6 +228,20 @@ def _apply_ptm(
         np.matmul(m, src, out=dst)
     bufs.reverse()
     return order
+
+
+def _diagonal(vec: np.ndarray, order: list[int]) -> np.ndarray:
+    """Diagonal of rho from its Pauli vector, whose stored axis i is ``order[i]``.
+
+    Tr(|x><x| rho) with |b><b| = (I + (-1)^b Z)/2 per qubit: the I and Z
+    slice of the vector, contracted with [[1, 1], [1, -1]]/2 on every axis.
+    """
+    n = len(order)
+    iz = vec.reshape((4,) * n).transpose(np.argsort(order))[(slice(None, None, 3),) * n]
+    h = np.array([[0.5, 0.5], [0.5, -0.5]])
+    for axis in range(n):
+        iz = _apply_matrix(iz, h, [axis])
+    return iz.reshape(-1)
 
 
 def _readout_plan(c: Circuit) -> list[tuple[int, int]]:
@@ -374,13 +355,7 @@ def noisy_distribution(c: Circuit, nm: NoiseModel) -> OutcomeDistribution:
         blocks.update((q, (r, qubits)) for q in qubits)
     for r, qubits in {b[1]: b for b in blocks.values()}.values():  # each block once
         order = _apply_ptm(bufs, order, r, _axes(qubits, n))
-    # Tr(|x><x| rho) with |b><b| = (I + (-1)^b Z)/2 per qubit: the I and Z
-    # slice of the vector, contracted with [[1, 1], [1, -1]]/2 on every axis
-    iz = bufs[0].reshape((4,) * n).transpose(np.argsort(order))[(slice(None, None, 3),) * n]
-    h = np.array([[0.5, 0.5], [0.5, -0.5]])
-    for axis in range(n):
-        iz = _apply_matrix(iz, h, [axis])
-    qprobs = iz.reshape(-1)
+    qprobs = _diagonal(bufs[0], order)
     qprobs = qprobs / qprobs.sum()  # the channels preserve trace; drop rounding drift
     plan = [(local[q], clbit) for q, clbit in plan]
     qprobs = _apply_readout_flips(qprobs, [q for q, _ in plan], nm.p_ro)
@@ -454,10 +429,6 @@ class ReplayOracle:
 def make_oracle(c: Circuit, nm: NoiseModel, seed: int) -> DistributionOracle:
     """Shot oracle over the exact noisy distribution of the circuit."""
     return DistributionOracle(noisy_distribution(c, nm), seed)
-
-
-def make_ideal_oracle(c: Circuit, seed: int) -> DistributionOracle:
-    return DistributionOracle(ideal_distribution(c), seed)
 
 
 def counts_from_shots(shots: np.ndarray, num_bits: int) -> dict[str, int]:

@@ -4,7 +4,7 @@ The native basis is {rz, sx, x, cx} plus measures; barriers are dropped
 during decomposition.  Routing keeps an identity initial layout and, for
 each cx whose endpoints are not adjacent, walks the control toward the
 target along a BFS shortest path, inserting SWAPs as 3-cx blocks.  The
-whole pipeline is deterministic for a fixed (circuit, map, seed).
+whole pipeline is deterministic for a fixed (circuit, map).
 """
 
 from __future__ import annotations
@@ -306,14 +306,12 @@ def decompose_to_basis(c: Circuit) -> Circuit:
 # -- routing ---------------------------------------------------------------
 
 
-def route(c: Circuit, cmap: CouplingMap, seed: int = 0) -> TranspileResult:
+def route(c: Circuit, cmap: CouplingMap) -> TranspileResult:
     """Greedy router for circuits already in the native basis.
 
-    The seed is part of the interface for tie-breaking, but the BFS path
-    choice (lowest physical index first) already makes routing total, so
+    The BFS path choice (lowest physical index first) breaks every tie, so
     identical inputs always give identical results.
     """
-    del seed  # ties never survive the lowest-index rule
     if c.num_qubits > cmap.num_physical_qubits:
         raise LayoutError(
             f"circuit needs {c.num_qubits} qubits, map has {cmap.num_physical_qubits}"
@@ -368,9 +366,9 @@ def route(c: Circuit, cmap: CouplingMap, seed: int = 0) -> TranspileResult:
     )
 
 
-def transpile(c: Circuit, cmap: CouplingMap, seed: int = 0) -> TranspileResult:
+def transpile(c: Circuit, cmap: CouplingMap) -> TranspileResult:
     """Decompose to the native basis, then route onto the coupling map."""
-    return route(decompose_to_basis(c), cmap, seed)
+    return route(decompose_to_basis(c), cmap)
 
 
 def check_coupling(result: TranspileResult) -> bool:

@@ -1,11 +1,12 @@
 """CLI surface: commands, flags, exit codes, report schemas."""
 
+import argparse
 import hashlib
 import json
 
 import pytest
 
-from qfid.cli import main, parse_bench, parse_coupling, parse_noise
+from qfid.cli import build_parser, main, parse_bench, parse_coupling, parse_noise
 from qfid.report import SWEEP_COLUMNS, format_float, to_json
 
 
@@ -77,6 +78,52 @@ def test_analyze_layout_error_exit_2(tmp_path, capsys):
     path.write_text('{"n": 2, "edges": [[0,1]]}')
     code, _, err = run(["analyze", "--bench", "ghz:4", "--coupling", f"@{path}"], capsys)
     assert code == 2
+
+
+def _options(subcommand: str) -> set[str]:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[subcommand]._actions
+    return {s for a in actions for s in a.option_strings if s not in ("-h", "--help")}
+
+
+_CIRCUIT = {"--qasm", "--bench", "--seed"}
+_BACKEND = {"--coupling", "--noise", "--out"}
+_PLAN = {"--k", "--self-loop", "--fanin-quantile", "--delta", "--alpha", "--pmax",
+         "--batch-min", "--estimator"}
+_FLAGS = {
+    "analyze": _CIRCUIT | _BACKEND | _PLAN | {"--format", "--dot"},
+    "estimate": _CIRCUIT | _BACKEND | _PLAN | {"--format", "--reference-shots"},
+    "sweep": _BACKEND | _PLAN | {"--suite", "--deltas", "--seeds", "--timing"},
+    "reference": _CIRCUIT | _BACKEND | {"--shots"},
+    "bench": {"--suite", "--out-dir", "--out"},
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_FLAGS))
+def test_flag_surface(subcommand):
+    # each command takes only the flags it reads; a new flag is pinned here per command
+    assert _options(subcommand) == _FLAGS[subcommand]
+
+
+@pytest.mark.parametrize("argv", [
+    ["reference", "--bench", "ghz:3", "--k", "2"],
+    ["sweep", "--bench", "ghz:3"],
+    ["estimate", "--bench", "ghz:3", "--seed", "x"],
+    ["no-such-command"],
+], ids=["reference-k", "sweep-bench", "bad-int", "unknown-command"])
+def test_usage_error_exits_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]], ids=["qfid", "sweep"])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_estimate_bv_golden_flow(capsys):
@@ -414,6 +461,21 @@ def test_estimate_json_pinned(case, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_default_sweep_pinned(tmp_path, capsys):
+    # the whole default suite, byte for byte: 216 rows, all stopped at ci_met
+    out = tmp_path / "sweep.csv"
+    code, _, _ = run(["sweep", "--suite", "default", "--deltas", "0.01,0.02,0.03",
+                      "--seeds", "1,2,3", "--noise", "p1=1e-3,p2=1e-2,ro=1e-2",
+                      "--out", str(out)], capsys)
+    assert code == 0
+    rows = out.read_text().splitlines()[1:]
+    stop_reason = SWEEP_COLUMNS.split(",").index("stop_reason")
+    assert len(rows) == 216
+    assert all(row.split(",")[stop_reason] == "ci_met" for row in rows)
+    digest = "710d6b2b4fb0d050fa1407c3bedec7b6c7ae17475cda7c2a309b496e53c50c74"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # written by `qfid reference` when shots were bitstrings end to end
 _GHZ3_COUNTS_SEED5 = """{
   "n": 3,
@@ -471,9 +533,10 @@ def test_sweep_honours_kernel_flags(tmp_path, capsys):
 
 def test_sweep_analysis_columns_match_analyze(tmp_path, capsys):
     # every shot-free column of a sweep row equals the analyze row under the same flags
-    flags = ["--k", "3", "--fanin-quantile", "0.5", "--self-loop", "2", "--seed", "4"]
+    flags = ["--k", "3", "--fanin-quantile", "0.5", "--self-loop", "2"]
     row = _ghz4_sweep_row(tmp_path, capsys, flags)
-    code, out, _ = run(["analyze", "--bench", "ghz:4", "--format", "csv", *flags], capsys)
+    code, out, _ = run(["analyze", "--bench", "ghz:4", "--format", "csv", "--seed", "4", *flags],
+                       capsys)
     assert code == 0
     analyze_row = out.splitlines()[1].split(",")
     assert row[4:11] == analyze_row[4:11]

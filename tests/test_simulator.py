@@ -8,6 +8,7 @@ import pytest
 from qfid.bench import BenchSpec, generate, random_circuit
 from qfid.circuit import GATE_SIGNATURES, Circuit, Gate, gate_unitary
 from qfid.simulator import (
+    DistributionOracle,
     MidCircuitMeasurement,
     NoiseModel,
     OutcomeDistribution,
@@ -18,7 +19,6 @@ from qfid.simulator import (
     counts_from_shots,
     empirical_distribution,
     ideal_distribution,
-    make_ideal_oracle,
     make_oracle,
     noisy_distribution,
     read_counts_file,
@@ -188,20 +188,23 @@ def test_hellinger_from_uniform_monotone_in_p1():
 
 
 def test_density_trace_preserved_gate_by_gate():
+    # the Pauli vector that noisy_distribution evolves, stepped one gate at a time;
+    # it is real, so the rho it stands for is Hermitian by construction
     c = generate(BenchSpec.make("qft", 4))
-    from qfid.simulator import _apply_to_density, _depolarize
+    from qfid.simulator import _apply_ptm, _axes, _diagonal, _ptm
 
     nm = NoiseModel(p1=1e-3, p2=1e-2)
     n = c.num_qubits
-    rho = np.zeros((2**n, 2**n), dtype=complex)
-    rho[0, 0] = 1.0
+    bufs = [np.zeros(4**n), np.empty(4**n)]
+    bufs[0].reshape((4,) * n)[(slice(None, None, 3),) * n] = 1.0
+    order = list(range(n))
     for op in c.gates:
-        rho = _apply_to_density(rho, op, n)
-        rho = _depolarize(rho, op.qubits, nm.p1 if len(op.qubits) == 1 else nm.p2, n)
-        trace = np.trace(rho)
-        assert abs(trace - 1.0) < 1e-10
-        assert np.abs(rho - rho.conj().T).max() < 1e-10
-        assert np.real(np.diag(rho)).min() > -1e-12
+        m = _ptm(gate_unitary(op), nm.p1 if len(op.qubits) == 1 else nm.p2)
+        order = _apply_ptm(bufs, order, m, _axes(op.qubits, n))
+        diag = _diagonal(bufs[0], order)
+        assert abs(bufs[0][0] - 1.0) < 1e-10  # r_I = Tr(rho)
+        assert abs(diag.sum() - 1.0) < 1e-10
+        assert diag.min() > -1e-12
 
 
 PAULIS = (
@@ -313,7 +316,7 @@ def test_noisy_probabilities_sum_to_one():
     # probability to rounding drift: qft's exact success fidelity is the sum
     from qfid.transpile import linear_map, transpile
 
-    c = transpile(generate(BenchSpec.make("qft", 6)), linear_map(6), 1).circuit_t
+    c = transpile(generate(BenchSpec.make("qft", 6)), linear_map(6)).circuit_t
     d = noisy_distribution(c, NoiseModel(p1=1e-3, p2=1e-2, p_ro=1e-2))
     assert abs(d.probs.sum() - 1.0) <= 1e-15
 
@@ -346,7 +349,7 @@ def test_oracle_draws_pinned():
 
 def test_oracle_frequencies_match_distribution():
     c = generate(BenchSpec.make("ghz", 3))
-    oracle = make_ideal_oracle(c, seed=5)
+    oracle = DistributionOracle(ideal_distribution(c), 5)
     shots = oracle.sample(1_000_000)
     counts = counts_from_shots(shots, 3)
     # binomial at p = 0.5, n = 1e6: sd = 5e-4, so 0.002 is a 4-sigma bound
@@ -359,7 +362,7 @@ def test_million_shot_empirical_close_to_exact():
 
     c = generate(BenchSpec.make("ghz", 4))
     exact = ideal_distribution(c)
-    oracle = make_ideal_oracle(c, seed=17)
+    oracle = DistributionOracle(ideal_distribution(c), 17)
     empirical = empirical_distribution(4, oracle.sample(1_000_000))
     assert hellinger_distance(empirical, exact) <= 0.01
 
@@ -451,7 +454,7 @@ def _routed_swap_circuit() -> Circuit:
     c.add("h", (2,))
     c.measure(0, 0)
     c.measure(2, 1)
-    tr = transpile(c, linear_map(3), 0)
+    tr = transpile(c, linear_map(3))
     assert tr.swap_count == 1
     return tr.circuit_t
 

@@ -232,8 +232,8 @@ def test_transpile_empty_circuit():
 
 def test_determinism():
     c = generate(BenchSpec.make("qft", 5))
-    r1 = transpile(c, linear_map(5), seed=3)
-    r2 = transpile(c, linear_map(5), seed=3)
+    r1 = transpile(c, linear_map(5))
+    r2 = transpile(c, linear_map(5))
     assert r1.circuit_t == r2.circuit_t
     assert r1.final_layout == r2.final_layout
 
@@ -266,7 +266,7 @@ def test_legality_on_all_benchmarks_and_random_circuits():
         nq = int(rng.integers(2, 8))
         c = random_circuit(nq, int(rng.integers(1, 60)), seed, measure=True)
         cmap = [linear_map(nq), ring_map(max(nq, 3)), grid_map(2, (nq + 1) // 2 + 1)][seed % 3]
-        res = transpile(c, cmap, seed)
+        res = transpile(c, cmap)
         assert check_coupling(res)
 
 
@@ -290,7 +290,7 @@ def test_statevector_overlap_small_circuits():
         rng = np.random.default_rng(1000 + seed)
         nq = int(rng.integers(2, 4))
         c = random_circuit(nq, int(rng.integers(1, 25)), seed)
-        res = transpile(c, linear_map(nq), seed)
+        res = transpile(c, linear_map(nq))
         psi0 = circuit_unitary(c)[:, 0]
         psi_t = circuit_unitary(res.circuit_t)[:, 0]
         p = layout_permutation(res.final_layout, nq)
@@ -336,6 +336,6 @@ def test_noiseless_readout_preserved_through_routing_without_measures():
         nq = int(rng.integers(2, 6))
         c = random_circuit(nq, int(rng.integers(1, 30)), seed)
         cmap = [linear_map(nq), ring_map(max(nq, 3)), grid_map(2, (nq + 1) // 2 + 1)][seed % 3]
-        res = transpile(c, cmap, seed)
+        res = transpile(c, cmap)
         exact = noisy_distribution(res.readout_circuit(), NoiseModel())
         assert np.abs(exact.probs - ideal_distribution(c).probs).max() < 1e-9, seed

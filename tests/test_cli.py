@@ -3,9 +3,14 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qfid
 from qfid.cli import build_parser, main, parse_bench, parse_coupling, parse_noise
 from qfid.report import SWEEP_COLUMNS, format_float, to_json
 
@@ -461,13 +466,20 @@ def test_estimate_json_pinned(case, capsys):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_default_sweep_pinned(tmp_path, capsys):
-    # the whole default suite, byte for byte: 216 rows, all stopped at ci_met
+def test_default_sweep_pinned(tmp_path):
+    # the whole default suite, byte for byte: 216 rows, all stopped at ci_met.
+    # The dense eigensolver's last bits follow OpenBLAS's thread count (the
+    # complexity column of the qft rows moves by an ulp or two), so the sweep
+    # runs in a child process with one BLAS thread
     out = tmp_path / "sweep.csv"
-    code, _, _ = run(["sweep", "--suite", "default", "--deltas", "0.01,0.02,0.03",
-                      "--seeds", "1,2,3", "--noise", "p1=1e-3,p2=1e-2,ro=1e-2",
-                      "--out", str(out)], capsys)
-    assert code == 0
+    paths = [str(Path(qfid.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+           "OPENBLAS_NUM_THREADS": "1"}
+    argv = ["sweep", "--suite", "default", "--deltas", "0.01,0.02,0.03",
+            "--seeds", "1,2,3", "--noise", "p1=1e-3,p2=1e-2,ro=1e-2", "--out", str(out)]
+    code = f"import sys; from qfid.cli import main; sys.exit(main({argv!r}))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+    assert proc.returncode == 0, proc.stderr
     rows = out.read_text().splitlines()[1:]
     stop_reason = SWEEP_COLUMNS.split(",").index("stop_reason")
     assert len(rows) == 216

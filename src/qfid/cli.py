@@ -205,7 +205,7 @@ def _add_backend_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--coupling", default="linear",
                    help="linear|ring|grid:RxC|heavyhex27|@file.json (default linear)")
     p.add_argument("--noise", default="",
-                   help="p1=..,p2=..,ro=.. (default noiseless; analyze draws no shots)")
+                   help="p1=..,p2=..,ro=.. (default noiseless; analyze validates it but draws no shots)")
     p.add_argument("--out", help="write output to this path instead of stdout")
 
 
@@ -223,6 +223,7 @@ def _add_plan_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_analyze(args) -> int:
+    parse_noise(args.noise)  # unused, as analyze draws no shots, but validated
     circuit, source = _load_circuit(args)
     coupling = parse_coupling(args.coupling, circuit.num_qubits)
     report, _ = analyze_circuit(

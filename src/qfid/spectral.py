@@ -10,9 +10,10 @@ at 1.
 
 The kernel is held as its nonzero entries.  Two eigensolver paths are
 exposed: a dense full decomposition (LAPACK symmetric solver) for
-n <= 1024, and ARPACK's implicitly restarted Lanczos with a deflation check
-for missed copies of repeated eigenvalues beyond.  The iterative path is
-validated against the dense one in the test suite.
+n <= 1024, and beyond it ARPACK's implicitly restarted Lanczos in
+shift-invert mode at each end of the Gershgorin interval, plus the
+deflation check for missed copies of repeated eigenvalues.  The iterative
+path is validated against the dense one in the test suite.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .deformation import DeformationReport
 DENSE_LIMIT = 1024
 _POWER_SEED = 0x5EED1E5  # fixed: the iterative path must be reproducible
 _SCALE_ROWS = 128  # rows of S scaled per block in the dense path
+_SHIFT = 1e-3  # gap between each shift and its end of the Gershgorin interval
 
 
 class SpectralError(ValueError):
@@ -187,48 +189,84 @@ def _symmetric_similar(kernel: WeightedKernel) -> np.ndarray:
 def _iterative_top_k(
     kernel: WeightedKernel, k: int, tol: float, max_iter: int
 ) -> tuple[np.ndarray, float]:
-    """ARPACK's implicitly restarted Lanczos (``eigsh``) on S, then a deflation check.
+    """ARPACK's Lanczos in shift-invert mode at each end of the Gershgorin
+    interval, plus the deflation check.
+
+    P = D^-1 K has row discs centred at s/d_i with radius 1 - s/d_i, so the
+    spectrum lies in [lo, 1], lo = 2 min(s/d_i) - 1.  The top end factors
+    S - sigma I once (splu), sigma = 1 + _SHIFT, and runs ``eigsh`` on its
+    inverse, whose largest |mu| are the lambda = sigma + 1/mu nearest sigma;
+    clustered eigenvalues near 1 separate there.  The bottom end
+    (sigma = lo - _SHIFT) runs only when -lo exceeds the smallest |lambda|
+    of the top end, i.e. when a negative mode could enter the top k; the two
+    ends merge by a two-pointer pick on |lambda|, which keeps a mode found
+    from both ends once.
 
     Lanczos from one start vector can miss a copy of a repeated eigenvalue
-    (a DAG with c components has lambda = 1 c times).  So eigsh(k=1) from a
-    fresh start vector runs on S - V Theta V^T, the k pairs found deflated;
-    a mode beating the k-th |lambda| replaces it, and the check repeats, at
-    most k times.  Needs k < n - 1 (_top_k sends larger k to the dense
-    solver).  Returns the k eigenvalues and the largest ||S v - theta v||.
+    (a DAG with c components has lambda = 1 c times).  So at each end
+    eigsh(k=1) from a fresh start vector runs on the inverse deflated by the
+    k pairs found, lu.solve(x) - V M V^T x; a mode nearer sigma than the
+    farthest of the k replaces it, and the check repeats, at most k times.
+    Needs k < n - 1 (_top_k sends larger k to the dense solver).  Returns the
+    k eigenvalues and the largest ||S v - theta v||.
     """
     n = kernel.n
     # scipy.sparse.linalg imports scipy.linalg: a cost only this path pays
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+    from scipy.sparse import csc_matrix, identity
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-    isq = 1.0 / np.sqrt(kernel.degrees())
+    degrees = kernel.degrees()
+    isq = 1.0 / np.sqrt(degrees)
     svals = kernel.vals * isq[kernel.rows] * isq[kernel.cols]
-    s = csr_matrix((svals, (kernel.rows, kernel.cols)), shape=(n, n))
+    s = csc_matrix((svals, (kernel.rows, kernel.cols)), shape=(n, n))
     rng = np.random.default_rng(_POWER_SEED)
 
-    def solve(op, count: int) -> tuple[np.ndarray, np.ndarray]:
-        v0 = rng.standard_normal(n)
-        try:
-            return eigsh(op, count, which="LM", v0=v0, tol=tol, maxiter=max_iter)
-        except ArpackNoConvergence as exc:
-            found = sorted(map(float, exc.eigenvalues), key=abs, reverse=True)[:k]
-            partial = found + [0.0] * (k - len(found))
-            raise ConvergenceFailure(f"ARPACK exceeded {max_iter} restarts", partial) from None
+    def nearest(sigma: float) -> tuple[np.ndarray, np.ndarray]:
+        """The k eigenpairs of S nearest sigma, which lies outside [lo, 1]."""
+        lu = splu(csc_matrix(s - sigma * identity(n)))
 
-    theta, vecs = solve(s, k)
-    for _ in range(k):
-        kth = np.abs(theta).min()
+        def solve(matvec, count: int) -> tuple[np.ndarray, np.ndarray]:
+            op = LinearOperator((n, n), matvec=matvec, dtype=float)
+            v0 = rng.standard_normal(n)
+            try:
+                return eigsh(op, count, which="LM", v0=v0, tol=tol, maxiter=max_iter)
+            except ArpackNoConvergence as exc:
+                found = [sigma + 1.0 / float(mu) for mu in exc.eigenvalues]
+                found = sorted(found, key=abs, reverse=True)[:k]
+                partial = found + [0.0] * (k - len(found))
+                raise ConvergenceFailure(
+                    f"ARPACK exceeded {max_iter} restarts", partial
+                ) from None
 
-        def deflated(x: np.ndarray) -> np.ndarray:
-            return s @ x - vecs @ (theta * (vecs.T @ x))
+        mu, vecs = solve(lu.solve, k)
+        for _ in range(k):
+            # 1/|mu| = |lambda - sigma|; tol is absolute in lambda, as |lambda| <= 1
+            farthest = 1.0 / np.abs(mu).min()
 
-        extra, u = solve(LinearOperator((n, n), matvec=deflated, dtype=float), 1)
-        # |lambda| <= 1 with the Perron value at 1, so tol is absolute here
-        if abs(extra[0]) <= kth + tol:
-            break
-        keep = np.argsort(-np.abs(theta))[: k - 1]
-        theta = np.append(theta[keep], extra)
-        vecs = np.hstack([vecs[:, keep], u])
+            def deflated(x: np.ndarray) -> np.ndarray:
+                return lu.solve(x) - vecs @ (mu * (vecs.T @ x))
+
+            extra, u = solve(deflated, 1)
+            if 1.0 / abs(extra[0]) >= farthest - tol:
+                break
+            keep = np.argsort(-np.abs(mu))[: k - 1]
+            mu = np.append(mu[keep], extra)
+            vecs = np.hstack([vecs[:, keep], u])
+        return sigma + 1.0 / mu, vecs
+
+    lo = 2.0 * float((kernel.self_loop / degrees).min()) - 1.0
+    theta, vecs = nearest(1.0 + _SHIFT)
+    if -lo > np.abs(theta).min():
+        low, low_vecs = nearest(lo - _SHIFT)
+        top, bottom = np.argsort(-theta), np.argsort(low)
+        i = j = 0  # modes taken from the top and from the bottom end
+        while i + j < k:
+            if abs(theta[top[i]]) >= abs(low[bottom[j]]):
+                i += 1
+            else:
+                j += 1
+        theta = np.concatenate([theta[top[:i]], low[bottom[:j]]])
+        vecs = np.hstack([vecs[:, top[:i]], low_vecs[:, bottom[:j]]])
     return theta, float(np.linalg.norm(s @ vecs - vecs * theta, axis=0).max())
 
 
@@ -264,10 +302,12 @@ def top_eigenvalues(
 ) -> list[float]:
     """Top-k eigenvalues of P by magnitude, descending; all real.
 
-    method "auto" uses the dense solver up to n = 1024 and ARPACK's Lanczos
-    with the deflation check beyond; ``tol`` bounds each pair's residual and
-    ``max_iter`` caps ARPACK's restarts.  Raises ConvergenceFailure
-    (carrying partial results) if the iterative path does not converge.
+    method "auto" uses the dense solver up to n = 1024 and beyond it ARPACK's
+    Lanczos in shift-invert mode at each end of the Gershgorin interval, plus
+    the deflation check; ``tol`` is ARPACK's relative accuracy on the
+    inverted operator and ``max_iter`` caps its restarts at each solve.
+    Raises ConvergenceFailure (carrying partial results, as eigenvalues of
+    P) if the iterative path does not converge.
     """
     return _top_k(kernel, k, method, tol, max_iter)[0]
 

@@ -78,6 +78,16 @@ def test_analyze_bad_qasm_exit_1(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("noise", ["garbage", "p1=x", "p9=0.1"])
+def test_analyze_bad_noise_exits_1(noise, tmp_path, capsys):
+    # analyze draws no shots, but rejects a malformed --noise as estimate does
+    out = tmp_path / "out.json"
+    code, _, err = run(["analyze", "--bench", "ghz:3", "--noise", noise, "--out", str(out)], capsys)
+    assert code == 1
+    assert "bad noise" in err
+    assert not out.exists()
+
+
 def test_analyze_layout_error_exit_2(tmp_path, capsys):
     path = tmp_path / "map.json"
     path.write_text('{"n": 2, "edges": [[0,1]]}')

@@ -269,15 +269,60 @@ def test_convergence_failure_carries_partial_results():
     from qfid.spectral import ConvergenceFailure
 
     c = Circuit(1)
-    for _ in range(40):  # long chain: one sweep cannot reach 1e-8 residuals
+    for _ in range(650):  # long chain: one restart cannot reach 1e-8 residuals
         c.add("h", (0,))
     k = build_kernel(build_dag(c), ZERO)
     with pytest.raises(ConvergenceFailure) as info:
         top_eigenvalues(k, 3, method="iterative", max_iter=1)
     assert len(info.value.partial) == 3
+    # partial values are eigenvalues of P, mapped back from the shift-inverted
+    # operator (an unmapped mu near 1 would read about -1/_SHIFT)
+    assert any(info.value.partial)
+    assert all(-1 - 1e-9 <= v <= 1 + 1e-9 for v in info.value.partial)
 
     spec = analyze_spectrum(k, k=3, method="iterative")
     assert spec.converged  # the default iteration budget is enough
+
+
+def h_chain(length: int, self_loop: float):
+    """Kernel of a one-qubit chain of h gates: a path graph, so bipartite."""
+    c = Circuit(1)
+    for _ in range(length):
+        c.add("h", (0,))
+    return build_kernel(build_dag(c), ZERO, KernelConfig(self_loop=self_loop))
+
+
+def test_iterative_finds_negative_modes_in_top_k():
+    # a small self-loop on a bipartite chain puts lambda near -1: the top 10
+    # by |lambda| hold four negative modes, which only the bottom end reaches
+    kernel = h_chain(30, 0.05)
+    dense = top_eigenvalues(kernel, 10, method="dense")
+    assert sum(v < 0 for v in dense) >= 3
+    spec = analyze_spectrum(kernel, k=10, method="iterative")
+    assert np.allclose(spec.eigenvalues, dense, rtol=0, atol=1e-10)
+    assert spec.converged and spec.residual <= 1e-8
+
+
+def test_iterative_ends_overlap_without_duplicates():
+    # n = 12, k = 10: each end's 10 modes share 8 with the other end's
+    kernel = h_chain(12, 0.05)
+    assert kernel.n == 12
+    dense = top_eigenvalues(kernel, 10, method="dense")
+    iterative = top_eigenvalues(kernel, 10, method="iterative")
+    assert np.allclose(iterative, dense, rtol=0, atol=1e-10)
+    assert len(set(np.round(iterative, 8))) == 10
+
+
+def test_spectrum_above_gershgorin_floor():
+    # P's row discs: centre s/d_i, radius 1 - s/d_i, so lambda >= 2 min(s/d) - 1
+    rng = np.random.default_rng(19)
+    for trial in range(20):
+        nq, ng = int(rng.integers(1, 6)), int(rng.integers(2, 60))
+        report = DeformationReport(0.0, *(float(rng.uniform(0, 1)) for _ in range(2)))
+        cfg = KernelConfig(self_loop=float(rng.uniform(0.1, 2)))
+        kernel = build_kernel(build_dag(random_circuit(nq, ng, trial, measure=True)), report, cfg)
+        floor = 2 * float((cfg.self_loop / kernel.degrees()).min()) - 1
+        assert min(top_eigenvalues(kernel, kernel.n, method="dense")) >= floor - 1e-12, trial
 
 
 def dense_kernel_oracle(dag: GateDag, report: DeformationReport, cfg: KernelConfig):

@@ -320,16 +320,16 @@ def cmd_sweep(args) -> int:
     for seed in seeds:
         _check_oracle_seed("--seeds", seed)
     noise = parse_noise(args.noise)
-    plan = _plan_config(args)
-    for delta in deltas:  # a bad delta fails before any row is computed
-        _plan_config(args, delta)
+    # the plan comes from --deltas (sweep accepts --delta but reads none of
+    # it); every delta is checked before any row is computed
+    plans = [_plan_config(args, delta) for delta in deltas]
 
     def factory(width: int) -> CouplingMap:
         return parse_coupling(args.coupling, width)
 
     text = sweep_csv(
         suite, deltas, seeds, factory, noise,
-        plan_cfg=plan, timing=args.timing,
+        plan_cfg=plans[0], timing=args.timing,
         kernel_cfg=_kernel_config(args), k=args.k,
     )
     _write_output(text, args.out)

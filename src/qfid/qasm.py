@@ -13,6 +13,9 @@ Supported grammar (whitespace and // comments between any tokens):
 
 Parameter expressions are evaluated to 64-bit floats at parse time and may
 use float/int literals, ``pi``, unary minus, ``+ - * /`` and parentheses.
+Number literals are ASCII and complete: ``1e`` or ``²`` is a syntax error.
+The tokenizer is one regular expression; a token is a (kind, text, offset)
+tuple, and line and column are computed from the offset only for an error.
 
 Gate applications on whole registers broadcast to per-index gates; a
 whole-register ``measure q -> c`` expands pairwise.  Error taxonomy:
@@ -28,7 +31,9 @@ definitions, ``if``, ``reset``, OpenQASM 3 syntax) raise
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .circuit import GATE_SIGNATURES, Circuit, Gate, Measure
 
@@ -64,102 +69,80 @@ class UnsupportedFeature(QasmError):
 
 _UNSUPPORTED_KEYWORDS = {"gate", "if", "reset", "opaque"}
 
-_SYMBOLS = ("->", "(", ")", "[", "]", ",", ";", "+", "-", "*", "/", "{", "}", "==")
+# One token per match, with the whitespace and // comments after it.  Number
+# literals are ASCII and complete: "partial" is one whose exponent has no
+# digits.  "bad" takes any other character, so matches run back to back.
+_TOKEN = re.compile(
+    r"""(?:(?P<id>[^\W\d]\w*)
+         |(?P<partial>(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE](?![+-]?[0-9])[+-]?)
+         |(?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+         |(?P<symbol>->|==|[()\[\],;+\-*/{}])
+         |"(?P<string>[^"\n]*)"
+         |(?P<bad>.)
+       )[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*""",
+    re.VERBOSE | re.DOTALL,
+)
+_LEADING_SKIP = re.compile(r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*")
+_ERRORS = frozenset({"partial", "bad"})
+
+# (kind, text, offset): kind is id | number | string | symbol | eof; a
+# string's text leaves out its quotes, and its offset is the opening quote
+_Token = tuple[str, str, int]
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # id | number | string | symbol | eof
-    text: str
-    line: int
-    col: int
+def _location(text: str, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of a character offset; a tab is one column."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if ch in " \t\r":
-            i, col = i + 1, col + 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise QasmSyntaxError("unterminated string", line, col)
-                j += 1
-            if j >= n:
-                raise QasmSyntaxError("unterminated string", line, col)
-            tokens.append(_Token("string", text[i + 1 : j], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = seen_exp = False
-            while j < n:
-                cj = text[j]
-                if cj.isdigit():
-                    j += 1
-                elif cj == "." and not seen_dot and not seen_exp:
-                    seen_dot = True
-                    j += 1
-                elif cj in "eE" and not seen_exp and j > i:
-                    seen_exp = True
-                    j += 1
-                    if j < n and text[j] in "+-":
-                        j += 1
-                else:
-                    break
-            tokens.append(_Token("number", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("id", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(_Token("symbol", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise QasmSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+    for m in _TOKEN.finditer(text, _LEADING_SKIP.match(text).end()):
+        kind = m.lastgroup
+        if kind in _ERRORS:
+            _check_id_starts(text, tokens)
+            raise _bad_token(text, m.group(kind), m.start())
+        tokens.append((kind, m.group(kind), m.start()))
+    _check_id_starts(text, tokens)
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
-@dataclass(frozen=True)
-class _Arg:
+def _check_id_starts(text: str, tokens: list[_Token]) -> None:
+    """Raise at the first id that starts with a non-letter: the id pattern
+    also takes a digit that is not decimal, such as "²", as a start."""
+    if text.isascii():
+        return
+    for kind, word, offset in tokens:
+        if kind == "id" and not (word[0].isalpha() or word[0] == "_"):
+            raise _bad_token(text, word[0], offset)
+
+
+def _bad_token(text: str, token: str, offset: int) -> QasmSyntaxError:
+    ch = token[0]
+    if len(token) > 1:
+        message = f"number literal {token!r} has an exponent without digits"
+    elif ch == '"':
+        message = "unterminated string"
+    elif ch.isdigit():
+        message = f"number literal must use ASCII digits, got {ch!r}"
+    else:
+        message = f"unexpected character {ch!r}"
+    return QasmSyntaxError(message, *_location(text, offset))
+
+
+class _Arg(NamedTuple):
     reg: str
     index: int | None
-    line: int
-    col: int
+    offset: int
 
 
-@dataclass(frozen=True)
-class _Stmt:
+class _Stmt(NamedTuple):
     kind: str  # gate | measure | barrier
     name: str
     params: tuple[float, ...]
     args: tuple[_Arg, ...]
-    line: int
-    col: int
+    offset: int
 
 
 @dataclass
@@ -177,9 +160,13 @@ _MAX_EXPR_DEPTH = 64
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.expr_depth = 0
+
+    def at(self, offset: int) -> tuple[int, int]:
+        return _location(self.text, offset)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -189,35 +176,40 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def symbol(self) -> str | None:
+        """The next token's text if it is a symbol, else None."""
+        kind, text, _ = self.tokens[self.pos]
+        return text if kind == "symbol" else None
+
+    def unexpected(
+        self, tok: _Token, where: str = "", expected: tuple[str, ...] = ()
+    ) -> QasmSyntaxError:
+        kind, text, offset = tok
+        return QasmSyntaxError(f"unexpected {kind} {text!r}{where}", *self.at(offset), expected)
+
     def expect(self, kind: str, text: str | None = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise QasmSyntaxError(
-                f"unexpected {tok.kind} {tok.text!r}", tok.line, tok.col, (want,)
-            )
-        return self.next()
+        tok = self.tokens[self.pos]
+        if tok[0] != kind or (text is not None and tok[1] != text):
+            raise self.unexpected(tok, expected=(text if text is not None else kind,))
+        self.pos += 1
+        return tok
 
     # -- header ----------------------------------------------------------
 
     def parse_program(self) -> QasmProgram:
         prog = QasmProgram()
-        tok = self.expect("id", "OPENQASM")
-        ver = self.expect("number")
-        if ver.text != "2.0":
-            raise UnsupportedFeature(
-                f"OPENQASM version {ver.text} not supported", ver.line, ver.col
-            )
+        self.expect("id", "OPENQASM")
+        _, ver, offset = self.expect("number")
+        if ver != "2.0":
+            raise UnsupportedFeature(f"OPENQASM version {ver} not supported", *self.at(offset))
         self.expect("symbol", ";")
-        if self.peek().kind == "id" and self.peek().text == "include":
+        if self.peek()[:2] == ("id", "include"):
             self.next()
-            fname = self.expect("string")
-            if fname.text != "qelib1.inc":
-                raise UnsupportedFeature(
-                    f"include {fname.text!r} not supported", fname.line, fname.col
-                )
+            _, fname, offset = self.expect("string")
+            if fname != "qelib1.inc":
+                raise UnsupportedFeature(f"include {fname!r} not supported", *self.at(offset))
             self.expect("symbol", ";")
-        while self.peek().kind != "eof":
+        while self.peek()[0] != "eof":
             self.parse_statement(prog)
         return prog
 
@@ -225,114 +217,102 @@ class _Parser:
 
     def parse_statement(self, prog: QasmProgram) -> None:
         tok = self.peek()
-        if tok.kind != "id":
-            raise QasmSyntaxError(
-                f"unexpected {tok.kind} {tok.text!r}", tok.line, tok.col, ("statement",)
-            )
-        if tok.text in _UNSUPPORTED_KEYWORDS:
-            raise UnsupportedFeature(f"{tok.text!r} is not supported", tok.line, tok.col)
-        if tok.text in ("qreg", "creg"):
+        kind, word, offset = tok
+        if kind != "id":
+            raise self.unexpected(tok, expected=("statement",))
+        if word in _UNSUPPORTED_KEYWORDS:
+            raise UnsupportedFeature(f"{word!r} is not supported", *self.at(offset))
+        if word in ("qreg", "creg"):
             self.parse_decl(prog)
-        elif tok.text == "measure":
+        elif word == "measure":
             self.parse_measure(prog)
-        elif tok.text == "barrier":
+        elif word == "barrier":
             self.parse_barrier(prog)
         else:
             self.parse_gate(prog)
 
-    def parse_decl(self, prog: QasmProgram) -> None:
-        kw = self.next()
-        name = self.expect("id")
-        self.expect("symbol", "[")
-        width_tok = self.expect("number")
+    def parse_int(self, what: str) -> int:
+        _, text, offset = self.expect("number")
         try:
-            width = int(width_tok.text)
+            return int(text)
         except ValueError:
             raise QasmSyntaxError(
-                f"register width must be an integer, got {width_tok.text!r}",
-                width_tok.line,
-                width_tok.col,
+                f"{what} must be an integer, got {text!r}", *self.at(offset)
             ) from None
+
+    def parse_decl(self, prog: QasmProgram) -> None:
+        _, kw, _ = self.next()
+        _, name, offset = self.expect("id")
+        self.expect("symbol", "[")
+        width = self.parse_int("register width")
         self.expect("symbol", "]")
         self.expect("symbol", ";")
         if width < 1:
-            raise RegisterError(f"register {name.text!r} has width {width} < 1", name.line, name.col)
-        if name.text in prog.qregs or name.text in prog.cregs:
-            raise RegisterError(f"register {name.text!r} redeclared", name.line, name.col)
-        (prog.qregs if kw.text == "qreg" else prog.cregs)[name.text] = width
+            raise RegisterError(f"register {name!r} has width {width} < 1", *self.at(offset))
+        if name in prog.qregs or name in prog.cregs:
+            raise RegisterError(f"register {name!r} redeclared", *self.at(offset))
+        (prog.qregs if kw == "qreg" else prog.cregs)[name] = width
 
     def parse_arg(self) -> _Arg:
-        name = self.expect("id")
+        _, name, offset = self.expect("id")
         index = None
-        if self.peek().kind == "symbol" and self.peek().text == "[":
+        if self.symbol() == "[":
             self.next()
-            idx_tok = self.expect("number")
-            try:
-                index = int(idx_tok.text)
-            except ValueError:
-                raise QasmSyntaxError(
-                    f"index must be an integer, got {idx_tok.text!r}",
-                    idx_tok.line,
-                    idx_tok.col,
-                ) from None
+            index = self.parse_int("index")
             self.expect("symbol", "]")
-        return _Arg(name.text, index, name.line, name.col)
+        return _Arg(name, index, offset)
+
+    def parse_args(self) -> tuple[_Arg, ...]:
+        args = [self.parse_arg()]
+        while self.symbol() == ",":
+            self.next()
+            args.append(self.parse_arg())
+        self.expect("symbol", ";")
+        return tuple(args)
 
     def parse_measure(self, prog: QasmProgram) -> None:
-        tok = self.next()
+        offset = self.next()[2]
         src = self.parse_arg()
         self.expect("symbol", "->")
         dst = self.parse_arg()
         self.expect("symbol", ";")
-        prog.statements.append(_Stmt("measure", "measure", (), (src, dst), tok.line, tok.col))
+        prog.statements.append(_Stmt("measure", "measure", (), (src, dst), offset))
 
     def parse_barrier(self, prog: QasmProgram) -> None:
-        tok = self.next()
-        args = [self.parse_arg()]
-        while self.peek().kind == "symbol" and self.peek().text == ",":
-            self.next()
-            args.append(self.parse_arg())
-        self.expect("symbol", ";")
-        prog.statements.append(_Stmt("barrier", "barrier", (), tuple(args), tok.line, tok.col))
+        offset = self.next()[2]
+        prog.statements.append(_Stmt("barrier", "barrier", (), self.parse_args(), offset))
 
     def parse_gate(self, prog: QasmProgram) -> None:
-        name = self.next()
+        _, name, offset = self.next()
         params: tuple[float, ...] = ()
-        if self.peek().kind == "symbol" and self.peek().text == "(":
+        if self.symbol() == "(":
             self.next()
             exprs = [self.parse_expr()]
-            while self.peek().kind == "symbol" and self.peek().text == ",":
+            while self.symbol() == ",":
                 self.next()
                 exprs.append(self.parse_expr())
             self.expect("symbol", ")")
             params = tuple(exprs)
-        args = [self.parse_arg()]
-        while self.peek().kind == "symbol" and self.peek().text == ",":
-            self.next()
-            args.append(self.parse_arg())
-        self.expect("symbol", ";")
-        prog.statements.append(
-            _Stmt("gate", name.text, params, tuple(args), name.line, name.col)
-        )
+        prog.statements.append(_Stmt("gate", name, params, self.parse_args(), offset))
 
     # -- parameter expressions --------------------------------------------
 
     def parse_expr(self) -> float:
         value = self.parse_term()
-        while self.peek().kind == "symbol" and self.peek().text in "+-":
-            op = self.next()
+        while self.symbol() in ("+", "-"):
+            op = self.next()[1]
             rhs = self.parse_term()
-            value = value + rhs if op.text == "+" else value - rhs
+            value = value + rhs if op == "+" else value - rhs
         return value
 
     def parse_term(self) -> float:
         value = self.parse_factor()
-        while self.peek().kind == "symbol" and self.peek().text in "*/":
-            op = self.next()
+        while self.symbol() in ("*", "/"):
+            _, op, offset = self.next()
             rhs = self.parse_factor()
-            if op.text == "/":
+            if op == "/":
                 if rhs == 0.0:
-                    raise QasmSyntaxError("division by zero in parameter", op.line, op.col)
+                    raise QasmSyntaxError("division by zero in parameter", *self.at(offset))
                 value = value / rhs
             else:
                 value = value * rhs
@@ -340,16 +320,17 @@ class _Parser:
 
     def parse_factor(self) -> float:
         tok = self.peek()
+        kind, text, offset = tok
         if self.expr_depth > _MAX_EXPR_DEPTH:
-            raise QasmSyntaxError("expression too deeply nested", tok.line, tok.col)
-        if tok.kind == "symbol" and tok.text == "-":
+            raise QasmSyntaxError("expression too deeply nested", *self.at(offset))
+        if kind == "symbol" and text == "-":
             self.next()
             self.expr_depth += 1
             try:
                 return -self.parse_factor()
             finally:
                 self.expr_depth -= 1
-        if tok.kind == "symbol" and tok.text == "(":
+        if kind == "symbol" and text == "(":
             self.next()
             self.expr_depth += 1
             try:
@@ -358,22 +339,18 @@ class _Parser:
                 self.expr_depth -= 1
             self.expect("symbol", ")")
             return value
-        if tok.kind == "number":
+        if kind == "number":
             self.next()
-            return float(tok.text)
-        if tok.kind == "id" and tok.text == "pi":
+            return float(text)
+        if kind == "id" and text == "pi":
             self.next()
             return math.pi
-        raise QasmSyntaxError(
-            f"unexpected {tok.kind} {tok.text!r} in expression",
-            tok.line,
-            tok.col,
-            ("number", "pi", "(", "-"),
-        )
+        raise self.unexpected(tok, " in expression", ("number", "pi", "(", "-"))
 
 
-def _lower(prog: QasmProgram) -> Circuit:
-    """Flatten registers to a single index space and expand broadcasts."""
+def _lower(prog: QasmProgram, text: str) -> Circuit:
+    """Flatten registers to a single index space and expand broadcasts;
+    ``text`` is the source, for the locations of errors."""
     q_offset: dict[str, int] = {}
     c_offset: dict[str, int] = {}
     nq = nc = 0
@@ -390,15 +367,14 @@ def _lower(prog: QasmProgram) -> Circuit:
         offs = q_offset if quantum else c_offset
         space = "qreg" if quantum else "creg"
         if arg.reg not in regs:
-            raise RegisterError(f"undeclared {space} {arg.reg!r}", arg.line, arg.col)
+            raise RegisterError(f"undeclared {space} {arg.reg!r}", *_location(text, arg.offset))
         width = regs[arg.reg]
         if arg.index is None:
             return [offs[arg.reg] + i for i in range(width)]
         if not 0 <= arg.index < width:
             raise RegisterError(
                 f"index {arg.index} out of range for {space} {arg.reg!r} of width {width}",
-                arg.line,
-                arg.col,
+                *_location(text, arg.offset),
             )
         return [offs[arg.reg] + arg.index]
 
@@ -417,14 +393,12 @@ def _lower(prog: QasmProgram) -> Circuit:
             if (src.index is None) != (dst.index is None):
                 raise RegisterError(
                     "measure requires both operands indexed or both whole registers",
-                    stmt.line,
-                    stmt.col,
+                    *_location(text, stmt.offset),
                 )
             if len(qs) != len(cs):
                 raise RegisterError(
                     f"measure width mismatch: {len(qs)} qubits -> {len(cs)} clbits",
-                    stmt.line,
-                    stmt.col,
+                    *_location(text, stmt.offset),
                 )
             for q, c in zip(qs, cs):
                 circ.measure(q, c)
@@ -432,27 +406,24 @@ def _lower(prog: QasmProgram) -> Circuit:
 
         sig = GATE_SIGNATURES.get(stmt.name)
         if sig is None:
-            raise UnknownGate(f"unknown gate {stmt.name!r}", stmt.line, stmt.col)
+            raise UnknownGate(f"unknown gate {stmt.name!r}", *_location(text, stmt.offset))
         nq_expected, np_expected = sig
         if len(stmt.params) != np_expected:
             raise QasmSyntaxError(
                 f"gate {stmt.name!r} expects {np_expected} parameter(s), got {len(stmt.params)}",
-                stmt.line,
-                stmt.col,
+                *_location(text, stmt.offset),
             )
         if len(stmt.args) != nq_expected:
             raise QasmSyntaxError(
                 f"gate {stmt.name!r} expects {nq_expected} qubit argument(s), got {len(stmt.args)}",
-                stmt.line,
-                stmt.col,
+                *_location(text, stmt.offset),
             )
         operands = [resolve(arg, quantum=True) for arg in stmt.args]
         widths = {len(ops) for ops in operands if len(ops) > 1}
         if len(widths) > 1:
             raise RegisterError(
                 f"broadcast width mismatch in {stmt.name!r}: {sorted(widths)}",
-                stmt.line,
-                stmt.col,
+                *_location(text, stmt.offset),
             )
         repeat = widths.pop() if widths else 1
         for i in range(repeat):
@@ -460,8 +431,7 @@ def _lower(prog: QasmProgram) -> Circuit:
             if len(set(qubits)) != len(qubits):
                 raise RegisterError(
                     f"duplicate qubit operands in {stmt.name!r}: {qubits}",
-                    stmt.line,
-                    stmt.col,
+                    *_location(text, stmt.offset),
                 )
             circ.add(stmt.name, qubits, stmt.params)
     return circ
@@ -479,7 +449,7 @@ def parse_qasm(text: str | bytes) -> Circuit:
         except UnicodeDecodeError as exc:
             raise QasmSyntaxError(f"input is not valid UTF-8: {exc}", 1, 1) from None
     prog = _Parser(text).parse_program()
-    return _lower(prog)
+    return _lower(prog, text)
 
 
 def _format_angle(value: float) -> str:

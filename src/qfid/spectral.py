@@ -23,12 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dag import (
-    EmptyGraph,
-    GateDag,
-    longest_dist_from_sources,
-    longest_dist_to_sinks,
-)
+from .dag import EmptyGraph, GateDag
 from .deformation import DeformationReport
 
 DENSE_LIMIT = 1024
@@ -130,41 +125,38 @@ def build_kernel(
     if n == 0:
         raise EmptyGraph("cannot build a kernel over an empty DAG")
 
-    index = gt.node_index()
-    weights: dict[tuple[int, int], float] = {}
-    for src, dst, _ in gt.edges:
-        key = (index[src], index[dst])
-        weights[key] = weights.get(key, 0.0) + 1.0
+    # parallel edges sum into one base weight, kept in order of first occurrence
+    src, dst = gt.src, gt.dst
+    _, first, counts = np.unique(src * n + dst, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    pick = first[order]
+    rows, cols, weights = src[pick], dst[pick], counts[order].astype(float)
 
     path_mult = 1.0 + max(0.0, report.delta_path)
     conn_mult = 1.0 + max(0.0, report.delta_conn)
 
-    if weights:
-        dist_src = longest_dist_from_sources(gt)
-        dist_sink = longest_dist_to_sinks(gt)
-        longest = max(dist_src.values())
-        total_deg = gt.total_degrees()
-        deg_arr = np.array([total_deg[node.id] for node in gt.nodes], dtype=float)
-        threshold = _fanin_threshold(deg_arr, cfg.fanin_quantile)
-        nodes = gt.nodes
-        for (i, j) in list(weights):
-            src_id, dst_id = nodes[i].id, nodes[j].id
-            mult = 1.0
-            if dist_src[src_id] + 1 + dist_sink[dst_id] == longest:
-                mult *= path_mult
-            if deg_arr[i] >= threshold or deg_arr[j] >= threshold:
-                mult *= conn_mult
-            weights[(i, j)] *= mult
+    if len(weights):
+        from_src, to_sink = (np.array(d) for d in gt.longest_dists)
+        on_path = from_src[rows] + 1 + to_sink[cols] == from_src.max()
+        deg = gt.degree_array("total").astype(float)
+        threshold = _fanin_threshold(deg, cfg.fanin_quantile)
+        fanin = (deg[rows] >= threshold) | (deg[cols] >= threshold)
+        mult = np.ones(len(weights))
+        mult[on_path] *= path_mult
+        mult[fanin] *= conn_mult
+        weights *= mult
 
     # a DAG has no self-loops and no antiparallel edges, so every entry of
     # (W + W^T)/2 + s*I below is one term and takes one position
-    pairs = np.array(list(weights), dtype=np.intp).reshape(-1, 2)
-    half = 0.5 * np.fromiter(weights.values(), float, len(weights))
+    half = 0.5 * weights
     diag = np.arange(n)
-    rows = np.concatenate([pairs[:, 0], pairs[:, 1], diag])
-    cols = np.concatenate([pairs[:, 1], pairs[:, 0], diag])
-    vals = np.concatenate([half, half, np.full(n, cfg.self_loop)])
-    return WeightedKernel(n, rows, cols, vals, cfg.self_loop)
+    return WeightedKernel(
+        n,
+        np.concatenate([rows, cols, diag]),
+        np.concatenate([cols, rows, diag]),
+        np.concatenate([half, half, np.full(n, cfg.self_loop)]),
+        cfg.self_loop,
+    )
 
 
 def operator_rows(kernel: WeightedKernel) -> np.ndarray:

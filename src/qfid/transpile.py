@@ -262,15 +262,8 @@ def decompose_to_basis(c: Circuit) -> Circuit:
                     staging[prev] = None
                     last_on_wire.pop(q)
             if angle == 0.0:
-                # restore the wire pointer to whatever now precedes q
-                for i in range(len(staging) - 1, -1, -1):
-                    op = staging[i]
-                    if op is None:
-                        continue
-                    touches = op.qubits if isinstance(op, Gate) else (op.qubit,)
-                    if q in touches:
-                        last_on_wire[q] = i
-                        break
+                # no two staged rz are adjacent on a wire, so the op before a
+                # dropped one is no rz: q needs no pointer until its next op
                 return
             item = Gate("rz", (q,), (angle,))
         staging.append(item)

@@ -342,6 +342,19 @@ def test_sweep_bad_delta_exits_1_before_any_row(bad, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_ignores_delta_flag(tmp_path, capsys):
+    # sweep plans from --deltas; --delta, even out of range, changes no byte
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([{"family": "ghz", "n": 3}]))
+    argv = ["sweep", "--suite", f"@{suite}", "--seeds", "1", "--deltas", "0.05"]
+    code, plain, _ = run(argv, capsys)
+    assert code == 0
+    for delta in ("2", "0.2"):
+        code, out, err = run([*argv, "--delta", delta], capsys)
+        assert (code, err) == (0, "")
+        assert out == plain
+
+
 def test_requires_exactly_one_source(capsys):
     code, _, err = run(["analyze"], capsys)
     assert code == 1
@@ -496,6 +509,31 @@ def test_default_sweep_pinned(tmp_path):
     assert all(row.split(",")[stop_reason] == "ci_met" for row in rows)
     digest = "710d6b2b4fb0d050fa1407c3bedec7b6c7ae17475cda7c2a309b496e53c50c74"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# `qfid analyze` JSON, byte for byte, for one op on each eigensolver path:
+# qft:12 on grid:4x4 is dense (711 nodes), qpe:12 on the line iterative (2247)
+_PINNED_ANALYZE = {
+    "qft:12 grid:4x4": "57aa13030d65d2241fda15840aa831069cebad65605cb2d2e75c996a418e18a6",
+    "qpe:12 linear": "40ba80d1563a39ddc370ac3110fbac967e3e121ad4e395484e87d0727ecc4d71",
+}
+
+
+def _run_child(argv):
+    """``qfid`` in a child process with one BLAS thread; returns the process."""
+    paths = [str(Path(qfid.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths)),
+           "OPENBLAS_NUM_THREADS": "1"}
+    code = f"import sys; from qfid.cli import main; sys.exit(main({argv!r}))"
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True)
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_ANALYZE))
+def test_analyze_json_pinned(case):
+    spec, coupling = case.split()
+    proc = _run_child(["analyze", "--bench", spec, "--coupling", coupling])
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == _PINNED_ANALYZE[case]
 
 
 # written by `qfid reference` when shots were bitstrings end to end

@@ -1,16 +1,22 @@
 """DAG construction, degree histograms, longest paths, invariants."""
 
+from collections import Counter
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfid.bench import BenchSpec, generate, random_circuit
-from qfid.circuit import Circuit, circuit_depth
+from qfid.circuit import Barrier, Circuit, Gate, circuit_depth
 from qfid.dag import (
+    DagError,
     DagNode,
     GateDag,
     build_dag,
     degree_histogram,
+    longest_dist_from_sources,
+    longest_dist_to_sinks,
     longest_path_len,
     to_dot,
 )
@@ -147,3 +153,118 @@ def test_dot_export():
     text = to_dot(build_dag(chain_circuit()))
     assert text.startswith("digraph")
     assert 'n0 -> n1 [label="q0"]' in text
+
+
+# -- the index-array DAG against a plain edge-list reference -------------------
+
+
+def reference_graph(c: Circuit) -> tuple[list[int], list[tuple[int, int, int]]]:
+    """Node ids and (src id, dst id, carrier) edges by a scan of each wire."""
+    ids, edges, last = [], [], {}
+    for op in c.ops:
+        if isinstance(op, Barrier):
+            continue
+        ids.append(op.id)
+        for q in op.qubits if isinstance(op, Gate) else (op.qubit,):
+            if q in last:
+                edges.append((last[q], op.id, q))
+            last[q] = op.id
+    return ids, edges
+
+
+def reference_dists(ids, edges) -> tuple[dict[int, int], dict[int, int]]:
+    """Longest edge counts from a source and to a sink, over a Kahn order."""
+    succs = {i: [] for i in ids}
+    preds = {i: [] for i in ids}
+    indeg = dict.fromkeys(ids, 0)
+    for src, dst, _ in edges:
+        succs[src].append(dst)
+        preds[dst].append(src)
+        indeg[dst] += 1
+    order = [i for i in ids if indeg[i] == 0]
+    for i in order:  # grows while it is walked
+        for j in succs[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                order.append(j)
+    assert len(order) == len(ids)
+    fwd, bwd = dict.fromkeys(ids, 0), dict.fromkeys(ids, 0)
+    for i in order:
+        for j in succs[i]:
+            fwd[j] = max(fwd[j], fwd[i] + 1)
+    for i in reversed(order):
+        for j in preds[i]:
+            bwd[j] = max(bwd[j], bwd[i] + 1)
+    return fwd, bwd
+
+
+_OP = st.one_of(
+    st.tuples(st.sampled_from(["h", "rz"]), st.lists(st.integers(0, 4), min_size=1, max_size=1)),
+    st.tuples(st.sampled_from(["cx", "cz"]), st.lists(st.integers(0, 4), min_size=2, max_size=2,
+                                                      unique=True)),
+    st.tuples(st.just("ccx"), st.lists(st.integers(0, 4), min_size=3, max_size=3, unique=True)),
+    st.tuples(st.just("measure"), st.lists(st.integers(0, 4), min_size=1, max_size=1)),
+    st.tuples(st.just("barrier"), st.lists(st.integers(0, 4), max_size=5, unique=True)),
+)
+
+
+def build_circuit(ops) -> Circuit:
+    c = Circuit(5, 5)
+    for kind, qubits in ops:
+        if kind == "measure":
+            c.measure(qubits[0], qubits[0])
+        elif kind == "barrier":
+            c.barrier(*qubits)
+        else:
+            c.add(kind, qubits, (0.5,) if kind == "rz" else ())
+    return c
+
+
+@given(st.lists(_OP, max_size=40), st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_array_dag_matches_edge_list_reference(ops, rnd):
+    c = build_circuit(ops)
+    dag = build_dag(c)
+    ids, edges = reference_graph(c)
+    assert [node.id for node in dag.nodes] == ids
+    assert dag.edges == edges
+    for mode, ends in (("in", [1]), ("out", [0]), ("total", [0, 1])):
+        expected = dict.fromkeys(ids, 0)
+        for edge in edges:
+            for end in ends:
+                expected[edge[end]] += 1
+        got = {"in": dag.in_degrees, "out": dag.out_degrees, "total": dag.total_degrees}[mode]()
+        assert got == expected
+        assert degree_histogram(dag, mode) == dict(Counter(expected.values()))
+    fwd, bwd = reference_dists(ids, edges)
+    assert longest_dist_from_sources(dag) == fwd
+    assert longest_dist_to_sinks(dag) == bwd
+    assert longest_path_len(dag) == max(fwd.values(), default=0)
+
+    # the same graph built by hand, nodes and edges shuffled, takes the Kahn route
+    nodes, shuffled = list(dag.nodes), list(edges)
+    rnd.shuffle(nodes)
+    rnd.shuffle(shuffled)
+    by_hand = GateDag(nodes=nodes, edges=shuffled)
+    assert longest_dist_from_sources(by_hand) == fwd
+    assert longest_dist_to_sinks(by_hand) == bwd
+    assert longest_path_len(by_hand) == max(fwd.values(), default=0)
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1, 0), (1, 2, 0), (2, 0, 0)],
+    [(0, 1, 0), (1, 1, 1)],
+    [(2, 0, 0), (0, 2, 1)],
+])
+def test_hand_built_cycle_raises(edges):
+    dag = GateDag(nodes=[DagNode(i, "h", (0,)) for i in range(3)], edges=edges)
+    for query in (longest_path_len, longest_dist_from_sources, longest_dist_to_sinks):
+        with pytest.raises(DagError):
+            query(dag)
+    with pytest.raises(DagError):
+        dag.topological_order()
+
+
+def test_hand_built_edge_to_unknown_node_raises():
+    with pytest.raises(DagError):
+        GateDag(nodes=[DagNode(0, "h", (0,))], edges=[(0, 7, 0)])

@@ -125,6 +125,78 @@ def test_error_carries_location():
     assert info.value.line == 3
 
 
+
+# (class, line, col) of errors after tabs, CRLF line ends and // comments; a
+# tab and a CR are one column each
+_ERROR_LOCATIONS = {
+    "tab before a bad character": (
+        HEADER + "qreg q[2];\n\th\tq[0] $;\n", QasmSyntaxError, 4, 9),
+    "tabs before an unknown gate": (
+        HEADER + "qreg q[2];\n\t\tbogus q[0];\n", UnknownGate, 4, 3),
+    "crlf, missing semicolon": (
+        'OPENQASM 2.0;\r\ninclude "qelib1.inc";\r\nqreg q[2];\r\nh q[0]\r\ncx q[0],q[1];\r\n',
+        QasmSyntaxError, 5, 1),
+    "crlf, index out of range": (
+        "OPENQASM 2.0;\r\nqreg q[2];\r\n  cx q[0], q[7];\r\n", RegisterError, 3, 12),
+    "comments holding symbols": (
+        HEADER + "// header comment ; with ( symbols\nqreg q[1]; // trailing ]\n  h q[0) ;\n",
+        QasmSyntaxError, 5, 8),
+    "comment, then an unterminated string": (
+        'OPENQASM 2.0; // v2\ninclude "qelib1.inc\n', QasmSyntaxError, 2, 9),
+    "comment, tab and crlf before a parameter count": (
+        HEADER + "qreg q[1];\t// x\r\n\trz(pi, 1)\tq[0];\r\n", QasmSyntaxError, 4, 2),
+    "tabs before an undeclared register": (
+        HEADER + "qreg q[1];\n\t\t\th r[0];", RegisterError, 4, 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ERROR_LOCATIONS))
+def test_error_locations_after_tabs_crlf_and_comments(case):
+    text, klass, line, col = _ERROR_LOCATIONS[case]
+    with pytest.raises(QasmError) as info:
+        parse_qasm(text)
+    assert (type(info.value), info.value.line, info.value.col) == (klass, line, col)
+
+
+def test_end_of_input_after_a_comment_is_located_after_it():
+    # the end of input sits after the comment's last character
+    with pytest.raises(QasmSyntaxError) as info:
+        parse_qasm(HEADER + "qreg q[1];\nh q[0] // no semicolon")
+    assert (info.value.line, info.value.col) == (4, 23)
+
+
+@pytest.mark.parametrize("literal,message", [
+    ("1e", "exponent without digits"),
+    ("2.5E+", "exponent without digits"),
+    (".5e-", "exponent without digits"),
+])
+def test_number_literal_must_be_complete(literal, message):
+    with pytest.raises(QasmSyntaxError, match=message) as info:
+        parse_qasm(HEADER + f"qreg q[1];\nrx({literal}) q[0];")
+    assert (info.value.line, info.value.col) == (4, 4)
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # superscript two, Arabic-Indic three
+def test_number_literal_must_be_ascii(digit):
+    with pytest.raises(QasmSyntaxError, match="ASCII digits") as info:
+        parse_qasm(HEADER + f"qreg q[1];\nrx({digit}) q[0];")
+    assert (info.value.line, info.value.col) == (4, 4)
+
+
+def test_bad_number_literal_exits_1_not_traceback(tmp_path, capsys):
+    from qfid.cli import main
+
+    path = tmp_path / "bad.qasm"
+    path.write_text(HEADER + "qreg q[1];\nrx(1e) q[0];\n", encoding="utf-8")
+    assert main(["analyze", "--qasm", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: QasmSyntaxError: line 4, col 4:")
+
+
+def test_exponents_and_unicode_identifiers_still_parse():
+    c = parse_qasm(HEADER + "qreg q\u00e9[1];\nrx(1e-3) q\u00e9[0];\nrz(2.5E+2) q\u00e9[0];")
+    assert [op.params for op in c.ops] == [(1e-3,), (250.0,)]
+
 def test_comments_and_whitespace():
     text = HEADER + "// a comment\nqreg q[1]; // trailing\n  h   q[0]  ;\n"
     c = parse_qasm(text)

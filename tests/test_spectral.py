@@ -328,7 +328,7 @@ def test_spectrum_above_gershgorin_floor():
 def dense_kernel_oracle(dag: GateDag, report: DeformationReport, cfg: KernelConfig):
     """0.5*(W + W^T) + s*I with W filled edge by edge, as a dense array."""
     n = dag.num_nodes
-    index = dag.node_index()
+    index = {node.id: i for i, node in enumerate(dag.nodes)}
     w = np.zeros((n, n))
     for src, dst, _ in dag.edges:
         w[index[src], index[dst]] += 1.0
@@ -358,6 +358,12 @@ def test_kernel_entries_bit_exact_against_dense_oracle():
         )
         kernel = build_kernel(dag, report, cfg)
         assert np.array_equal(kernel.matrix, dense_kernel_oracle(dag, report, cfg)), trial
+        # entries follow the edges' first occurrence, which fixes the order
+        # degrees() sums them in
+        index = {node.id: i for i, node in enumerate(dag.nodes)}
+        pairs = list(dict.fromkeys((index[src], index[dst]) for src, dst, _ in dag.edges))
+        entries = zip(kernel.rows.tolist(), kernel.cols.tolist())
+        assert list(entries)[: len(pairs)] == pairs, trial
         k = kernel.matrix
         isq = 1.0 / np.sqrt(k.sum(axis=1))
         assert np.array_equal(_symmetric_similar(kernel), k * np.outer(isq, isq)), trial

@@ -1,10 +1,13 @@
 """Transpiler: decomposition identities, routing legality, semantics."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from qfid.bench import BenchSpec, generate, random_circuit
+from qfid.bench import BenchSpec, default_suite, generate, random_circuit
 from qfid.circuit import Circuit, Gate, Measure, circuit_depth, gate_unitary
+from qfid.qasm import emit_qasm
 from qfid.simulator import circuit_unitary, ideal_distribution
 from qfid.transpile import (
     BASIS_GATES,
@@ -144,6 +147,44 @@ def test_rz_merge_respects_wire_boundaries():
     d2 = decompose_to_basis(c2)
     angles = [op.params[0] for op in d2.ops if isinstance(op, Gate) and op.kind == "rz"]
     assert 0.3 in angles and 0.4 in angles
+
+
+def test_rz_cancellation_across_a_long_idle_stretch():
+    # rz(a) and rz(-a) cancel across 200 ops on the other wire; the x before
+    # them is again the wire's last op, so the next rz merges only with the
+    # rz after it
+    c = Circuit(2)
+    c.add("x", (0,))
+    c.add("rz", (0,), (0.3,))
+    for _ in range(200):
+        c.add("sx", (1,))
+    c.add("rz", (0,), (-0.3,))
+    c.add("rz", (0,), (0.2,))
+    for _ in range(200):
+        c.add("sx", (1,))
+    c.add("rz", (0,), (0.1,))
+    c.add("cx", (0, 1))
+    c.add("rz", (1,), (0.5,))
+    c.add("rz", (1,), (-0.5,))
+    c.add("h", (1,))
+    ops = [(op.kind, op.qubits, op.params) for op in decompose_to_basis(c).ops]
+    assert ops == [
+        ("x", (0,), ()),
+        *[("sx", (1,), ())] * 400,
+        ("rz", (0,), (0.2 + 0.1,)),
+        ("cx", (0, 1), ()),
+        ("rz", (1,), (np.pi / 2,)),
+        ("sx", (1,), ()),
+        ("rz", (1,), (np.pi / 2,)),
+    ]
+
+
+def test_decomposition_of_default_suite_pinned():
+    # sha256 over the emitted QASM of every default-suite circuit, lowered
+    digest = hashlib.sha256()
+    for spec in default_suite():
+        digest.update(emit_qasm(decompose_to_basis(generate(spec))).encode())
+    assert digest.hexdigest() == "f56b5fd4091c799e857d41ca55b39cc1049f169d4123d061265a3e0af05f62a7"
 
 
 @pytest.mark.parametrize(

@@ -62,17 +62,19 @@ class Gate:
         if sig is None:
             raise CircuitError(f"unknown gate kind {self.kind!r}")
         nq, npar = sig
-        if len(self.qubits) != nq:
+        qubits, params = self.qubits, self.params
+        if len(qubits) != nq:
             raise CircuitError(
-                f"gate {self.kind!r} expects {nq} qubit(s), got {len(self.qubits)}"
+                f"gate {self.kind!r} expects {nq} qubit(s), got {len(qubits)}"
             )
-        if len(self.params) != npar:
+        if len(params) != npar:
             raise CircuitError(
-                f"gate {self.kind!r} expects {npar} parameter(s), got {len(self.params)}"
+                f"gate {self.kind!r} expects {npar} parameter(s), got {len(params)}"
             )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise CircuitError(f"gate {self.kind!r} has duplicate qubits {self.qubits}")
-        for p in self.params:
+        # one qubit cannot repeat
+        if nq > 1 and len(set(qubits)) != nq:
+            raise CircuitError(f"gate {self.kind!r} has duplicate qubits {qubits}")
+        for p in params:
             if not math.isfinite(p):
                 raise CircuitError(f"gate {self.kind!r} has non-finite parameter {p}")
 
@@ -111,7 +113,7 @@ class Circuit:
                 )
 
     def add(self, kind: str, qubits: tuple[int, ...] | list[int], params=()) -> Gate:
-        gate = Gate(kind, tuple(qubits), tuple(float(p) for p in params), id=len(self.ops))
+        gate = Gate(kind, tuple(qubits), tuple(map(float, params)), len(self.ops))
         self._check_qubits(gate.qubits)
         self.ops.append(gate)
         return gate
@@ -236,8 +238,9 @@ def circuit_depth(c: Circuit) -> int:
                     level[q] = sync
             continue
         qubits = op.qubits if isinstance(op, Gate) else (op.qubit,)
-        layer = max(level[q] for q in qubits) + 1
+        layer = max([level[q] for q in qubits]) + 1
         for q in qubits:
             level[q] = layer
-        depth = max(depth, layer)
+        if layer > depth:
+            depth = layer
     return depth

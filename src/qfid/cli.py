@@ -169,6 +169,9 @@ def _plan_config(args, delta: float | None = None) -> PlanConfig:
 
 
 def _kernel_config(args) -> KernelConfig:
+    """The flags' kernel config; ``--k``, which the spectrum takes, is checked here too."""
+    if args.k is not None and args.k < 1:
+        raise CliError(f"--k must be >= 1, got {args.k}", EXIT_PARSE)
     try:
         return KernelConfig(self_loop=args.self_loop, fanin_quantile=args.fanin_quantile)
     except SpectralError as exc:

@@ -13,14 +13,20 @@ Supported grammar (whitespace and // comments between any tokens):
 
 Parameter expressions are evaluated to 64-bit floats at parse time and may
 use float/int literals, ``pi``, unary minus, ``+ - * /`` and parentheses.
-Number literals are ASCII and complete: ``1e`` or ``²`` is a syntax error.
+Number literals are ASCII and complete: ``1e`` or ``²`` is a syntax error,
+and so is a literal or an operation whose value overflows a 64-bit float.
 The tokenizer is one regular expression; a token is a (kind, text, offset)
 tuple, and line and column are computed from the offset only for an error.
+A register argument written ``ID[INT]`` with no space or comment inside is
+one "arg" token whose text is the (register, index digits) pair.  Where the
+grammar reads anything but an argument or a declaration there, the parser
+splits it back into the id, "[", number and "]" tokens it stands for, so
+every other spelling and every error reads as it would token by token.
 
 Gate applications on whole registers broadcast to per-index gates; a
 whole-register ``measure q -> c`` expands pairwise.  Error taxonomy:
-syntactic problems (including wrong parameter counts and division by zero)
-raise :class:`QasmSyntaxError`; unknown gate names raise
+syntactic problems (including wrong parameter counts, division by zero and
+overflow) raise :class:`QasmSyntaxError`; unknown gate names raise
 :class:`UnknownGate`; operand resolution problems (undeclared registers,
 out-of-range indices, broadcast width mismatches, duplicate qubits) raise
 :class:`RegisterError`; recognized-but-excluded constructs (``gate``
@@ -69,11 +75,13 @@ class UnsupportedFeature(QasmError):
 
 _UNSUPPORTED_KEYWORDS = {"gate", "if", "reset", "opaque"}
 
-# One token per match, with the whitespace and // comments after it.  Number
-# literals are ASCII and complete: "partial" is one whose exponent has no
-# digits.  "bad" takes any other character, so matches run back to back.
+# One token per match, with the whitespace and // comments after it.  "arg"
+# is a register argument with no space or comment inside.  Number literals
+# are ASCII and complete: "partial" is one whose exponent has no digits.
+# "bad" takes any other character, so matches run back to back.
 _TOKEN = re.compile(
-    r"""(?:(?P<id>[^\W\d]\w*)
+    r"""(?:(?P<arg>(?P<reg>[^\W\d]\w*)\[(?P<index>[0-9]+)\])
+         |(?P<id>[^\W\d]\w*)
          |(?P<partial>(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE](?![+-]?[0-9])[+-]?)
          |(?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
          |(?P<symbol>->|==|[()\[\],;+\-*/{}])
@@ -85,9 +93,10 @@ _TOKEN = re.compile(
 _LEADING_SKIP = re.compile(r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*")
 _ERRORS = frozenset({"partial", "bad"})
 
-# (kind, text, offset): kind is id | number | string | symbol | eof; a
-# string's text leaves out its quotes, and its offset is the opening quote
-_Token = tuple[str, str, int]
+# (kind, text, offset): kind is arg | id | number | string | symbol | eof; an
+# arg's text is its (register, index digits) pair, a string's leaves out its
+# quotes, and a string's offset is the opening quote
+_Token = tuple[str, str | tuple[str, str], int]
 
 
 def _location(text: str, offset: int) -> tuple[int, int]:
@@ -102,7 +111,8 @@ def _tokenize(text: str) -> list[_Token]:
         if kind in _ERRORS:
             _check_id_starts(text, tokens)
             raise _bad_token(text, m.group(kind), m.start())
-        tokens.append((kind, m.group(kind), m.start()))
+        word = m.group("reg", "index") if kind == "arg" else m.group(kind)
+        tokens.append((kind, word, m.start()))
     _check_id_starts(text, tokens)
     tokens.append(("eof", "", len(text)))
     return tokens
@@ -114,7 +124,11 @@ def _check_id_starts(text: str, tokens: list[_Token]) -> None:
     if text.isascii():
         return
     for kind, word, offset in tokens:
-        if kind == "id" and not (word[0].isalpha() or word[0] == "_"):
+        if kind == "arg":
+            word = word[0]
+        elif kind != "id":
+            continue
+        if not (word[0].isalpha() or word[0] == "_"):
             raise _bad_token(text, word[0], offset)
 
 
@@ -131,10 +145,9 @@ def _bad_token(text: str, token: str, offset: int) -> QasmSyntaxError:
     return QasmSyntaxError(message, *_location(text, offset))
 
 
-class _Arg(NamedTuple):
-    reg: str
-    index: int | None
-    offset: int
+# (register, index or None for the whole register, offset of the register
+# name): a plain tuple, as there is one per argument
+_Arg = tuple[str, int | None, int]
 
 
 class _Stmt(NamedTuple):
@@ -169,7 +182,34 @@ class _Parser:
         return _location(self.text, offset)
 
     def peek(self) -> _Token:
+        """The next token, where no register argument can stand."""
+        if self.tokens[self.pos][0] == "arg":
+            self.split()
         return self.tokens[self.pos]
+
+    def split(self) -> None:
+        """Replace the arg token at the current position by its id "[" number "]"."""
+        _, (reg, index), offset = self.tokens[self.pos]
+        at = offset + len(reg)
+        self.tokens[self.pos:self.pos + 1] = [
+            ("id", reg, offset), ("symbol", "[", at), ("number", index, at + 1),
+            ("symbol", "]", at + 1 + len(index)),
+        ]
+
+    def take_arg(self) -> _Arg | None:
+        """Consume an arg token and return it as an ``_Arg``; return None,
+        consuming nothing, if the next token is no arg or its index is too
+        long for ``int``."""
+        kind, text, offset = self.tokens[self.pos]
+        if kind != "arg":
+            return None
+        try:
+            index = int(text[1])
+        except ValueError:
+            self.split()  # the number token's path reports it
+            return None
+        self.pos += 1
+        return text[0], index, offset
 
     def next(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -190,6 +230,9 @@ class _Parser:
     def expect(self, kind: str, text: str | None = None) -> _Token:
         tok = self.tokens[self.pos]
         if tok[0] != kind or (text is not None and tok[1] != text):
+            if tok[0] == "arg":
+                self.split()
+                return self.expect(kind, text)
             raise self.unexpected(tok, expected=(text if text is not None else kind,))
         self.pos += 1
         return tok
@@ -242,10 +285,14 @@ class _Parser:
 
     def parse_decl(self, prog: QasmProgram) -> None:
         _, kw, _ = self.next()
-        _, name, offset = self.expect("id")
-        self.expect("symbol", "[")
-        width = self.parse_int("register width")
-        self.expect("symbol", "]")
+        arg = self.take_arg()
+        if arg is not None:
+            name, width, offset = arg
+        else:
+            _, name, offset = self.expect("id")
+            self.expect("symbol", "[")
+            width = self.parse_int("register width")
+            self.expect("symbol", "]")
         self.expect("symbol", ";")
         if width < 1:
             raise RegisterError(f"register {name!r} has width {width} < 1", *self.at(offset))
@@ -254,13 +301,16 @@ class _Parser:
         (prog.qregs if kw == "qreg" else prog.cregs)[name] = width
 
     def parse_arg(self) -> _Arg:
+        arg = self.take_arg()
+        if arg is not None:
+            return arg
         _, name, offset = self.expect("id")
         index = None
         if self.symbol() == "[":
             self.next()
             index = self.parse_int("index")
             self.expect("symbol", "]")
-        return _Arg(name, index, offset)
+        return name, index, offset
 
     def parse_args(self) -> tuple[_Arg, ...]:
         args = [self.parse_arg()]
@@ -300,9 +350,10 @@ class _Parser:
     def parse_expr(self) -> float:
         value = self.parse_term()
         while self.symbol() in ("+", "-"):
-            op = self.next()[1]
+            _, op, offset = self.next()
             rhs = self.parse_term()
             value = value + rhs if op == "+" else value - rhs
+            self.check_finite(value, op, offset)
         return value
 
     def parse_term(self) -> float:
@@ -316,7 +367,14 @@ class _Parser:
                 value = value / rhs
             else:
                 value = value * rhs
+            self.check_finite(value, op, offset)
         return value
+
+    def check_finite(self, value: float, op: str, offset: int) -> None:
+        if math.isinf(value):
+            raise QasmSyntaxError(
+                f"parameter overflows a 64-bit float at {op!r}", *self.at(offset)
+            )
 
     def parse_factor(self) -> float:
         tok = self.peek()
@@ -341,7 +399,12 @@ class _Parser:
             return value
         if kind == "number":
             self.next()
-            return float(text)
+            value = float(text)
+            if math.isinf(value):
+                raise QasmSyntaxError(
+                    f"number literal {text!r} overflows a 64-bit float", *self.at(offset)
+                )
+            return value
         if kind == "id" and text == "pi":
             self.next()
             return math.pi
@@ -351,32 +414,33 @@ class _Parser:
 def _lower(prog: QasmProgram, text: str) -> Circuit:
     """Flatten registers to a single index space and expand broadcasts;
     ``text`` is the source, for the locations of errors."""
-    q_offset: dict[str, int] = {}
-    c_offset: dict[str, int] = {}
-    nq = nc = 0
-    for name, width in prog.qregs.items():
-        q_offset[name] = nq
-        nq += width
-    for name, width in prog.cregs.items():
-        c_offset[name] = nc
-        nc += width
-    circ = Circuit(nq, nc)
+
+    def spans(regs: dict[str, int]) -> dict[str, tuple[int, int]]:
+        """Register name -> (first flat index, width)."""
+        out, start = {}, 0
+        for name, width in regs.items():
+            out[name] = (start, width)
+            start += width
+        return out
+
+    qspans, cspans = spans(prog.qregs), spans(prog.cregs)
+    circ = Circuit(sum(prog.qregs.values()), sum(prog.cregs.values()))
 
     def resolve(arg: _Arg, quantum: bool) -> list[int]:
-        regs = prog.qregs if quantum else prog.cregs
-        offs = q_offset if quantum else c_offset
+        reg, index, offset = arg
+        span = (qspans if quantum else cspans).get(reg)
         space = "qreg" if quantum else "creg"
-        if arg.reg not in regs:
-            raise RegisterError(f"undeclared {space} {arg.reg!r}", *_location(text, arg.offset))
-        width = regs[arg.reg]
-        if arg.index is None:
-            return [offs[arg.reg] + i for i in range(width)]
-        if not 0 <= arg.index < width:
+        if span is None:
+            raise RegisterError(f"undeclared {space} {reg!r}", *_location(text, offset))
+        start, width = span
+        if index is None:
+            return list(range(start, start + width))
+        if not 0 <= index < width:
             raise RegisterError(
-                f"index {arg.index} out of range for {space} {arg.reg!r} of width {width}",
-                *_location(text, arg.offset),
+                f"index {index} out of range for {space} {reg!r} of width {width}",
+                *_location(text, offset),
             )
-        return [offs[arg.reg] + arg.index]
+        return [start + index]
 
     for stmt in prog.statements:
         if stmt.kind == "barrier":
@@ -390,7 +454,7 @@ def _lower(prog: QasmProgram, text: str) -> Circuit:
             src, dst = stmt.args
             qs = resolve(src, quantum=True)
             cs = resolve(dst, quantum=False)
-            if (src.index is None) != (dst.index is None):
+            if (src[1] is None) != (dst[1] is None):  # one side indexed
                 raise RegisterError(
                     "measure requires both operands indexed or both whole registers",
                     *_location(text, stmt.offset),
@@ -419,16 +483,18 @@ def _lower(prog: QasmProgram, text: str) -> Circuit:
                 *_location(text, stmt.offset),
             )
         operands = [resolve(arg, quantum=True) for arg in stmt.args]
-        widths = {len(ops) for ops in operands if len(ops) > 1}
+        widths = {len(ops) for ops in operands}
+        widths.discard(1)
         if len(widths) > 1:
             raise RegisterError(
                 f"broadcast width mismatch in {stmt.name!r}: {sorted(widths)}",
                 *_location(text, stmt.offset),
             )
         repeat = widths.pop() if widths else 1
-        for i in range(repeat):
-            qubits = tuple(ops[i] if len(ops) > 1 else ops[0] for ops in operands)
-            if len(set(qubits)) != len(qubits):
+        # a one-qubit operand repeats across a broadcast
+        columns = [ops if len(ops) > 1 else ops * repeat for ops in operands]
+        for qubits in zip(*columns):
+            if len(qubits) > 1 and len(set(qubits)) != len(qubits):
                 raise RegisterError(
                     f"duplicate qubit operands in {stmt.name!r}: {qubits}",
                     *_location(text, stmt.offset),

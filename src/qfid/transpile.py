@@ -5,6 +5,12 @@ during decomposition.  Routing keeps an identity initial layout and, for
 each cx whose endpoints are not adjacent, walks the control toward the
 target along a BFS shortest path, inserting SWAPs as 3-cx blocks.  The
 whole pipeline is deterministic for a fixed (circuit, map).
+
+``transpile`` is one stream: decomposition yields basis ops as
+(kind, qubits, params) tuples and the router consumes them, so each output
+gate is built and validated once, by ``Circuit.add``.  ``decompose_to_basis``
+and ``route`` are the two halves of that stream, each with a circuit at its
+end.
 """
 
 from __future__ import annotations
@@ -12,9 +18,10 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from .circuit import Barrier, Circuit, Gate, Measure, circuit_depth
+from .circuit import Barrier, Circuit, Gate, Measure
 
 BASIS_GATES = ("rz", "sx", "x", "cx")
 
@@ -66,23 +73,27 @@ class CouplingMap:
 
     def shortest_path(self, src: int, dst: int) -> list[int]:
         """BFS shortest path; ties resolved by lowest physical index first."""
-        if src == dst:
-            return [src]
-        adj = self.adjacency()
-        parent: dict[int, int] = {src: src}
-        queue = deque([src])
-        while queue:
-            cur = queue.popleft()
-            for nbr in adj[cur]:
-                if nbr not in parent:
-                    parent[nbr] = cur
-                    if nbr == dst:
-                        path = [dst]
-                        while path[-1] != src:
-                            path.append(parent[path[-1]])
-                        return path[::-1]
-                    queue.append(nbr)
-        raise DisconnectedMap(f"no path between physical qubits {src} and {dst}")
+        return _bfs_path(self.adjacency(), src, dst)
+
+
+def _bfs_path(adj: dict[int, list[int]], src: int, dst: int) -> list[int]:
+    """BFS shortest path over sorted adjacency lists, so ties go to the lowest index."""
+    if src == dst:
+        return [src]
+    parent: dict[int, int] = {src: src}
+    queue = deque([src])
+    while queue:
+        cur = queue.popleft()
+        for nbr in adj[cur]:
+            if nbr not in parent:
+                parent[nbr] = cur
+                if nbr == dst:
+                    path = [dst]
+                    while path[-1] != src:
+                        path.append(parent[path[-1]])
+                    return path[::-1]
+                queue.append(nbr)
+    raise DisconnectedMap(f"no path between physical qubits {src} and {dst}")
 
 
 def linear_map(n: int) -> CouplingMap:
@@ -172,44 +183,50 @@ _SQ_AS_U3 = {
 }
 
 
-def _expand_multiqubit(op: Gate) -> list[Gate]:
-    """Rewrite swap/cz/ccx in terms of cx plus 1q gates."""
-    if op.kind == "swap":
-        a, b = op.qubits
-        return [Gate("cx", (a, b)), Gate("cx", (b, a)), Gate("cx", (a, b))]
-    if op.kind == "cz":
-        a, b = op.qubits
-        return [Gate("h", (b,)), Gate("cx", (a, b)), Gate("h", (b,))]
-    if op.kind == "ccx":
-        a, b, c = op.qubits
-        return [
-            Gate("h", (c,)),
-            Gate("cx", (b, c)),
-            Gate("tdg", (c,)),
-            Gate("cx", (a, c)),
-            Gate("t", (c,)),
-            Gate("cx", (b, c)),
-            Gate("tdg", (c,)),
-            Gate("cx", (a, c)),
-            Gate("t", (b,)),
-            Gate("t", (c,)),
-            Gate("h", (c,)),
-            Gate("cx", (a, b)),
-            Gate("t", (a,)),
-            Gate("tdg", (b,)),
-            Gate("cx", (a, b)),
-        ]
-    return [op]
+# a basis op on its way to the router: a (kind, qubits, params) tuple for a
+# gate, or a Measure
+_BasisOp = tuple[str, tuple[int, ...], tuple[float, ...]] | Measure
 
 
-def _single_qubit_basis(kind: str, params: tuple[float, ...], q: int) -> list[Gate]:
-    """ZXZXZ rewrite of a 1q gate, with short forms for theta in {0, pi/2}."""
-    if kind == "rz":
-        return [Gate("rz", (q,), params)]
-    if kind == "sx":
-        return [Gate("sx", (q,))]
-    if kind == "x":
-        return [Gate("x", (q,))]
+def _expand_multiqubit(
+    kind: str, qubits: tuple[int, ...], params: tuple[float, ...]
+) -> list[tuple]:
+    """Rewrite swap/cz/ccx as (kind, qubits, params) tuples of cx plus 1q
+    gates; any other gate comes back as its own tuple."""
+    if kind == "swap":
+        a, b = qubits
+        return [("cx", (a, b), ()), ("cx", (b, a), ()), ("cx", (a, b), ())]
+    if kind == "cz":
+        a, b = qubits
+        return [("h", (b,), ()), ("cx", (a, b), ()), ("h", (b,), ())]
+    if kind != "ccx":
+        return [(kind, qubits, params)]
+    a, b, c = qubits
+    return [
+        ("h", (c,), ()),
+        ("cx", (b, c), ()),
+        ("tdg", (c,), ()),
+        ("cx", (a, c), ()),
+        ("t", (c,), ()),
+        ("cx", (b, c), ()),
+        ("tdg", (c,), ()),
+        ("cx", (a, c), ()),
+        ("t", (b,), ()),
+        ("t", (c,), ()),
+        ("h", (c,), ()),
+        ("cx", (a, b), ()),
+        ("t", (a,), ()),
+        ("tdg", (b,), ()),
+        ("cx", (a, b), ()),
+    ]
+
+
+def _single_qubit_basis(kind: str, params: tuple[float, ...], q: int) -> list[tuple]:
+    """ZXZXZ rewrite of a 1q gate as (kind, qubits, params) tuples, with short
+    forms for theta in {0, pi/2}."""
+    wire = (q,)
+    if kind in ("rz", "sx", "x"):
+        return [(kind, wire, params)]
     if kind in ("u", "u3"):
         theta, phi, lam = params
     elif kind == "u2":
@@ -225,78 +242,161 @@ def _single_qubit_basis(kind: str, params: tuple[float, ...], q: int) -> list[Ga
     else:
         raise UnsupportedGate(f"cannot decompose gate {kind!r}")
     if abs(theta) < 1e-12:
-        return [Gate("rz", (q,), (phi + lam,))]
+        angle = phi + lam
+        if math.isfinite(angle):
+            return [("rz", wire, (angle,))]
+        return [("rz", wire, (lam,)), ("rz", wire, (phi,))]  # their sum overflows
     if abs(theta - math.pi / 2) < 1e-12:
         # u2 identity: U(pi/2, phi, lam) ~ RZ(phi + pi/2) . SX . RZ(lam - pi/2)
         return [
-            Gate("rz", (q,), (lam - math.pi / 2,)),
-            Gate("sx", (q,)),
-            Gate("rz", (q,), (phi + math.pi / 2,)),
+            ("rz", wire, (lam - math.pi / 2,)),
+            ("sx", wire, ()),
+            ("rz", wire, (phi + math.pi / 2,)),
         ]
     # general case: U(theta, phi, lam) ~ RZ(phi + pi) . SX . RZ(theta + pi) . SX . RZ(lam)
     return [
-        Gate("rz", (q,), (lam,)),
-        Gate("sx", (q,)),
-        Gate("rz", (q,), (theta + math.pi,)),
-        Gate("sx", (q,)),
-        Gate("rz", (q,), (phi + math.pi,)),
+        ("rz", wire, (lam,)),
+        ("sx", wire, ()),
+        ("rz", wire, (theta + math.pi,)),
+        ("sx", wire, ()),
+        ("rz", wire, (phi + math.pi,)),
     ]
+
+
+def _basis_stream(c: Circuit) -> Iterator[_BasisOp]:
+    """Yield ``c`` lowered to {rz, sx, x, cx} and measures, in order.
+
+    Barriers are dropped.  An rz that follows an rz on its wire merges into
+    it, and a run whose angles sum to 0.0 is dropped; two rz whose sum
+    overflows stay apart.
+    """
+    staged: list[_BasisOp | None] = []
+    # wire -> position in ``staged`` of the rz that is the last op on it
+    last_rz: dict[int, int] = {}
+
+    def push(kind: str, qubits: tuple[int, ...], params: tuple[float, ...]) -> None:
+        if kind == "rz":
+            q = qubits[0]
+            prev = last_rz.get(q)
+            if prev is not None:
+                angle = params[0] + staged[prev][2][0]
+                if math.isfinite(angle):
+                    staged[prev] = None
+                    del last_rz[q]
+                    if angle == 0.0:
+                        # the op before a dropped run is no rz (unless an
+                        # overflowing sum kept two apart), so q needs no
+                        # entry until its next op
+                        return
+                    params = (angle,)
+            elif params[0] == 0.0:
+                return
+            last_rz[q] = len(staged)
+        else:
+            for q in qubits:
+                last_rz.pop(q, None)
+        staged.append((kind, qubits, params))
+
+    for op in c.ops:
+        if isinstance(op, Gate):
+            for kind, qubits, params in _expand_multiqubit(op.kind, op.qubits, op.params):
+                if kind == "cx":
+                    push(kind, qubits, params)
+                else:
+                    for basis_op in _single_qubit_basis(kind, params, qubits[0]):
+                        push(*basis_op)
+        elif isinstance(op, Measure):
+            last_rz.pop(op.qubit, None)
+            staged.append(op)
+    for item in staged:
+        if item is not None:
+            yield item
 
 
 def decompose_to_basis(c: Circuit) -> Circuit:
     """Lower to {rz, sx, x, cx} + measures; merge rz runs, drop zero rz."""
     out = Circuit(c.num_qubits, c.num_clbits)
-    # per-qubit index of the last op in out.ops touching that wire
-    last_on_wire: dict[int, int] = {}
-    staging: list[Gate | Measure | None] = []
-
-    def push(item: Gate | Measure) -> None:
-        if isinstance(item, Gate) and item.kind == "rz":
-            q = item.qubits[0]
-            angle = item.params[0]
-            prev = last_on_wire.get(q)
-            if prev is not None:
-                prev_op = staging[prev]
-                if isinstance(prev_op, Gate) and prev_op.kind == "rz":
-                    angle += prev_op.params[0]
-                    staging[prev] = None
-                    last_on_wire.pop(q)
-            if angle == 0.0:
-                # no two staged rz are adjacent on a wire, so the op before a
-                # dropped one is no rz: q needs no pointer until its next op
-                return
-            item = Gate("rz", (q,), (angle,))
-        staging.append(item)
-        touches = item.qubits if isinstance(item, Gate) else (item.qubit,)
-        for q in touches:
-            last_on_wire[q] = len(staging) - 1
-
-    for op in c.ops:
-        if isinstance(op, Barrier):
-            continue
-        if isinstance(op, Measure):
-            push(op)
-            continue
-        for expanded in _expand_multiqubit(op):
-            if expanded.kind == "cx":
-                push(Gate("cx", expanded.qubits))
-            else:
-                for basis_gate in _single_qubit_basis(
-                    expanded.kind, expanded.params, expanded.qubits[0]
-                ):
-                    push(basis_gate)
-
-    for item in staging:
-        if item is None:
-            continue
+    for item in _basis_stream(c):
         if isinstance(item, Measure):
             out.measure(item.qubit, item.clbit)
         else:
-            out.add(item.kind, item.qubits, item.params)
+            out.add(*item)
     return out
 
 
 # -- routing ---------------------------------------------------------------
+
+
+def _route(
+    ops: Iterable[_BasisOp | Barrier], num_qubits: int, num_clbits: int, cmap: CouplingMap
+) -> TranspileResult:
+    """Route basis ops onto ``cmap``; each output gate is built once, by ``Circuit.add``.
+
+    The depth is tracked per physical wire as ops are emitted, by the rule
+    of ``circuit_depth``.
+    """
+    n_phys = cmap.num_physical_qubits
+    if num_qubits > n_phys:
+        raise LayoutError(f"circuit needs {num_qubits} qubits, map has {n_phys}")
+    l2p = list(range(num_qubits))
+    p2l = [i if i < num_qubits else -1 for i in range(n_phys)]
+    initial_layout = tuple(l2p)
+    out = Circuit(n_phys, num_clbits)
+    add = out.add
+    adj = cmap.adjacency()
+    linked = {(a, b) for a in adj for b in adj[a]}
+    paths: dict[tuple[int, int], list[int]] = {}
+    level = [0] * n_phys
+    swap_count = 0
+
+    for op in ops:
+        if isinstance(op, tuple):
+            kind, qubits, params = op
+            if kind != "cx":
+                p = l2p[qubits[0]]
+                add(kind, (p,), params)
+                level[p] += 1
+                continue
+            pa, pb = l2p[qubits[0]], l2p[qubits[1]]
+            if (pa, pb) not in linked:
+                path = paths.get((pa, pb))
+                if path is None:
+                    path = paths[pa, pb] = _bfs_path(adj, pa, pb)
+                for u, v in zip(path, path[1:-1]):
+                    # a SWAP as three cx
+                    add("cx", (u, v))
+                    add("cx", (v, u))
+                    add("cx", (u, v))
+                    level[u] = level[v] = max(level[u], level[v]) + 3
+                    lu, lv = p2l[u], p2l[v]
+                    p2l[u], p2l[v] = lv, lu
+                    if lu != -1:
+                        l2p[lu] = v
+                    if lv != -1:
+                        l2p[lv] = u
+                    swap_count += 1
+                pa = path[-2]
+            add("cx", (pa, pb))
+            level[pa] = level[pb] = max(level[pa], level[pb]) + 1
+        elif isinstance(op, Measure):
+            p = l2p[op.qubit]
+            out.measure(p, op.clbit)
+            level[p] += 1
+        else:
+            fence = out.barrier(*(l2p[q] for q in op.qubits)).qubits
+            if fence:
+                sync = max(level[q] for q in fence)
+                for q in fence:
+                    level[q] = sync
+
+    return TranspileResult(
+        circuit_t=out,
+        initial_layout=initial_layout,
+        final_layout=tuple(l2p),
+        depth_t=max(level, default=0),
+        swap_count=swap_count,
+        coupling=cmap,
+    )
 
 
 def route(c: Circuit, cmap: CouplingMap) -> TranspileResult:
@@ -305,63 +405,23 @@ def route(c: Circuit, cmap: CouplingMap) -> TranspileResult:
     The BFS path choice (lowest physical index first) breaks every tie, so
     identical inputs always give identical results.
     """
-    if c.num_qubits > cmap.num_physical_qubits:
-        raise LayoutError(
-            f"circuit needs {c.num_qubits} qubits, map has {cmap.num_physical_qubits}"
-        )
-    for op in c.ops:
-        if isinstance(op, Gate) and op.kind not in BASIS_GATES:
-            raise UnsupportedGate(f"route requires basis gates, got {op.kind!r}")
 
-    n_log = c.num_qubits
-    l2p = list(range(n_log))
-    p2l = [i if i < n_log else -1 for i in range(cmap.num_physical_qubits)]
-    initial_layout = tuple(l2p)
-    out = Circuit(cmap.num_physical_qubits, c.num_clbits)
-    swap_count = 0
+    def ops() -> Iterator[_BasisOp | Barrier]:
+        for op in c.ops:
+            if isinstance(op, Gate):
+                if op.kind not in BASIS_GATES:
+                    raise UnsupportedGate(f"route requires basis gates, got {op.kind!r}")
+                yield op.kind, op.qubits, op.params
+            else:
+                yield op
 
-    def emit_swap(u: int, v: int) -> None:
-        nonlocal swap_count
-        out.add("cx", (u, v))
-        out.add("cx", (v, u))
-        out.add("cx", (u, v))
-        lu, lv = p2l[u], p2l[v]
-        p2l[u], p2l[v] = lv, lu
-        if lu != -1:
-            l2p[lu] = v
-        if lv != -1:
-            l2p[lv] = u
-        swap_count += 1
-
-    for op in c.ops:
-        if isinstance(op, Measure):
-            out.measure(l2p[op.qubit], op.clbit)
-        elif isinstance(op, Barrier):
-            out.barrier(*(l2p[q] for q in op.qubits))
-        elif op.kind == "cx":
-            pa, pb = l2p[op.qubits[0]], l2p[op.qubits[1]]
-            if not cmap.are_connected(pa, pb):
-                path = cmap.shortest_path(pa, pb)
-                for i in range(len(path) - 2):
-                    emit_swap(path[i], path[i + 1])
-                pa = path[-2]
-            out.add("cx", (pa, pb))
-        else:
-            out.add(op.kind, (l2p[op.qubits[0]],), op.params)
-
-    return TranspileResult(
-        circuit_t=out,
-        initial_layout=initial_layout,
-        final_layout=tuple(l2p),
-        depth_t=circuit_depth(out),
-        swap_count=swap_count,
-        coupling=cmap,
-    )
+    return _route(ops(), c.num_qubits, c.num_clbits, cmap)
 
 
 def transpile(c: Circuit, cmap: CouplingMap) -> TranspileResult:
-    """Decompose to the native basis, then route onto the coupling map."""
-    return route(decompose_to_basis(c), cmap)
+    """Decompose to the native basis, then route onto the coupling map, as
+    one stream: each output gate is built once."""
+    return _route(_basis_stream(c), c.num_qubits, c.num_clbits, cmap)
 
 
 def check_coupling(result: TranspileResult) -> bool:

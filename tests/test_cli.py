@@ -133,6 +133,31 @@ def test_usage_error_exits_1(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "estimate", "sweep"])
+def test_k_below_1_is_a_usage_error(command, tmp_path, capsys):
+    # like --self-loop 0: exit 1 before any work, so a sweep writes no row
+    out = tmp_path / "out"
+    if command == "sweep":
+        suite = tmp_path / "ghz3.json"
+        suite.write_text('[{"family": "ghz", "n": 3}]')
+        argv = ["sweep", "--suite", f"@{suite}", "--seeds", "1", "--deltas", "0.05"]
+    else:
+        argv = [command, "--bench", "ghz:3"]
+    code, stdout, err = run([*argv, "--k", "0", "--out", str(out)], capsys)
+    assert code == 1
+    assert err == "error: --k must be >= 1, got 0\n"
+    assert stdout == "" and not out.exists()
+
+
+def test_analyze_keeps_rz_whose_merge_would_overflow(tmp_path, capsys):
+    path = tmp_path / "big.qasm"
+    path.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\n'
+                    "rz(1e308) q[0];\nrz(1e308) q[0];\n", encoding="utf-8")
+    code, out, _ = run(["analyze", "--qasm", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["transpile"]["ops"] == 2
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]], ids=["qfid", "sweep"])
 def test_help_exits_0(argv, capsys):
     with pytest.raises(SystemExit) as exc:

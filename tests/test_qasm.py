@@ -165,6 +165,124 @@ def test_end_of_input_after_a_comment_is_located_after_it():
     assert (info.value.line, info.value.col) == (4, 23)
 
 
+# (class, message, line, col) of errors where a register argument "ID[INT]"
+# is one token, or nearly is; each was recorded from the token-by-token
+# parser, and a merged token must not move any of them
+_MERGED_TOKEN_ERRORS = {
+    "arguments without a comma": (
+        HEADER + "qreg q[2];\ncx q[0] q[1];\n",
+        QasmSyntaxError, "unexpected id 'q' (expected ;)", 4, 9),
+    "spaced index": (
+        HEADER + "qreg q[2];\nh q [ 7 ];\n",
+        RegisterError, "index 7 out of range for qreg 'q' of width 2", 4, 3),
+    "fractional index": (
+        HEADER + "qreg q[2];\nh q[1.5];\n",
+        QasmSyntaxError, "index must be an integer, got '1.5'", 4, 5),
+    "negative index": (
+        HEADER + "qreg q[2];\nh q[-1];\n",
+        QasmSyntaxError, "unexpected symbol '-' (expected number)", 4, 5),
+    "superscript index": (
+        HEADER + "qreg q[2];\nh q[\u00b2];\n",
+        QasmSyntaxError, "number literal must use ASCII digits, got '\u00b2'", 4, 5),
+    "zero width": (
+        HEADER + "qreg q[0];\n",
+        RegisterError, "register 'q' has width 0 < 1", 3, 6),
+    "fractional width": (
+        HEADER + "qreg q[1.5];\n",
+        QasmSyntaxError, "register width must be an integer, got '1.5'", 3, 8),
+    "no width": (
+        HEADER + "qreg q;\n",
+        QasmSyntaxError, "unexpected symbol ';' (expected [)", 3, 7),
+    "non-ascii register name": (
+        HEADER + "qreg q\u00e9[2];\nh q\u00e9[3];\n",
+        RegisterError, "index 3 out of range for qreg 'q\u00e9' of width 2", 4, 3),
+    "crlf, missing semicolon": (
+        "OPENQASM 2.0;\r\nqreg q[2];\r\nh q[0]\r\ncx q[0],q[1];\r\n",
+        QasmSyntaxError, "unexpected id 'cx' (expected ;)", 4, 1),
+    "crlf, index out of range": (
+        "OPENQASM 2.0;\r\nqreg q[2];\r\n  cx q[0],q[7];\r\n",
+        RegisterError, "index 7 out of range for qreg 'q' of width 2", 3, 11),
+    "comment between name and bracket": (
+        HEADER + "qreg q[2];\nh q// c\n[5];\n",
+        RegisterError, "index 5 out of range for qreg 'q' of width 2", 4, 3),
+    "indexed version keyword": (
+        "OPENQASM[2];\n",
+        QasmSyntaxError, "unexpected symbol '[' (expected number)", 1, 9),
+    "indexed include": (
+        "OPENQASM 2.0;\ninclude[0];\n",
+        QasmSyntaxError, "unexpected symbol '[' (expected string)", 2, 8),
+    "indexed gate name": (
+        HEADER + "qreg q[1];\nh[0] q[0];\n",
+        QasmSyntaxError, "unexpected symbol '[' (expected id)", 4, 2),
+    "indexed qreg keyword": (
+        HEADER + "qreg[2];\n",
+        QasmSyntaxError, "unexpected symbol '[' (expected id)", 3, 5),
+    "argument in an expression": (
+        HEADER + "qreg q[1];\nrx(q[0]) q[0];\n",
+        QasmSyntaxError, "unexpected id 'q' in expression (expected number, pi, (, -)", 4, 4),
+    "indexed pi": (
+        HEADER + "qreg q[1];\nrx(pi[0]) q[0];\n",
+        QasmSyntaxError, "unexpected symbol '[' (expected ))", 4, 6),
+    "double close bracket": (
+        HEADER + "qreg q[2];\nh q[0]];\n",
+        QasmSyntaxError, "unexpected symbol ']' (expected ;)", 4, 7),
+    "statement glued to an argument": (
+        HEADER + "qreg q[2];\ncx q[0],q[1]h q[0];\n",
+        QasmSyntaxError, "unexpected id 'h' (expected ;)", 4, 13),
+    "leading zero": (
+        HEADER + "qreg q[2];\ncx q[01], q[0];\nh q[02];\n",
+        RegisterError, "index 2 out of range for qreg 'q' of width 2", 5, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MERGED_TOKEN_ERRORS))
+def test_register_argument_token_errors_pinned(case):
+    text, klass, message, line, col = _MERGED_TOKEN_ERRORS[case]
+    with pytest.raises(QasmError) as info:
+        parse_qasm(text)
+    got = (type(info.value), str(info.value), info.value.line, info.value.col)
+    assert got == (klass, f"line {line}, col {col}: {message}", line, col)
+
+
+def test_register_argument_spellings_parse_alike():
+    spellings = ["q[1]", "q [ 1 ]", "q\t[1 ]", "q// c\n[01]"]
+    circuits = [parse_qasm(HEADER + f"qreg q[2];\ncx q[0],{arg};\n") for arg in spellings]
+    assert all(c == circuits[0] for c in circuits)
+    assert circuits[0].ops[0].qubits == (0, 1)
+
+
+@pytest.mark.parametrize("statement", ["qreg q[{}];", "qreg q[1];\nh q[{}];"])
+def test_index_too_long_for_int_reads_as_the_spaced_form(statement):
+    # Python's int() refuses over 4300 digits; a merged token then falls back
+    # to the token-by-token path, so it fails as "q[ digits]" does, one column on
+    digits = "0" * 5000 + "1"
+    errors = []
+    for arg in (digits, " " + digits):
+        try:
+            parse_qasm(HEADER + statement.format(arg))
+        except QasmError as exc:
+            errors.append((type(exc), exc.line, exc.col, str(exc).split(": ", 1)[1]))
+        else:
+            errors.append(None)
+    assert errors[0] is not None
+    merged, spaced = errors
+    assert merged[:2] == spaced[:2] and merged[2] + 1 == spaced[2] and merged[3] == spaced[3]
+
+
+@pytest.mark.parametrize("expr,message,col", [
+    ("1e400", "number literal '1e400' overflows a 64-bit float", 4),
+    ("1e300*1e300", "parameter overflows a 64-bit float at '*'", 9),
+    ("1.7e308+1.7e308", "parameter overflows a 64-bit float at '+'", 11),
+    ("-1.7e308-1.7e308", "parameter overflows a 64-bit float at '-'", 12),
+    ("1e300/1e-300", "parameter overflows a 64-bit float at '/'", 9),
+])
+def test_overflowing_parameter_is_a_located_syntax_error(expr, message, col):
+    with pytest.raises(QasmSyntaxError) as info:
+        parse_qasm(HEADER + f"qreg q[1];\nrx({expr}) q[0];")
+    assert (str(info.value), info.value.line, info.value.col) == (
+        f"line 4, col {col}: {message}", 4, col)
+
+
 @pytest.mark.parametrize("literal,message", [
     ("1e", "exponent without digits"),
     ("2.5E+", "exponent without digits"),
@@ -251,7 +369,16 @@ def test_bytes_input_and_bad_utf8():
         parse_qasm(b"OPENQASM 2.0;\xff\xfe")
 
 
-@given(st.text(max_size=300))
+# a parameter of two literals, where either literal or the operation between
+# them may overflow a 64-bit float, then random text
+_LITERALS = st.sampled_from(["1e400", "1e308", "1.7e308", "1e300", "1e-300", "2", "pi"])
+_OVERFLOWING = st.builds(
+    lambda a, op, b, tail: f"{HEADER}qreg q[2];\nrx({a}{op}{b}) q[0];\n{tail}",
+    _LITERALS, st.sampled_from(["+", "-", "*", "/", "*-", ","]), _LITERALS, st.text(max_size=40),
+)
+
+
+@given(st.text(max_size=300) | _OVERFLOWING)
 @settings(max_examples=300, deadline=None)
 def test_parser_never_crashes_on_text(text):
     try:

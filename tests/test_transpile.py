@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from qfid.bench import BenchSpec, default_suite, generate, random_circuit
+from qfid.bench import FAMILIES, BenchSpec, default_suite, generate, random_circuit
 from qfid.circuit import Circuit, Gate, Measure, circuit_depth, gate_unitary
 from qfid.qasm import emit_qasm
 from qfid.simulator import circuit_unitary, ideal_distribution
@@ -187,6 +187,25 @@ def test_decomposition_of_default_suite_pinned():
     assert digest.hexdigest() == "f56b5fd4091c799e857d41ca55b39cc1049f169d4123d061265a3e0af05f62a7"
 
 
+def test_rz_merge_keeps_both_gates_when_the_sum_overflows():
+    # 1e308 + 1e308 is inf: merging would turn a valid circuit into an error
+    c = Circuit(1)
+    c.add("rz", (0,), (1e308,))
+    c.add("rz", (0,), (1e308,))
+    c.add("rz", (0,), (-1e308,))  # merges with the second one, to 0, and drops it
+    c.add("rz", (0,), (0.5,))
+    ops = [(op.kind, op.params) for op in decompose_to_basis(c).ops]
+    assert ops == [("rz", (1e308,)), ("rz", (0.5,))]
+    assert transpile(c, linear_map(1)).circuit_t.ops == decompose_to_basis(c).ops
+
+
+def test_u3_whose_z_angles_overflow_lowers_to_two_rz():
+    c = Circuit(1)
+    c.add("u3", (0,), (0.0, 1.7e308, 1.7e308))
+    ops = [(op.kind, op.params) for op in decompose_to_basis(c).ops]
+    assert ops == [("rz", (1.7e308,)), ("rz", (1.7e308,))]
+
+
 @pytest.mark.parametrize(
     "kind,params,nq",
     [
@@ -269,6 +288,48 @@ def test_transpile_empty_circuit():
     res = transpile(Circuit(2), linear_map(2))
     assert res.depth_t == 0
     assert res.swap_count == 0
+
+
+_STREAM_MAPS = {
+    "linear": linear_map,
+    "ring": ring_map,
+    "grid:4x4": lambda n: grid_map(4, 4),
+    "heavyhex27": lambda n: heavy_hex_27(),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_transpile_equals_route_of_decompose(family):
+    # transpile routes the basis stream directly; the public two-step path
+    # must give the same ops, layouts, depth and swaps, and each output gate
+    # must pass the full Gate check again
+    for n in (4, 8, 12):
+        c = generate(BenchSpec.make(family, n))
+        for name, make in _STREAM_MAPS.items():
+            cmap = make(c.num_qubits)
+            got = transpile(c, cmap)
+            want = route(decompose_to_basis(c), cmap)
+            assert got.circuit_t.ops == want.circuit_t.ops, (family, n, name)
+            assert (got.initial_layout, got.final_layout, got.depth_t, got.swap_count) == (
+                want.initial_layout, want.final_layout, want.depth_t, want.swap_count)
+            assert got.depth_t == circuit_depth(got.circuit_t)
+            for op in got.circuit_t.gates:
+                assert Gate(op.kind, op.qubits, op.params, op.id) == op
+
+
+def test_route_tracks_depth_through_barriers_and_measures():
+    c = Circuit(3, 1)
+    c.add("x", (0,))
+    c.add("x", (0,))
+    c.barrier(0, 2)
+    c.add("sx", (2,))
+    c.add("cx", (0, 2))
+    c.measure(1, 0)
+    res = route(c, linear_map(3))
+    # wire 0 reaches layer 2, the barrier lifts wire 2 to it, the swap's 3 cx
+    # take wires 0-1 to layer 5 and cx(1,2) to 6; logical 1 now sits on
+    # physical 0, so its measure also ends at layer 6
+    assert res.depth_t == circuit_depth(res.circuit_t) == 6
 
 
 def test_determinism():

@@ -51,6 +51,16 @@ class BenchSpec:
         return f"{self.family}:{self.n}:{self.seed}{tail}"
 
 
+def _number(spec: BenchSpec, key: str, default, kind: type[int] | type[float]):
+    """Extra ``key`` of ``spec`` (``default`` if absent) as an int or float."""
+    value = spec.extra(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a number"
+        raise InvalidSpec(f"{spec.family} {key} must be {what}, got {value!r}") from None
+
+
 def _measure_all(c: Circuit) -> None:
     for q in range(c.num_qubits):
         c.measure(q, q)
@@ -141,10 +151,7 @@ def _qpe(spec: BenchSpec) -> Circuit:
     binary form.  Default phase is 1/8 (1/4 when n == 2).
     """
     t = spec.n
-    phase = spec.extra("phase")
-    if phase is None:
-        phase = 0.25 if t == 2 else 0.125
-    phase = float(phase)
+    phase = _number(spec, "phase", 0.25 if t == 2 else 0.125, float)
     c = Circuit(t + 1, t)
     target = t
     c.add("x", (target,))
@@ -162,7 +169,7 @@ def _qpe(spec: BenchSpec) -> Circuit:
 
 def _clifford(spec: BenchSpec) -> Circuit:
     rng = np.random.default_rng(spec.seed)
-    depth = int(spec.extra("depth", spec.n))
+    depth = _number(spec, "depth", spec.n, int)
     c = Circuit(spec.n, spec.n)
     for layer in range(depth):
         for q in range(spec.n):
@@ -181,10 +188,10 @@ def _clifford(spec: BenchSpec) -> Circuit:
 
 def _ising(spec: BenchSpec) -> Circuit:
     """First-order Trotterized transverse-field Ising chain."""
-    steps = int(spec.extra("steps", 3))
-    coupling = float(spec.extra("j", 1.0))
-    fieldstrength = float(spec.extra("h", 1.0))
-    dt = float(spec.extra("dt", 0.1))
+    steps = _number(spec, "steps", 3, int)
+    coupling = _number(spec, "j", 1.0, float)
+    fieldstrength = _number(spec, "h", 1.0, float)
+    dt = _number(spec, "dt", 0.1, float)
     c = Circuit(spec.n, spec.n)
     for _ in range(steps):
         for q in range(spec.n - 1):
@@ -201,7 +208,7 @@ def _ising(spec: BenchSpec) -> Circuit:
 def _su2(spec: BenchSpec) -> Circuit:
     """EfficientSU2-style ansatz with seeded angles (no training)."""
     rng = np.random.default_rng(spec.seed)
-    layers = int(spec.extra("layers", 2))
+    layers = _number(spec, "layers", 2, int)
     c = Circuit(spec.n, spec.n)
     for _ in range(layers):
         for q in range(spec.n):
@@ -224,8 +231,8 @@ def _xeb(spec: BenchSpec) -> Circuit:
     shot usage under the default noise model.
     """
     rng = np.random.default_rng(spec.seed)
-    depth = int(spec.extra("depth", 2))
-    scale = float(spec.extra("scale", 0.1))
+    depth = _number(spec, "depth", 2, int)
+    scale = _number(spec, "scale", 0.1, float)
     c = Circuit(spec.n, spec.n)
     for layer in range(depth):
         for q in range(spec.n):

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 parse or usage error, 2 transpile/layout error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .bench import BenchSpec, InvalidSpec, default_suite, generate
@@ -70,6 +71,8 @@ def parse_bench(text: str) -> BenchSpec:
     for token in parts[2:]:
         if "=" in token:
             key, _, raw = token.partition("=")
+            if key in ("family", "n", "seed"):
+                raise InvalidSpec(f"bench {key} goes by position, family:n[:seed]; got {token!r}")
             if key == "secret":  # textual: leading zeros are significant
                 extras[key] = raw
                 continue
@@ -123,13 +126,12 @@ def parse_coupling(text: str, num_qubits: int) -> CouplingMap:
     if text == "heavyhex27":
         return heavy_hex_27()
     if text.startswith("grid:"):
-        dims = text[5:].split("x")
-        if len(dims) != 2:
-            raise CliError(f"grid spec must be grid:RxC, got {text!r}", EXIT_PARSE)
         try:
-            rows, cols = int(dims[0]), int(dims[1])
-        except ValueError:
-            raise CliError(f"grid spec must be grid:RxC, got {text!r}", EXIT_PARSE) from None
+            rows, cols = (int(d) for d in text[5:].split("x"))
+        except ValueError:  # not two integers
+            rows = cols = 0
+        if rows < 1 or cols < 1:
+            raise CliError(f"grid spec must be grid:RxC, got {text!r}", EXIT_PARSE)
         return grid_map(rows, cols)
     raise CliError(f"unknown coupling {text!r}", EXIT_PARSE)
 
@@ -455,9 +457,14 @@ _ERROR_CODES = (
 )
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``main`` may run many times in one."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -32,8 +32,8 @@ def delta_deg(g0: GateDag, gt: GateDag) -> float:
     """Total-variation distance between total-degree distributions, in [0,1]."""
     if g0.num_nodes == 0 or gt.num_nodes == 0:
         raise EmptyGraph("delta_deg needs nonempty graphs")
-    h0 = degree_histogram(g0, "total")
-    ht = degree_histogram(gt, "total")
+    h0 = degree_histogram(g0)
+    ht = degree_histogram(gt)
     n0, nt = g0.num_nodes, gt.num_nodes
     support = set(h0) | set(ht)
     return 0.5 * sum(abs(h0.get(d, 0) / n0 - ht.get(d, 0) / nt) for d in support)

@@ -59,6 +59,8 @@ class PlanConfig:
             raise DomainError(f"delta must be in (0,1), got {self.delta}")
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must be in (0,1), got {self.alpha}")
+        if 1.0 - self.alpha / 2.0 == 1.0:  # the normal quantile at 1 is infinite
+            raise DomainError(f"alpha must exceed 2**-53, got {self.alpha}")
         if self.batch_min < 1:
             raise DomainError(f"batch_min must be >= 1, got {self.batch_min}")
         if self.p_max < self.batch_min:

@@ -138,7 +138,7 @@ def build_kernel(
     if len(weights):
         from_src, to_sink = (np.array(d) for d in gt.longest_dists)
         on_path = from_src[rows] + 1 + to_sink[cols] == from_src.max()
-        deg = gt.degree_array("total").astype(float)
+        deg = gt.degree_array().astype(float)
         threshold = _fanin_threshold(deg, cfg.fanin_quantile)
         fanin = (deg[rows] >= threshold) | (deg[cols] >= threshold)
         mult = np.ones(len(weights))

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qfid
+from qfid import cli
 from qfid.cli import build_parser, main, parse_bench, parse_coupling, parse_noise
 from qfid.report import SWEEP_COLUMNS, format_float, to_json
 
@@ -147,6 +148,58 @@ def test_k_below_1_is_a_usage_error(command, tmp_path, capsys):
     assert code == 1
     assert err == "error: --k must be >= 1, got 0\n"
     assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "estimate", "sweep"])
+def test_alpha_without_finite_quantile_is_a_usage_error(command, tmp_path, capsys):
+    # 1 - alpha/2 rounds to 1.0, where the normal quantile is infinite
+    out = tmp_path / "out"
+    if command == "sweep":
+        argv = ["sweep", "--suite", "default"]
+    else:
+        argv = [command, "--bench", "ghz:3"]
+    code, stdout, err = run([*argv, "--alpha", "1e-17", "--out", str(out)], capsys)
+    assert code == 1
+    assert err == "error: alpha must exceed 2**-53, got 1e-17\n"
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["ghz:4:seed=3", "ghz:4:n=3", "ghz:4:family=bv",
+                                  "clifford:4:depth=abc", "ising:4:j=abc"])
+def test_bad_bench_extra_is_a_usage_error(spec, capsys):
+    code, stdout, err = run(["analyze", "--bench", spec], capsys)
+    assert code == 1
+    assert err.startswith("error: InvalidSpec: ") and err.count("\n") == 1
+    assert stdout == ""
+
+
+def test_bad_suite_extra_is_a_usage_error(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text('[{"family": "clifford", "n": 4, "depth": "abc"}]')
+    code, stdout, err = run(["bench", "--suite", f"@{suite}"], capsys)
+    assert code == 1
+    assert err == "error: InvalidSpec: clifford depth must be an integer, got 'abc'\n"
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("grid", ["grid:-2x3", "grid:2x0"])
+def test_grid_needs_positive_rows_and_cols(grid, capsys):
+    code, _, err = run(["analyze", "--bench", "ghz:4", "--coupling", grid], capsys)
+    assert code == 1
+    assert err == f"error: grid spec must be grid:RxC, got {grid!r}\n"
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    for _ in range(3):
+        assert run(["analyze", "--bench", "ghz:3"], capsys)[0] == 0
+    assert len(built) <= 1
 
 
 def test_analyze_keeps_rz_whose_merge_would_overflow(tmp_path, capsys):
@@ -313,6 +366,16 @@ def test_dot_export_flag(tmp_path, capsys):
     )
     assert code == 0
     assert dot.read_text().startswith("digraph")
+
+
+def test_dot_bytes_pinned(tmp_path, capsys):
+    # qft:4 routed on a ring; the DOT is of the logical circuit
+    dot = tmp_path / "dag.dot"
+    code, _, _ = run(["analyze", "--bench", "qft:4", "--coupling", "ring", "--dot", str(dot),
+                      "--out", str(tmp_path / "r.json")], capsys)
+    assert code == 0
+    digest = "3b3028e341642e21d1e169b8f055145ee0f67eaaf2a245b5ef6727e3c11e0fd4"
+    assert hashlib.sha256(dot.read_bytes()).hexdigest() == digest
 
 
 def test_estimate_simulator_cap_exit_4(capsys):

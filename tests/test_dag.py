@@ -3,23 +3,17 @@
 from collections import Counter
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfid.bench import BenchSpec, generate, random_circuit
+from qfid.bench import random_circuit
 from qfid.circuit import Barrier, Circuit, Gate, circuit_depth
-from qfid.dag import (
-    DagError,
-    DagNode,
-    GateDag,
-    build_dag,
-    degree_histogram,
-    longest_dist_from_sources,
-    longest_dist_to_sinks,
-    longest_path_len,
-    to_dot,
-)
+from qfid.dag import GateDag, build_dag, degree_histogram, longest_path_len, to_dot
+
+
+def edges_of(dag: GateDag) -> list[tuple[int, int, int]]:
+    """(src position, dst position, carrier qubit) per edge, in edge order."""
+    return list(zip(dag.src.tolist(), dag.dst.tolist(), dag.carrier.tolist()))
 
 
 def chain_circuit():
@@ -32,7 +26,7 @@ def chain_circuit():
 
 def test_build_edges_per_carrier_qubit():
     dag = build_dag(chain_circuit())
-    assert dag.edges == [(0, 1, 0), (1, 2, 1)]
+    assert edges_of(dag) == [(0, 1, 0), (1, 2, 1)]
     assert longest_path_len(dag) == 2
 
 
@@ -41,7 +35,7 @@ def test_parallel_edges_for_repeated_cx():
     c.add("cx", (0, 1))
     c.add("cx", (0, 1))
     dag = build_dag(c)
-    assert sorted(dag.edges) == [(0, 1, 0), (0, 1, 1)]
+    assert sorted(edges_of(dag)) == [(0, 1, 0), (0, 1, 1)]
 
 
 def test_bv_style_structure():
@@ -56,8 +50,8 @@ def test_bv_style_structure():
     c.measure(1, 1)
     dag = build_dag(c)
     assert dag.num_nodes == 7  # measures are nodes, barriers are not
-    cx_id = 3
-    assert dag.in_degrees()[cx_id] == 2
+    cx_pos = 3
+    assert np.count_nonzero(dag.dst == cx_pos) == 2
 
 
 def test_barriers_are_not_nodes():
@@ -66,8 +60,8 @@ def test_barriers_are_not_nodes():
     c.barrier(0, 1)
     c.add("cx", (0, 1))
     dag = build_dag(c)
-    assert dag.num_nodes == 2
-    assert dag.edges == [(0, 2, 0)]
+    assert [op.id for op in dag.nodes] == [0, 2]
+    assert edges_of(dag) == [(0, 1, 0)]
 
 
 def test_degree_histogram_single_node():
@@ -75,24 +69,18 @@ def test_degree_histogram_single_node():
     c = Circuit(1)
     c.add("h", (0,))
     dag = build_dag(c)
-    assert degree_histogram(dag, "total") == {0: 1}
+    assert degree_histogram(dag) == {0: 1}
 
 
 def test_degree_histogram_two_node_chain():
     c = Circuit(1)
     c.add("h", (0,))
     c.add("h", (0,))
-    assert degree_histogram(build_dag(c), "total") == {1: 2}
+    assert degree_histogram(build_dag(c)) == {1: 2}
 
 
 def test_degree_histogram_chain_example():
-    assert degree_histogram(build_dag(chain_circuit()), "total") == {1: 2, 2: 1}
-
-
-def test_degree_histogram_modes_sum_to_node_count():
-    dag = build_dag(generate(BenchSpec.make("qft", 4)))
-    for mode in ("in", "out", "total"):
-        assert sum(degree_histogram(dag, mode).values()) == dag.num_nodes
+    assert degree_histogram(build_dag(chain_circuit())) == {1: 2, 2: 1}
 
 
 def test_longest_path_chain_and_edgeless():
@@ -107,10 +95,14 @@ def test_longest_path_chain_and_edgeless():
 
 
 def test_longest_path_diamond():
-    dag = GateDag(
-        nodes=[DagNode(i, "h", (0,)) for i in range(4)],
-        edges=[(0, 1, 0), (0, 2, 0), (1, 3, 0), (2, 3, 0)],
-    )
+    # cx fans out to one h per wire, which both feed the second cx
+    c = Circuit(2)
+    c.add("cx", (0, 1))
+    c.add("h", (0,))
+    c.add("h", (1,))
+    c.add("cx", (0, 1))
+    dag = build_dag(c)
+    assert edges_of(dag) == [(0, 1, 0), (0, 2, 1), (1, 3, 0), (2, 3, 1)]
     assert longest_path_len(dag) == 2
 
 
@@ -120,8 +112,8 @@ def test_edge_count_formula():
         c = random_circuit(int(rng.integers(2, 7)), int(rng.integers(0, 60)), seed, measure=True)
         dag = build_dag(c)
         touches = {}
-        for node in dag.nodes:
-            for q in node.qubits:
+        for op in dag.nodes:
+            for q in op.qubits if isinstance(op, Gate) else (op.qubit,):
                 touches[q] = touches.get(q, 0) + 1
         expected = sum(max(0, t - 1) for t in touches.values())
         assert dag.num_edges == expected
@@ -133,10 +125,10 @@ def test_topological_sort_succeeds(seed):
     rng = np.random.default_rng(seed)
     c = random_circuit(int(rng.integers(1, 8)), int(rng.integers(0, 50)), seed, measure=bool(seed % 2))
     dag = build_dag(c)
-    order = dag.topological_order()
-    assert len(order) == dag.num_nodes
-    position = {nid: i for i, nid in enumerate(order)}
-    assert all(position[a] < position[b] for a, b, _ in dag.edges)
+    # node order is a topological order, and edges come in order of their heads,
+    # which is what the one-sweep longest distances rely on
+    assert (dag.src < dag.dst).all()
+    assert (np.diff(dag.dst) >= 0).all()
 
 
 @given(st.integers(0, 10_000))
@@ -153,6 +145,38 @@ def test_dot_export():
     text = to_dot(build_dag(chain_circuit()))
     assert text.startswith("digraph")
     assert 'n0 -> n1 [label="q0"]' in text
+
+
+def test_dot_bytes_pinned():
+    # a barrier (no node; the ids skip it), a ccx pair (three parallel
+    # edges) and two measures
+    c = Circuit(3, 2)
+    c.add("h", (0,))
+    c.barrier(0, 1, 2)
+    c.add("ccx", (0, 1, 2))
+    c.add("ccx", (0, 1, 2))
+    c.add("rz", (2,), (0.5,))
+    c.measure(2, 1)
+    c.measure(0, 0)
+    assert to_dot(build_dag(c)) == DOT_PIN
+
+
+DOT_PIN = """digraph gatedag {
+  n0 [label="h q0 (#0)"];
+  n2 [label="ccx q0,1,2 (#2)"];
+  n3 [label="ccx q0,1,2 (#3)"];
+  n4 [label="rz q2 (#4)"];
+  n5 [label="measure q2 (#5)"];
+  n6 [label="measure q0 (#6)"];
+  n0 -> n2 [label="q0"];
+  n2 -> n3 [label="q0"];
+  n2 -> n3 [label="q1"];
+  n2 -> n3 [label="q2"];
+  n3 -> n4 [label="q2"];
+  n4 -> n5 [label="q2"];
+  n3 -> n6 [label="q0"];
+}
+"""
 
 
 # -- the index-array DAG against a plain edge-list reference -------------------
@@ -220,51 +244,21 @@ def build_circuit(ops) -> Circuit:
     return c
 
 
-@given(st.lists(_OP, max_size=40), st.randoms(use_true_random=False))
+@given(st.lists(_OP, max_size=40))
 @settings(max_examples=200, deadline=None)
-def test_array_dag_matches_edge_list_reference(ops, rnd):
+def test_array_dag_matches_edge_list_reference(ops):
     c = build_circuit(ops)
     dag = build_dag(c)
     ids, edges = reference_graph(c)
     assert [node.id for node in dag.nodes] == ids
-    assert dag.edges == edges
-    for mode, ends in (("in", [1]), ("out", [0]), ("total", [0, 1])):
-        expected = dict.fromkeys(ids, 0)
-        for edge in edges:
-            for end in ends:
-                expected[edge[end]] += 1
-        got = {"in": dag.in_degrees, "out": dag.out_degrees, "total": dag.total_degrees}[mode]()
-        assert got == expected
-        assert degree_histogram(dag, mode) == dict(Counter(expected.values()))
+    position = {nid: i for i, nid in enumerate(ids)}
+    assert edges_of(dag) == [(position[s], position[d], q) for s, d, q in edges]
+    degree = dict.fromkeys(ids, 0)
+    for src, dst, _ in edges:
+        degree[src] += 1
+        degree[dst] += 1
+    assert dag.degree_array().tolist() == list(degree.values())
+    assert degree_histogram(dag) == dict(Counter(degree.values()))
     fwd, bwd = reference_dists(ids, edges)
-    assert longest_dist_from_sources(dag) == fwd
-    assert longest_dist_to_sinks(dag) == bwd
+    assert dag.longest_dists == (list(fwd.values()), list(bwd.values()))
     assert longest_path_len(dag) == max(fwd.values(), default=0)
-
-    # the same graph built by hand, nodes and edges shuffled, takes the Kahn route
-    nodes, shuffled = list(dag.nodes), list(edges)
-    rnd.shuffle(nodes)
-    rnd.shuffle(shuffled)
-    by_hand = GateDag(nodes=nodes, edges=shuffled)
-    assert longest_dist_from_sources(by_hand) == fwd
-    assert longest_dist_to_sinks(by_hand) == bwd
-    assert longest_path_len(by_hand) == max(fwd.values(), default=0)
-
-
-@pytest.mark.parametrize("edges", [
-    [(0, 1, 0), (1, 2, 0), (2, 0, 0)],
-    [(0, 1, 0), (1, 1, 1)],
-    [(2, 0, 0), (0, 2, 1)],
-])
-def test_hand_built_cycle_raises(edges):
-    dag = GateDag(nodes=[DagNode(i, "h", (0,)) for i in range(3)], edges=edges)
-    for query in (longest_path_len, longest_dist_from_sources, longest_dist_to_sinks):
-        with pytest.raises(DagError):
-            query(dag)
-    with pytest.raises(DagError):
-        dag.topological_order()
-
-
-def test_hand_built_edge_to_unknown_node_raises():
-    with pytest.raises(DagError):
-        GateDag(nodes=[DagNode(0, "h", (0,))], edges=[(0, 7, 0)])

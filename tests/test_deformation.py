@@ -4,7 +4,7 @@ import pytest
 
 from qfid.bench import BenchSpec, generate, random_circuit
 from qfid.circuit import Circuit
-from qfid.dag import DagNode, GateDag, build_dag, EmptyGraph
+from qfid.dag import EmptyGraph, GateDag, build_dag
 from qfid.deformation import compare, delta_conn, delta_deg, delta_path
 from qfid.transpile import linear_map, transpile
 
@@ -20,6 +20,19 @@ def chain(n: int) -> GateDag:
     return build_dag(c)
 
 
+def dag_from(num_qubits: int, *gates: tuple[str, tuple[int, ...]]) -> GateDag:
+    c = Circuit(num_qubits)
+    for kind, qubits in gates:
+        c.add(kind, qubits)
+    return build_dag(c)
+
+
+def repeated(kind: str, k: int, times: int = 2) -> GateDag:
+    """``times`` k-qubit ``kind`` gates on the same qubits: k parallel edges
+    between each consecutive pair."""
+    return dag_from(k, *[(kind, tuple(range(k)))] * times)
+
+
 def test_identical_graphs_give_zero_triple():
     for spec in [BenchSpec.make("ghz", 4), BenchSpec.make("qft", 3)]:
         g = dag_of(generate(spec))
@@ -31,28 +44,16 @@ def test_identical_graphs_give_zero_triple():
 
 def test_delta_deg_hand_computed():
     # degrees {1,1,2} vs {1,2,2,3} -> TV = 5/12
-    g0 = GateDag(
-        nodes=[DagNode(i, "h", (0,)) for i in range(3)],
-        edges=[(0, 2, 0), (1, 2, 0)],
-    )
-    gt = GateDag(
-        nodes=[DagNode(i, "h", (0,)) for i in range(4)],
-        edges=[(0, 1, 0), (1, 2, 0), (1, 3, 0), (2, 3, 0)],
-    )
-    assert sorted(g0.total_degrees().values()) == [1, 1, 2]
-    assert sorted(gt.total_degrees().values()) == [1, 2, 2, 3]
+    g0 = dag_from(2, ("h", (0,)), ("h", (1,)), ("cx", (0, 1)))
+    gt = dag_from(2, ("h", (0,)), ("cx", (0, 1)), ("h", (1,)), ("cx", (0, 1)))
+    assert sorted(g0.degree_array().tolist()) == [1, 1, 2]
+    assert sorted(gt.degree_array().tolist()) == [1, 2, 2, 3]
     assert delta_deg(g0, gt) == pytest.approx(5 / 12, abs=1e-12)
 
 
 def test_delta_deg_disjoint_supports_is_one():
-    g0 = GateDag(
-        nodes=[DagNode(0, "h", (0,)), DagNode(1, "h", (0,))],
-        edges=[(0, 1, 0)],
-    )
-    gt = GateDag(
-        nodes=[DagNode(i, "h", (0,)) for i in range(2)],
-        edges=[(0, 1, 0), (0, 1, 1), (0, 1, 2)],
-    )
+    # degrees {1,1} vs {3,3}
+    g0, gt = repeated("h", 1), repeated("ccx", 3)
     assert delta_deg(g0, gt) == pytest.approx(1.0)
 
 
@@ -64,7 +65,7 @@ def test_delta_deg_symmetric():
 
 def test_delta_deg_empty_raises():
     with pytest.raises(EmptyGraph):
-        delta_deg(GateDag(), chain(2))
+        delta_deg(build_dag(Circuit(1)), chain(2))
 
 
 def test_delta_path_values():
@@ -82,19 +83,12 @@ def test_delta_path_sign_flips_for_shrinking():
 
 def test_delta_conn_values():
     # density 1.0 -> 1.5 gives 0.5
-    g0 = GateDag(
-        nodes=[DagNode(i, "h", (0,)) for i in range(2)],
-        edges=[(0, 1, 0), (0, 1, 1)],
-    )
-    gt = GateDag(
-        nodes=[DagNode(i, "h", (0,)) for i in range(2)],
-        edges=[(0, 1, 0), (0, 1, 1), (0, 1, 2)],
-    )
+    g0, gt = repeated("cx", 2), repeated("ccx", 3)
     assert delta_conn(g0, gt)[0] == pytest.approx(0.5)
-    # edge doubling with same node count
-    assert delta_conn(g0, GateDag(nodes=gt.nodes, edges=gt.edges + [(0, 1, 3)]))[0] == pytest.approx(1.0)
+    # density doubling: 3 nodes and 6 edges
+    assert delta_conn(g0, repeated("ccx", 3, times=3))[0] == pytest.approx(1.0)
     # degenerate: no logical edges
-    single = GateDag(nodes=[DagNode(0, "h", (0,))])
+    single = chain(1)
     value, degenerate = delta_conn(single, g0)
     assert degenerate and value == pytest.approx(1.0)
 

@@ -12,14 +12,7 @@ import pytest
 import qfid
 from qfid.bench import random_circuit
 from qfid.circuit import Circuit
-from qfid.dag import (
-    EmptyGraph,
-    GateDag,
-    build_dag,
-    longest_dist_from_sources,
-    longest_dist_to_sinks,
-    longest_path_len,
-)
+from qfid.dag import EmptyGraph, GateDag, build_dag, longest_path_len
 from qfid.deformation import DeformationReport
 from qfid.spectral import (
     KernelConfig,
@@ -93,7 +86,7 @@ def test_kernel_isolated_node():
 
 def test_kernel_empty_graph_raises():
     with pytest.raises(EmptyGraph):
-        build_kernel(GateDag(), ZERO)
+        build_kernel(build_dag(Circuit(1)), ZERO)
 
 
 def test_kernel_symmetric_and_deformation_weighted():
@@ -328,18 +321,16 @@ def test_spectrum_above_gershgorin_floor():
 def dense_kernel_oracle(dag: GateDag, report: DeformationReport, cfg: KernelConfig):
     """0.5*(W + W^T) + s*I with W filled edge by edge, as a dense array."""
     n = dag.num_nodes
-    index = {node.id: i for i, node in enumerate(dag.nodes)}
     w = np.zeros((n, n))
-    for src, dst, _ in dag.edges:
-        w[index[src], index[dst]] += 1.0
-    total = dag.total_degrees()
-    degs = [total[node.id] for node in dag.nodes]
+    for src, dst in zip(dag.src.tolist(), dag.dst.tolist()):
+        w[src, dst] += 1.0
+    degs = dag.degree_array().tolist()
     threshold = sorted(degs)[max(1, math.ceil(cfg.fanin_quantile * n)) - 1]
-    dist_src, dist_sink = longest_dist_from_sources(dag), longest_dist_to_sinks(dag)
+    dist_src, dist_sink = dag.longest_dists
     longest = longest_path_len(dag)
     for i, j in zip(*np.nonzero(w)):
         mult = 1.0
-        if dist_src[dag.nodes[i].id] + 1 + dist_sink[dag.nodes[j].id] == longest:
+        if dist_src[i] + 1 + dist_sink[j] == longest:
             mult *= 1.0 + max(0.0, report.delta_path)
         if degs[i] >= threshold or degs[j] >= threshold:
             mult *= 1.0 + max(0.0, report.delta_conn)
@@ -360,8 +351,7 @@ def test_kernel_entries_bit_exact_against_dense_oracle():
         assert np.array_equal(kernel.matrix, dense_kernel_oracle(dag, report, cfg)), trial
         # entries follow the edges' first occurrence, which fixes the order
         # degrees() sums them in
-        index = {node.id: i for i, node in enumerate(dag.nodes)}
-        pairs = list(dict.fromkeys((index[src], index[dst]) for src, dst, _ in dag.edges))
+        pairs = list(dict.fromkeys(zip(dag.src.tolist(), dag.dst.tolist())))
         entries = zip(kernel.rows.tolist(), kernel.cols.tolist())
         assert list(entries)[: len(pairs)] == pairs, trial
         k = kernel.matrix

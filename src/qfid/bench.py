@@ -9,56 +9,94 @@ others measure every qubit.
 
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .circuit import GATE_SIGNATURES, Circuit
-
-FAMILIES = ("bv", "ghz", "qft", "qpe", "clifford", "ising", "su2", "xeb")
 
 
 class InvalidSpec(ValueError):
     pass
 
 
+class Field(NamedTuple):
+    """A spec field's kind (``"int"``, ``"float"`` or ``"bits"``), default and bounds."""
+
+    kind: str
+    default: object = None
+    low: float = -math.inf
+    high: float = math.inf
+
+
+def _typed(name: str, field: Field, raw: object, n: int = 0) -> object:
+    """``raw``, ``--bench`` text or a JSON value, as a checked ``field`` value.
+
+    Text that reads as an int stays an int, also in a float field, so a
+    label shows what was written.
+    """
+    if field.kind == "bits":
+        value = str(raw)
+        if len(value) != n - 1 or set(value) - {"0", "1"}:
+            raise InvalidSpec(f"{name} must be {n - 1} bits of 0/1, got {raw!r}")
+        return value
+    value = raw
+    if isinstance(raw, str):
+        with contextlib.suppress(ValueError):  # int wins where both read it
+            value = float(raw)
+            value = int(raw)
+    whole = field.kind == "int"
+    if whole and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int if whole else (int, float)):
+        raise InvalidSpec(f"{name} must be {'an integer' if whole else 'a number'}, got {raw!r}")
+    if field.kind == "float" and not -sys.float_info.max <= value <= sys.float_info.max:
+        raise InvalidSpec(f"{name} must be finite, got {raw!r}")
+    if not field.low <= value <= field.high:
+        bound = f"in [{field.low}, {field.high}]" if field.high < math.inf else f">= {field.low}"
+        raise InvalidSpec(f"{name} must be {bound}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class BenchSpec:
+    """Built by ``make`` or ``from_raw``, which type and check every field."""
+
     family: str
     n: int
     seed: int = 0
-    extras: tuple[tuple[str, object], ...] = field(default_factory=tuple)
+    extras: tuple[tuple[str, object], ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise InvalidSpec(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        if not 2 <= self.n <= 12:
-            raise InvalidSpec(f"n must be in [2, 12], got {self.n}")
-
-    def extra(self, key: str, default=None):
-        for k, v in self.extras:
-            if k == key:
-                return v
-        return default
+    def extra(self, key: str):
+        """The given value of extra ``key``, else its default."""
+        return dict(self.extras).get(key, _FAMILIES[self.family][1][key].default)
 
     @staticmethod
-    def make(family: str, n: int, seed: int = 0, **extras) -> "BenchSpec":
-        return BenchSpec(family, n, seed, tuple(sorted(extras.items())))
+    def make(family: str, n, seed=0, **extras) -> "BenchSpec":
+        return BenchSpec.from_raw(family, n, seed, extras)
+
+    @staticmethod
+    def from_raw(family: str, n, seed, extras: dict) -> "BenchSpec":
+        """A spec from raw values, each ``--bench`` text or a JSON value."""
+        if family not in FAMILIES:
+            raise InvalidSpec(f"unknown family {family!r}; choose from {FAMILIES}")
+        fields = _FAMILIES[family][1]
+        n = _typed("n", Field("int", low=2, high=12), n)
+        seed = _typed("seed", Field("int", low=0), seed)
+        typed = {}
+        for key, raw in extras.items():
+            if key not in fields:
+                raise InvalidSpec(f"{family} has no extra {key!r}; extras: {tuple(fields)}")
+            typed[key] = _typed(f"{family} {key}", fields[key], raw, n)
+        return BenchSpec(family, n, seed, tuple(sorted(typed.items())))
 
     def label(self) -> str:
         tail = "".join(f":{k}={v}" for k, v in self.extras)
         return f"{self.family}:{self.n}:{self.seed}{tail}"
-
-
-def _number(spec: BenchSpec, key: str, default, kind: type[int] | type[float]):
-    """Extra ``key`` of ``spec`` (``default`` if absent) as an int or float."""
-    value = spec.extra(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        what = "an integer" if kind is int else "a number"
-        raise InvalidSpec(f"{spec.family} {key} must be {what}, got {value!r}") from None
 
 
 def _measure_all(c: Circuit) -> None:
@@ -89,9 +127,6 @@ def _bv(spec: BenchSpec) -> Circuit:
         if not bits.any():
             bits[0] = 1
         secret = "".join(str(b) for b in bits)
-    secret = str(secret)
-    if len(secret) != m or set(secret) - {"0", "1"}:
-        raise InvalidSpec(f"secret must be {m} bits of 0/1, got {secret!r}")
     c = Circuit(spec.n, m)
     anc = spec.n - 1
     c.add("x", (anc,))
@@ -151,7 +186,9 @@ def _qpe(spec: BenchSpec) -> Circuit:
     binary form.  Default phase is 1/8 (1/4 when n == 2).
     """
     t = spec.n
-    phase = _number(spec, "phase", 0.25 if t == 2 else 0.125, float)
+    phase = spec.extra("phase")
+    if phase is None:
+        phase = 0.25 if t == 2 else 0.125
     c = Circuit(t + 1, t)
     target = t
     c.add("x", (target,))
@@ -169,7 +206,7 @@ def _qpe(spec: BenchSpec) -> Circuit:
 
 def _clifford(spec: BenchSpec) -> Circuit:
     rng = np.random.default_rng(spec.seed)
-    depth = _number(spec, "depth", spec.n, int)
+    depth = spec.extra("depth") or spec.n
     c = Circuit(spec.n, spec.n)
     for layer in range(depth):
         for q in range(spec.n):
@@ -188,10 +225,7 @@ def _clifford(spec: BenchSpec) -> Circuit:
 
 def _ising(spec: BenchSpec) -> Circuit:
     """First-order Trotterized transverse-field Ising chain."""
-    steps = _number(spec, "steps", 3, int)
-    coupling = _number(spec, "j", 1.0, float)
-    fieldstrength = _number(spec, "h", 1.0, float)
-    dt = _number(spec, "dt", 0.1, float)
+    steps, coupling, fieldstrength, dt = (spec.extra(k) for k in ("steps", "j", "h", "dt"))
     c = Circuit(spec.n, spec.n)
     for _ in range(steps):
         for q in range(spec.n - 1):
@@ -208,7 +242,7 @@ def _ising(spec: BenchSpec) -> Circuit:
 def _su2(spec: BenchSpec) -> Circuit:
     """EfficientSU2-style ansatz with seeded angles (no training)."""
     rng = np.random.default_rng(spec.seed)
-    layers = _number(spec, "layers", 2, int)
+    layers = spec.extra("layers")
     c = Circuit(spec.n, spec.n)
     for _ in range(layers):
         for q in range(spec.n):
@@ -231,8 +265,7 @@ def _xeb(spec: BenchSpec) -> Circuit:
     shot usage under the default noise model.
     """
     rng = np.random.default_rng(spec.seed)
-    depth = _number(spec, "depth", 2, int)
-    scale = _number(spec, "scale", 0.1, float)
+    depth, scale = spec.extra("depth"), spec.extra("scale")
     c = Circuit(spec.n, spec.n)
     for layer in range(depth):
         for q in range(spec.n):
@@ -247,20 +280,24 @@ def _xeb(spec: BenchSpec) -> Circuit:
     return c
 
 
-_GENERATORS = {
-    "bv": _bv,
-    "ghz": _ghz,
-    "qft": _qft,
-    "qpe": _qpe,
-    "clifford": _clifford,
-    "ising": _ising,
-    "su2": _su2,
-    "xeb": _xeb,
+# Each family's generator and its extras, in suite order.  An extra whose
+# default is None is set by the generator from n.
+_FAMILIES = {
+    "bv": (_bv, {"secret": Field("bits")}),
+    "ghz": (_ghz, {}),
+    "qft": (_qft, {}),
+    "qpe": (_qpe, {"phase": Field("float")}),  # default 1/8, 1/4 at n = 2
+    "clifford": (_clifford, {"depth": Field("int", low=1)}),  # default n
+    "ising": (_ising, {"steps": Field("int", 3, low=1), "j": Field("float", 1.0),
+                       "h": Field("float", 1.0), "dt": Field("float", 0.1)}),
+    "su2": (_su2, {"layers": Field("int", 2, low=1)}),
+    "xeb": (_xeb, {"depth": Field("int", 2, low=1), "scale": Field("float", 0.1, low=0)}),
 }
+FAMILIES = tuple(_FAMILIES)
 
 
 def generate(spec: BenchSpec) -> Circuit:
-    return _GENERATORS[spec.family](spec)
+    return _FAMILIES[spec.family][0](spec)
 
 
 def default_suite(include_ten: bool = False) -> list[BenchSpec]:

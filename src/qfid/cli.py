@@ -8,14 +8,16 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
+import os
 import sys
 
 from .bench import BenchSpec, InvalidSpec, default_suite, generate
-from .circuit import CircuitError
+from .circuit import CircuitError, circuit_depth
 from .dag import DagError, build_dag, to_dot
 from .deformation import DeformationError
 from .estimator import EstimationError, PlanConfig
-from .qasm import QasmError, parse_qasm
+from .qasm import QasmError, emit_qasm, parse_qasm
 from .report import (
     SWEEP_COLUMNS,
     analyze_circuit,
@@ -42,6 +44,7 @@ from .transpile import (
     heavy_hex_27,
     linear_map,
     ring_map,
+    transpile,
 )
 
 EXIT_PARSE = 1
@@ -57,42 +60,19 @@ class CliError(ValueError):
 
 
 def parse_bench(text: str) -> BenchSpec:
-    """family:n[:seed][:key=value ...] e.g. ghz:4, xeb:6:3:depth=4."""
-    parts = text.split(":")
-    if len(parts) < 2:
-        raise CliError(f"bench spec needs family:n, got {text!r}", EXIT_PARSE)
-    family = parts[0]
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise CliError(f"bench qubit count must be an integer, got {parts[1]!r}", EXIT_PARSE) from None
-    seed = 0
+    """Split family:n[:seed][:key=value ...], e.g. xeb:6:3:depth=4; from_raw types it."""
+    family, *fields = text.split(":")
+    if not fields:
+        raise InvalidSpec(f"bench spec needs family:n, got {text!r}")
+    n, *fields = fields
+    seed = fields.pop(0) if fields and "=" not in fields[0] else 0
     extras = {}
-    for token in parts[2:]:
-        if "=" in token:
-            key, _, raw = token.partition("=")
-            if key in ("family", "n", "seed"):
-                raise InvalidSpec(f"bench {key} goes by position, family:n[:seed]; got {token!r}")
-            if key == "secret":  # textual: leading zeros are significant
-                extras[key] = raw
-                continue
-            try:
-                value: object = int(raw)
-            except ValueError:
-                try:
-                    value = float(raw)
-                except ValueError:
-                    value = raw
-            extras[key] = value
-        else:
-            try:
-                seed = int(token)
-            except ValueError:
-                raise CliError(f"bad bench token {token!r}", EXIT_PARSE) from None
-    try:
-        return BenchSpec.make(family, n, seed, **extras)
-    except InvalidSpec as exc:
-        raise CliError(str(exc), EXIT_PARSE) from None
+    for token in fields:
+        key, eq, value = token.partition("=")
+        if not eq:
+            raise InvalidSpec(f"bench seed goes once, after n; got {token!r} in {text!r}")
+        extras[key] = value
+    return BenchSpec.from_raw(family, n, seed, extras)
 
 
 def parse_noise(text: str) -> NoiseModel:
@@ -188,6 +168,16 @@ def _write_output(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_report(args, circuit, source: dict, analyze, record=None) -> None:
+    """An analyze or estimate report, in ``--format``, to ``--out``."""
+    if args.format == "csv":
+        family, n = source.get("family", ""), source.get("n", circuit.num_qubits)
+        row = csv_row(family, n, args.seed, args.delta, analyze, record)
+        _write_output(SWEEP_COLUMNS + "\n" + row + "\n", args.out)
+    else:
+        _write_output(to_json((record or analyze).to_dict()) + "\n", args.out)
+
+
 class _Parser(argparse.ArgumentParser):
     """Exits with ``EXIT_PARSE`` on a usage error, where argparse exits 2."""
 
@@ -242,13 +232,7 @@ def cmd_analyze(args) -> int:
     )
     if args.dot:
         _write_output(to_dot(build_dag(circuit)), args.dot)
-    if args.format == "csv":
-        family = source.get("family", "")
-        n = source.get("n", circuit.num_qubits)
-        row = csv_row(family, n, args.seed, args.delta, report)
-        _write_output(SWEEP_COLUMNS + "\n" + row + "\n", args.out)
-    else:
-        _write_output(to_json(report.to_dict()) + "\n", args.out)
+    _write_report(args, circuit, source, report)
     return 0
 
 
@@ -270,13 +254,7 @@ def cmd_estimate(args) -> int:
         k=args.k,
         reference_shots=args.reference_shots,
     )
-    if args.format == "csv":
-        family = source.get("family", "")
-        n = source.get("n", circuit.num_qubits)
-        row = csv_row(family, n, args.seed, args.delta, record.analyze, record)
-        _write_output(SWEEP_COLUMNS + "\n" + row + "\n", args.out)
-    else:
-        _write_output(to_json(record.to_dict()) + "\n", args.out)
+    _write_report(args, circuit, source, record.analyze, record)
     return 0
 
 
@@ -285,32 +263,24 @@ def _load_suite(text: str) -> list[BenchSpec]:
         return default_suite()
     if text == "default10":
         return default_suite(include_ten=True)
-    if text.startswith("@"):
-        import json
-
-        path = text[1:]
-        with open(path, encoding="utf-8") as fh:
-            try:
-                entries = json.load(fh)
-            except ValueError as exc:
-                raise CliError(f"suite file {path}: {exc}", EXIT_PARSE) from None
-        if not isinstance(entries, list):
-            raise CliError(f"suite file {path} must hold a JSON list of entries", EXIT_PARSE)
-        suite = []
-        for entry in entries:
-            if not isinstance(entry, dict) or "family" not in entry or "n" not in entry:
-                raise CliError(f'suite entry needs "family" and "n", got {entry!r}', EXIT_PARSE)
-            try:
-                n, seed = int(entry["n"]), int(entry.get("seed", 0))
-            except (TypeError, ValueError):
-                raise CliError(f"suite entry n and seed must be integers, got {entry!r}",
-                               EXIT_PARSE) from None
-            extras = {
-                k: v for k, v in entry.items() if k not in ("family", "n", "seed")
-            }
-            suite.append(BenchSpec.make(entry["family"], n, seed, **extras))
-        return suite
-    raise CliError(f"suite must be default|default10|@file.json, got {text!r}", EXIT_PARSE)
+    if not text.startswith("@"):
+        raise CliError(f"suite must be default|default10|@file.json, got {text!r}", EXIT_PARSE)
+    path = text[1:]
+    with open(path, encoding="utf-8") as fh:
+        try:
+            entries = json.load(fh)
+        except ValueError as exc:
+            raise CliError(f"suite file {path}: {exc}", EXIT_PARSE) from None
+    if not isinstance(entries, list):
+        raise CliError(f"suite file {path} must hold a JSON list of entries", EXIT_PARSE)
+    suite = []
+    for entry in entries:
+        if not isinstance(entry, dict) or "family" not in entry or "n" not in entry:
+            raise CliError(f'suite entry needs "family" and "n", got {entry!r}', EXIT_PARSE)
+        extras = dict(entry)
+        family, n, seed = extras.pop("family"), extras.pop("n"), extras.pop("seed", 0)
+        suite.append(BenchSpec.from_raw(family, n, seed, extras))
+    return suite
 
 
 def cmd_sweep(args) -> int:
@@ -343,11 +313,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_bench(args) -> int:
     """List the suite, or write its circuits as QASM files."""
-    import os
-
-    from .circuit import circuit_depth
-    from .qasm import emit_qasm
-
     suite = _load_suite(args.suite)
     entries = []
     for spec in suite:
@@ -383,8 +348,6 @@ def cmd_reference(args) -> int:
         dist = ideal_distribution(circuit)
     else:
         coupling = parse_coupling(args.coupling, circuit.num_qubits)
-        from .transpile import transpile
-
         routed = transpile(circuit, coupling)
         dist = noisy_distribution(routed.readout_circuit(), noise)
     shots = DistributionOracle(dist, args.seed).sample(args.shots)

@@ -39,9 +39,8 @@ from .estimator import (
     bernoulli_hellinger,
     estimate,
     hellinger_distance,
-    success_set,
+    shot_values,
     truncate,
-    xeb_scale,
 )
 from .simulator import (
     DistributionOracle,
@@ -245,11 +244,10 @@ def _true_fidelity(
     estimator: str, ideal: OutcomeDistribution, noisy: OutcomeDistribution
 ) -> float:
     """The estimator's target value under the exact noisy distribution."""
-    if estimator == "success":
-        good = sorted(success_set(ideal))
-        return float(noisy.probs[good].sum())
-    a, b = xeb_scale(ideal)
-    return float((a * ideal.probs + b) @ noisy.probs)
+    values = shot_values(ideal, estimator)
+    if estimator == "success":  # the success set's mass, summed in index order
+        return float(noisy.probs[values > 0].sum())
+    return float(values @ noisy.probs)
 
 
 @dataclass
@@ -442,7 +440,7 @@ def sweep_rows(
         for seed in seeds:
             t0 = time.perf_counter()
             try:
-                circuit = generate(BenchSpec(spec.family, spec.n, seed, spec.extras))
+                circuit = generate(replace(spec, seed=seed))
                 key = (circuit.num_qubits, circuit.num_clbits, tuple(circuit.ops))
                 if key not in pipelines:
                     try:

@@ -29,6 +29,8 @@ def test_parse_bench_forms():
     assert spec.seed == 3 and spec.extra("depth") == 4
     spec = parse_bench("bv:4:secret=101")
     assert spec.extra("secret") == "101"
+    spec = parse_bench("qpe:4:7:phase=1")
+    assert spec.seed == 7 and spec.extra("phase") == 1 and type(spec.extra("phase")) is int
 
 
 def test_parse_noise_forms():
@@ -164,13 +166,18 @@ def test_alpha_without_finite_quantile_is_a_usage_error(command, tmp_path, capsy
     assert stdout == "" and not out.exists()
 
 
-@pytest.mark.parametrize("spec", ["ghz:4:seed=3", "ghz:4:n=3", "ghz:4:family=bv",
-                                  "clifford:4:depth=abc", "ising:4:j=abc"])
-def test_bad_bench_extra_is_a_usage_error(spec, capsys):
-    code, stdout, err = run(["analyze", "--bench", spec], capsys)
+@pytest.mark.parametrize("spec", [
+    "ghz:4:seed=3", "ghz:4:n=3", "ghz:4:family=bv", "clifford:4:depth=abc", "ising:4:j=abc",
+    "xeb:4:scale=-1", "clifford:4:-1", "clifford:4:depth=2.5", "clifford:4:depth=-3",
+    "su2:4:layers=0", "ising:4:steps=-1", "xeb:4:depth=0", "ghz:4:foo=1", "ghz:4:=3",
+    "ghz:4:1:2", "xeb:4:depth=3:5", "qpe:4:phase=nan", "ghz", "ghz:4.5",
+])
+def test_bad_bench_extra_is_a_usage_error(spec, tmp_path, capsys):
+    out = tmp_path / "out"
+    code, stdout, err = run(["analyze", "--bench", spec, "--out", str(out)], capsys)
     assert code == 1
     assert err.startswith("error: InvalidSpec: ") and err.count("\n") == 1
-    assert stdout == ""
+    assert stdout == "" and not out.exists()
 
 
 def test_bad_suite_extra_is_a_usage_error(tmp_path, capsys):
@@ -180,6 +187,27 @@ def test_bad_suite_extra_is_a_usage_error(tmp_path, capsys):
     assert code == 1
     assert err == "error: InvalidSpec: clifford depth must be an integer, got 'abc'\n"
     assert stdout == ""
+
+
+@pytest.mark.parametrize("command", ["bench", "sweep"])
+@pytest.mark.parametrize("entry", [
+    {"family": "ghz", "n": 4.5, "seed": 1.9},
+    {"family": "ghz", "n": 4, "seed": -2},
+    {"family": "clifford", "n": 4, "depth": 2.5},
+    {"family": "xeb", "n": 4, "scale": -1},
+    {"family": "ghz", "n": 4, "foo": 1},
+], ids=["fractional-n-seed", "negative-seed", "fractional-depth", "negative-scale", "unknown-key"])
+def test_bad_suite_entry_exits_1_before_any_row(command, entry, tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps([{"family": "ghz", "n": 3}, entry]))
+    out = tmp_path / "out"
+    argv = [command, "--suite", f"@{suite}", "--out", str(out)]
+    if command == "sweep":
+        argv += ["--seeds", "1", "--deltas", "0.05"]
+    code, stdout, err = run(argv, capsys)
+    assert code == 1
+    assert err.startswith("error: InvalidSpec: ") and err.count("\n") == 1
+    assert stdout == "" and not out.exists()
 
 
 @pytest.mark.parametrize("grid", ["grid:-2x3", "grid:2x0"])

@@ -18,6 +18,7 @@ from qfid.estimator import (
     bernoulli_hellinger,
     estimate,
     hellinger_distance,
+    shot_values,
     stop_reason,
     success_set,
     truncate,
@@ -87,6 +88,13 @@ def test_xeb_scale_normalization():
     assert float((a * ideal.probs + b) @ ideal.probs) == pytest.approx(1.0)
     # ... and 0 under the uniform distribution
     assert float(np.mean(a * ideal.probs + b)) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_shot_values_table():
+    ideal = dist([0.6, 0.31, 0.05, 0.04])
+    assert shot_values(ideal, "success").tolist() == [1.0, 1.0, 0.0, 0.0]
+    a, b = xeb_scale(ideal)
+    assert shot_values(ideal, "xeb").tolist() == (a * ideal.probs + b).tolist()
 
 
 class StubOracle:

@@ -291,7 +291,7 @@ _FAMILIES = {
     "ising": (_ising, {"steps": Field("int", 3, low=1), "j": Field("float", 1.0),
                        "h": Field("float", 1.0), "dt": Field("float", 0.1)}),
     "su2": (_su2, {"layers": Field("int", 2, low=1)}),
-    "xeb": (_xeb, {"depth": Field("int", 2, low=1), "scale": Field("float", 0.1, low=0)}),
+    "xeb": (_xeb, {"depth": Field("int", 2, low=1), "scale": Field("float", 0.1, low=0, high=1e6)}),
 }
 FAMILIES = tuple(_FAMILIES)
 

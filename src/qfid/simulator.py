@@ -21,21 +21,26 @@ scaled by 1-p (Greenbaum, arXiv:1509.02921).  r takes half the memory of
 a complex rho, and every contraction is real.  Consecutive gates whose
 qubit sets nest are multiplied into one matrix before they touch r, so
 single-qubit gates fold into their neighbouring cx and the three cx of a
-routed SWAP cost one contraction.  r moves between two preallocated
-buffers, one copy per contraction at most.  Only the active qubits --
-those a gate or the readout touches -- are simulated, and
-``DENSITY_MAX_QUBITS`` caps their number, so a small circuit routed onto a
-large coupling map stays cheap.  A circuit without measurements reads out
-every qubit, so all of its qubits are active; a routed circuit is read out
-through ``TranspileResult.readout_circuit``, which measures its logical
-qubits.
+routed SWAP cost one contraction.  r stores only the qubits in play: a
+qubit joins r at its first contraction, as the I = Z = 1 components of
+|0><0|, and keeps only its I and Z components after its last, which is all
+the readout reads.  A stored axis thus has four entries or two, and r moves
+between two buffers as wide as the widest r the circuit needs, one copy per
+contraction at most.  Only the active qubits -- those a gate or the readout
+touches -- are simulated, and ``DENSITY_MAX_QUBITS`` caps their number, so
+a small circuit routed onto a large coupling map stays cheap.  A circuit
+without measurements reads out every qubit, so all of its qubits are
+active; a routed circuit is read out through
+``TranspileResult.readout_circuit``, which measures its logical qubits.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,8 +117,9 @@ class OutcomeDistribution:
 # -- state evolution -------------------------------------------------------
 #
 # A pure state is a (2,)*n tensor whose axis j owns qubit n-1-j, matching
-# index bit q = (x >> q) & 1.  A Pauli vector is a real (4,)*n tensor whose
-# axis j owns qubit n-1-j, indexed 0=I, 1=X, 2=Y, 3=Z.
+# index bit q = (x >> q) & 1.  A Pauli vector has one real axis per stored
+# qubit, indexed 0=I, 1=X, 2=Y, 3=Z, or 0=I, 1=Z where only the I and Z
+# components are kept; ``_Step`` records which qubit each axis holds.
 
 
 def _axes(qubits: tuple[int, ...], n: int) -> list[int]:
@@ -195,53 +201,128 @@ def _compose(
     return t.reshape(4**k, 4**k), qubits
 
 
-def _apply_ptm(
-    bufs: list[np.ndarray], order: list[int], m: np.ndarray, axes: list[int]
-) -> list[int]:
-    """Contract the PTM ``m`` into ``axes`` of the Pauli vector in ``bufs[0]``.
+class _Step(NamedTuple):
+    """One contraction of the stored Pauli vector, laid out by ``_schedule``.
 
-    The vector's axes are stored permuted: stored axis i is axis
-    ``order[i]``.  When the gate's axes are stored next to each other, the
-    vector is a stack of (4^k, rest) matrices and m multiplies each of them
-    from the left, straight into the spare buffer ``bufs[1]``.  Otherwise one
-    copy into the spare buffer moves them to the front first.  m's rows and
-    columns are permuted to the stored order of its axes, never the vector.
-    Returns the new storage order, with ``bufs[0]`` holding the result.
+    ``copy`` is None, or (size, shape, perm, target size, target shape): the
+    stored vector, seen as ``shape`` and transposed by ``perm``, is copied
+    into the spare buffer seen as ``target``; each joining qubit's one-entry
+    axis fills its I and Z entries.  Then ``m`` multiplies each (columns,
+    post) matrix of the (pre, columns, post) stack ``shape``.  ``order`` and
+    ``dims`` are the stored qubits, most significant first, and their entry
+    counts after the step.
     """
-    k, n = len(axes), len(order)
-    pos = sorted(order.index(a) for a in axes)
-    if pos[-1] - pos[0] != k - 1:
-        new = [order[i] for i in pos] + [a for a in order if a not in axes]
-        stored = bufs[0].reshape((4,) * n).transpose([order.index(a) for a in new])
-        np.copyto(bufs[1].reshape((4,) * n), stored)
+
+    copy: tuple | None
+    m: np.ndarray
+    shape: tuple[int, int, int]
+    order: tuple[int, ...]
+    dims: tuple[int, ...]
+
+
+_PICK = {4: slice(None), 2: slice(None, None, 3)}  # an axis's d stored entries among I, X, Y, Z
+
+
+def _schedule(contractions: list[tuple[np.ndarray, tuple[int, ...]]]) -> tuple[list[_Step], int]:
+    """Lay out ``contractions`` on a vector that stores only the qubits in play.
+
+    A qubit is stored from its first contraction on.  Before it, it is still
+    |0><0|, whose I and Z components are 1 and X and Y 0: it joins as an axis
+    of two entries, both a copy of the vector, and the PTM reads only its I
+    and Z columns.  At its last contraction the PTM writes only its I and Z
+    rows, which are all the readout needs, so from then on its axis keeps two
+    entries.  A live axis has four.  Stored axes follow one reference order
+    of the qubits, the highest first as in a full vector, and a joining
+    qubit takes its place in it; so on a linear map a gate's axes are stored
+    next to each other.  Axes stored apart are gathered to the front, and
+    the reference order follows.  Each step copies the vector once at most.
+    Returns the steps and the widest vector, in floats.
+    """
+    last = {q: s for s, (_, qubits) in enumerate(contractions) for q in qubits}
+    ref = sorted(last, reverse=True)  # the order stored axes keep; the highest qubit leads
+    order: list[int] = []
+    dims: list[int] = []
+    size = width = 1
+    steps = []
+    for s, (m, qubits) in enumerate(contractions):
+        gate = list(reversed(qubits))  # m's digits, most significant first
+        k = len(gate)
+        new = [q for q in gate if q not in order]
+        stored = [q for q in ref if q in order or q in qubits] if new else order
+        pos = [stored.index(q) for q in qubits]
+        at = min(pos)
+        if max(pos) - at != k - 1:  # the gate's axes lie apart: gather them at the front
+            ref = [q for q in ref if q in qubits] + [q for q in ref if q not in qubits]
+            stored = [q for q in ref if q in order or q in qubits]
+            at = 0
+        copy = None
+        if stored != order:
+            perm = tuple(order.index(q) if q in order else len(order) + new.index(q)
+                         for q in stored)
+            shape = (*dims, *[1] * len(new))
+            dims = [dims[i] if i < len(order) else 2 for i in perm]
+            copy = (size, shape, perm, size << len(new), tuple(dims))
+            order = stored
+            size <<= len(new)
+        lead = order[at : at + k]
+        din = dims[at : at + k]
+        dout = [2 if last[q] == s else 4 for q in lead]
+        cols, rows = math.prod(din), math.prod(dout)
+        if lead != gate or cols * rows != 16**k:  # m's rows and columns in stored order
+            digits = [gate.index(q) for q in lead]
+            picked = tuple(_PICK[d] for d in dout + din)
+            t = m.reshape((4,) * (2 * k)).transpose(digits + [k + i for i in digits])[picked]
+            m = np.ascontiguousarray(t.reshape(rows, cols))
+        pre = math.prod(dims[:at])
+        post = size // (pre * cols)
+        if copy or din != dout:  # the layout moved
+            dims[at : at + k] = dout
+            layout = tuple(order), tuple(dims)
+        steps.append(_Step(copy, m, (pre, cols, post), *layout))
+        width = max(width, size, pre * rows * post)
+        size = pre * rows * post
+    return steps, width
+
+
+def _contract(bufs: list[np.ndarray], step: _Step) -> None:
+    """Apply one step to the Pauli vector in ``bufs[0]``, leaving the result there.
+
+    The vector moves to the spare buffer ``bufs[1]`` for the copy, if the
+    step has one, and again for the product, which multiplies each (columns,
+    post) matrix of the stack from the left.
+    """
+    if step.copy is not None:
+        size, shape, perm, target_size, target = step.copy
+        src = bufs[0][:size].reshape(shape).transpose(perm)
+        np.copyto(bufs[1][:target_size].reshape(target), src)
         bufs.reverse()
-        order, pos = new, list(range(k))
-    lead = order[pos[0] : pos[0] + k]
-    if lead != axes:
-        perm = [axes.index(a) for a in lead]
-        m = m.reshape((4,) * (2 * k)).transpose(perm + [k + i for i in perm]).reshape(4**k, -1)
-    src = bufs[0].reshape(4 ** pos[0], 4**k, -1)
-    dst = bufs[1].reshape(src.shape)
-    if src.shape[2] == 1:  # trailing axes: one product on the right
+    m, (pre, cols, post) = step.m, step.shape
+    src = bufs[0][: pre * cols * post].reshape(pre, cols, post)
+    dst = bufs[1][: pre * len(m) * post].reshape(pre, len(m), post)
+    if post == 1:  # trailing axes: one product on the right
         np.matmul(src[:, :, 0], m.T, out=dst[:, :, 0])
     else:
         np.matmul(m, src, out=dst)
     bufs.reverse()
-    return order
 
 
-def _diagonal(vec: np.ndarray, order: list[int]) -> np.ndarray:
-    """Diagonal of rho from its Pauli vector, whose stored axis i is ``order[i]``.
+def _diagonal(vec: np.ndarray, order: tuple[int, ...], dims: tuple[int, ...], n: int) -> np.ndarray:
+    """Diagonal of rho over n qubits from its Pauli vector, stored as ``_Step`` says.
 
     Tr(|x><x| rho) with |b><b| = (I + (-1)^b Z)/2 per qubit: the I and Z
     slice of the vector, contracted with [[1, 1], [1, -1]]/2 on every axis.
+    A qubit not stored is still |0><0|, whose I and Z components are 1: its
+    bit reads 0, exactly.
     """
-    n = len(order)
-    iz = vec.reshape((4,) * n).transpose(np.argsort(order))[(slice(None, None, 3),) * n]
+    iz = vec[: math.prod(dims)].reshape(dims)[tuple(slice(None, None, d - 1) for d in dims)]  # I, Z
+    qubits = sorted(order, reverse=True)  # axis j of the result holds the j-th highest qubit
+    iz = iz.transpose([order.index(q) for q in qubits])
     h = np.array([[0.5, 0.5], [0.5, -0.5]])
-    for axis in range(n):
+    for axis in range(len(qubits)):
         iz = _apply_matrix(iz, h, [axis])
-    return iz.reshape(-1)
+    out = np.zeros((2,) * n)
+    out[tuple(slice(None) if q in order else 0 for q in reversed(range(n)))] = iz
+    return out.reshape(-1)
 
 
 def _readout_plan(c: Circuit) -> list[tuple[int, int]]:
@@ -311,34 +392,23 @@ def _apply_readout_flips(qprobs: np.ndarray, qubits: list[int], p_ro: float) -> 
     return probs
 
 
-def noisy_distribution(c: Circuit, nm: NoiseModel) -> OutcomeDistribution:
-    """Exact outcome distribution under depolarizing + readout noise.
+def _blocks(
+    gates: list[Gate], local: dict[int, int], nm: NoiseModel
+) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """The circuit's contractions, in order: one (PTM, local qubits) per block.
 
-    Only the active qubits -- those a gate or the readout touches -- are
-    simulated, renumbered in order.  PTMs wait in open blocks: a gate's
-    PTM is multiplied onto each open block whose qubits hold, or are held
-    by, its own, and every other open block it overlaps is applied to the
-    Pauli vector first.  So the vector takes one contraction per block
-    rather than per gate, and no block spans more qubits than one gate.
-    Every gate on a qubit that the vector has not seen sits in that qubit's
-    block, in order, and blocks on disjoint qubits commute, so this is
-    exact.  The vector lives in two buffers of 4^n floats and nothing else
-    of its size is allocated.
+    PTMs wait in open blocks: a gate's PTM is multiplied onto each open
+    block whose qubits hold, or are held by, its own, and every other open
+    block it overlaps is emitted first.  So the vector takes one contraction
+    per block rather than per gate, and no block spans more qubits than one
+    gate.  Every gate on a qubit that the vector has not seen sits in that
+    qubit's block, in order, and blocks on disjoint qubits commute, so this
+    is exact.
     """
-    plan = _readout_plan(c)
-    active = sorted({q for g in c.gates for q in g.qubits} | {q for q, _ in plan})
-    n = len(active)
-    if n > DENSITY_MAX_QUBITS:
-        raise TooManyQubits(
-            f"{n} active qubits exceeds density-matrix cap {DENSITY_MAX_QUBITS}"
-        )
-    local = {q: i for i, q in enumerate(active)}
-    bufs = [np.zeros(4**n), np.empty(4**n)]
-    bufs[0].reshape((4,) * n)[(slice(None, None, 3),) * n] = 1.0  # |0><0| = (I + Z)/2 per qubit
-    order = list(range(n))
+    contractions = []
     blocks: dict[int, tuple] = {}  # local qubit -> (PTM, qubits) of its open block
     ptms: dict[tuple, np.ndarray] = {}  # (kind, params) -> PTM; most gates repeat
-    for gate in c.gates:
+    for gate in gates:
         qubits = tuple(local[q] for q in gate.qubits)
         key = (gate.kind, gate.params)
         if key not in ptms:
@@ -349,13 +419,40 @@ def noisy_distribution(c: Circuit, nm: NoiseModel) -> OutcomeDistribution:
             if set(early_q) <= set(qubits) or set(qubits) <= set(early_q):
                 r, qubits = _compose(r, qubits, early, early_q)
             else:
-                order = _apply_ptm(bufs, order, early, _axes(early_q, n))
+                contractions.append((early, early_q))
             for q in early_q:
                 del blocks[q]
         blocks.update((q, (r, qubits)) for q in qubits)
-    for r, qubits in {b[1]: b for b in blocks.values()}.values():  # each block once
-        order = _apply_ptm(bufs, order, r, _axes(qubits, n))
-    qprobs = _diagonal(bufs[0], order)
+    contractions.extend({b[1]: b for b in blocks.values()}.values())  # each block once
+    return contractions
+
+
+def noisy_distribution(c: Circuit, nm: NoiseModel) -> OutcomeDistribution:
+    """Exact outcome distribution under depolarizing + readout noise.
+
+    Only the active qubits -- those a gate or the readout touches -- are
+    simulated, renumbered in order.  ``_blocks`` plans the contractions and
+    ``_schedule`` lays them out: a qubit joins the Pauli vector at its first
+    contraction and keeps only its I and Z components after its last, and a
+    measured qubit no gate touches joins only at readout.  The vector lives
+    in two buffers as wide as the widest vector any step holds, at most 4^n
+    floats, and nothing else of that size is allocated.
+    """
+    plan = _readout_plan(c)
+    active = sorted({q for g in c.gates for q in g.qubits} | {q for q, _ in plan})
+    n = len(active)
+    if n > DENSITY_MAX_QUBITS:
+        raise TooManyQubits(
+            f"{n} active qubits exceeds density-matrix cap {DENSITY_MAX_QUBITS}"
+        )
+    local = {q: i for i, q in enumerate(active)}
+    steps, width = _schedule(_blocks(c.gates, local, nm))
+    bufs = [np.empty(width), np.empty(width)]
+    bufs[0][0] = 1.0  # no qubit stored: the vector is r_I = Tr(rho)
+    for step in steps:
+        _contract(bufs, step)
+    order, dims = (steps[-1].order, steps[-1].dims) if steps else ((), ())
+    qprobs = _diagonal(bufs[0], order, dims, n)
     qprobs = qprobs / qprobs.sum()  # the channels preserve trace; drop rounding drift
     plan = [(local[q], clbit) for q, clbit in plan]
     qprobs = _apply_readout_flips(qprobs, [q for q, _ in plan], nm.p_ro)

@@ -206,20 +206,22 @@ def test_criterion_4_simulator_exactness():
     uniform = noisy_distribution(c, NoiseModel(p1=1.0))
     depol_err = float(np.abs(uniform.probs - 0.5).max())
 
-    from qfid.simulator import _apply_ptm, _axes, _diagonal, _ptm
+    from qfid.simulator import _contract, _diagonal, _ptm, _schedule
 
     # the Pauli vector of noisy_distribution, one gate at a time: its identity
     # component r_I and the sum of the diagonal it reads out are both Tr(rho)
     qft6 = generate(BenchSpec.make("qft", 6))
     n = qft6.num_qubits
-    bufs = [np.zeros(4**n), np.empty(4**n)]
-    bufs[0].reshape((4,) * n)[(slice(None, None, 3),) * n] = 1.0
-    order = list(range(n))
+    steps, width = _schedule([
+        (_ptm(gate_unitary(op), NOISE.p1 if len(op.qubits) == 1 else NOISE.p2), op.qubits)
+        for op in qft6.gates
+    ])
+    bufs = [np.zeros(width), np.empty(width)]
+    bufs[0][0] = 1.0
     worst_trace = 0.0
-    for op in qft6.gates:
-        m = _ptm(gate_unitary(op), NOISE.p1 if len(op.qubits) == 1 else NOISE.p2)
-        order = _apply_ptm(bufs, order, m, _axes(op.qubits, n))
-        diag_sum = float(_diagonal(bufs[0], order).sum())
+    for step in steps:
+        _contract(bufs, step)
+        diag_sum = float(_diagonal(bufs[0], step.order, step.dims, n).sum())
         worst_trace = max(worst_trace, abs(bufs[0][0] - 1.0), abs(diag_sum - 1.0))
 
     passed = ghz_err <= 1e-12 and depol_err <= 1e-12 and worst_trace <= 1e-10

@@ -136,6 +136,7 @@ def test_extras_roundtrip_in_label():
     ("ghz", 4, 0, {"": 3}),
     ("ghz", 4, 0, {"seed": 3}),
     ("xeb", 4, 0, {"steps": 3}),  # another family's extra
+    ("xeb", 4, 0, {"scale": 1e308}),  # 2*scale*pi overflows the angle draw
 ])
 def test_make_rejects_bad_fields(family, n, seed, extras):
     with pytest.raises(InvalidSpec):

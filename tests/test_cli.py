@@ -170,7 +170,7 @@ def test_alpha_without_finite_quantile_is_a_usage_error(command, tmp_path, capsy
     "ghz:4:seed=3", "ghz:4:n=3", "ghz:4:family=bv", "clifford:4:depth=abc", "ising:4:j=abc",
     "xeb:4:scale=-1", "clifford:4:-1", "clifford:4:depth=2.5", "clifford:4:depth=-3",
     "su2:4:layers=0", "ising:4:steps=-1", "xeb:4:depth=0", "ghz:4:foo=1", "ghz:4:=3",
-    "ghz:4:1:2", "xeb:4:depth=3:5", "qpe:4:phase=nan", "ghz", "ghz:4.5",
+    "ghz:4:1:2", "xeb:4:depth=3:5", "qpe:4:phase=nan", "ghz", "ghz:4.5", "xeb:4:scale=1e308",
 ])
 def test_bad_bench_extra_is_a_usage_error(spec, tmp_path, capsys):
     out = tmp_path / "out"
@@ -196,7 +196,9 @@ def test_bad_suite_extra_is_a_usage_error(tmp_path, capsys):
     {"family": "clifford", "n": 4, "depth": 2.5},
     {"family": "xeb", "n": 4, "scale": -1},
     {"family": "ghz", "n": 4, "foo": 1},
-], ids=["fractional-n-seed", "negative-seed", "fractional-depth", "negative-scale", "unknown-key"])
+    {"family": "xeb", "n": 4, "scale": 1e308},
+], ids=["fractional-n-seed", "negative-seed", "fractional-depth", "negative-scale", "unknown-key",
+        "huge-scale"])
 def test_bad_suite_entry_exits_1_before_any_row(command, entry, tmp_path, capsys):
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps([{"family": "ghz", "n": 3}, entry]))
@@ -623,7 +625,7 @@ def test_default_sweep_pinned(tmp_path):
     stop_reason = SWEEP_COLUMNS.split(",").index("stop_reason")
     assert len(rows) == 216
     assert all(row.split(",")[stop_reason] == "ci_met" for row in rows)
-    digest = "710d6b2b4fb0d050fa1407c3bedec7b6c7ae17475cda7c2a309b496e53c50c74"
+    digest = "c03bcc2908d02e9987f116bdd18f3ec2759e2f0eedc8463ab227649f9c23c3ba"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

@@ -191,17 +191,19 @@ def test_density_trace_preserved_gate_by_gate():
     # the Pauli vector that noisy_distribution evolves, stepped one gate at a time;
     # it is real, so the rho it stands for is Hermitian by construction
     c = generate(BenchSpec.make("qft", 4))
-    from qfid.simulator import _apply_ptm, _axes, _diagonal, _ptm
+    from qfid.simulator import _contract, _diagonal, _ptm, _schedule
 
     nm = NoiseModel(p1=1e-3, p2=1e-2)
     n = c.num_qubits
-    bufs = [np.zeros(4**n), np.empty(4**n)]
-    bufs[0].reshape((4,) * n)[(slice(None, None, 3),) * n] = 1.0
-    order = list(range(n))
-    for op in c.gates:
-        m = _ptm(gate_unitary(op), nm.p1 if len(op.qubits) == 1 else nm.p2)
-        order = _apply_ptm(bufs, order, m, _axes(op.qubits, n))
-        diag = _diagonal(bufs[0], order)
+    steps, width = _schedule([
+        (_ptm(gate_unitary(op), nm.p1 if len(op.qubits) == 1 else nm.p2), op.qubits)
+        for op in c.gates
+    ])
+    bufs = [np.zeros(width), np.empty(width)]
+    bufs[0][0] = 1.0
+    for step in steps:
+        _contract(bufs, step)
+        diag = _diagonal(bufs[0], step.order, step.dims, n)
         assert abs(bufs[0][0] - 1.0) < 1e-10  # r_I = Tr(rho)
         assert abs(diag.sum() - 1.0) < 1e-10
         assert diag.min() > -1e-12
@@ -280,6 +282,64 @@ def test_fused_simulator_matches_dense_oracle():
             got = noisy_distribution(c, nm).probs
             assert np.abs(got - dense_noisy_oracle(c, nm)).max() <= 1e-12, (seed, p)
     assert {"ccx", "swap", "cz"} <= kinds
+
+
+def windowed_circuit(seed: int) -> Circuit:
+    """1-5 qubits, each gated only inside its own window of the gate sequence.
+
+    A window may open late, close early or be empty, so qubits join the Pauli
+    vector late, retire early or are never gated; every fifth seed has no
+    gates, and odd seeds measure a random subset (idle qubits included)
+    while even ones measure nothing and so read out every qubit.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    length = 0 if seed % 5 == 0 else int(rng.integers(4, 20))
+    windows = [sorted(int(t) for t in rng.integers(0, length + 1, size=2)) for _ in range(n)]
+    pool = [("h", 1, 0), ("ry", 1, 1), ("u", 1, 3), ("cx", 2, 0), ("swap", 2, 0), ("ccx", 3, 0)]
+    measured = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False) if seed % 2 else []
+    c = Circuit(n, len(measured))
+    for t in range(length):
+        free = [q for q, (lo, hi) in enumerate(windows) if lo <= t < hi]
+        fits = [entry for entry in pool if entry[1] <= len(free)]
+        if fits:
+            kind, width, npar = fits[int(rng.integers(len(fits)))]
+            qubits = [int(q) for q in rng.choice(free, size=width, replace=False)]
+            c.add(kind, qubits, rng.uniform(-np.pi, np.pi, size=npar))
+    for clbit, q in enumerate(measured):
+        c.measure(int(q), clbit)
+    return c
+
+
+def test_joining_and_retiring_qubits_match_dense_oracle():
+    seen = set()
+    for seed in range(60):
+        c = windowed_circuit(seed)
+        first, last = {}, {}  # qubit -> index of its first and last gate
+        for i, g in enumerate(c.gates):
+            for q in g.qubits:
+                first.setdefault(q, i)
+                last[q] = i
+        measured = {m.qubit for m in c.measures}
+        seen |= {g.kind for g in c.gates}
+        if not c.gates:
+            seen.add("no gates")
+        if not c.measures:
+            seen.add("no measure")
+        if any(i > 0 for i in first.values()):
+            seen.add("joins late")
+        if any(i < len(c.gates) - 1 for i in last.values()):
+            seen.add("retires early")
+        if measured - set(first):
+            seen.add("measured, never gated")
+        if measured and set(first) - measured:
+            seen.add("gated, never measured")
+        for p in (0.0, 1e-2, 1.0):
+            nm = NoiseModel(p1=p, p2=p, p_ro=0.05 if seed % 2 else 0.0)
+            got = noisy_distribution(c, nm).probs
+            assert np.abs(got - dense_noisy_oracle(c, nm)).max() <= 1e-12, (seed, p)
+    assert seen >= {"h", "ry", "u", "cx", "swap", "ccx", "no gates", "no measure", "joins late",
+                    "retires early", "measured, never gated", "gated, never measured"}
 
 
 def test_idle_qubits_leave_distribution_unchanged():
@@ -435,13 +495,13 @@ def _counting_contractions(monkeypatch):
     import qfid.simulator as simulator
 
     calls = []
-    original = simulator._apply_ptm
+    original = simulator._contract
 
-    def counted(bufs, order, m, axes):
-        calls.append(len(axes))
-        return original(bufs, order, m, axes)
+    def counted(bufs, step):
+        calls.append(step)
+        return original(bufs, step)
 
-    monkeypatch.setattr(simulator, "_apply_ptm", counted)
+    monkeypatch.setattr(simulator, "_contract", counted)
     return calls
 
 
@@ -486,6 +546,36 @@ def test_nested_blocks_match_dense_oracle(case, monkeypatch):
         got = noisy_distribution(c, nm).probs
         assert np.abs(got - dense_noisy_oracle(c, nm)).max() <= 1e-12, (case, p)
         assert len(calls) == contractions
+
+
+def test_staircase_stores_a_fraction_of_the_pauli_vector(monkeypatch):
+    # between contractions a cx staircase keeps one qubit live: the others
+    # have not joined yet or keep only their I and Z components
+    import tracemalloc
+
+    n = 10
+    c = Circuit(n, n)
+    c.add("h", (0,))
+    for q in range(n - 1):
+        c.add("cx", (q, q + 1))
+    for q in range(n):
+        c.measure(q, q)
+    nm = NoiseModel(p1=1e-3, p2=1e-2, p_ro=1e-2)
+    steps = _counting_contractions(monkeypatch)
+    tracemalloc.start()
+    try:
+        noisy_distribution(c, nm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    widest = max(pre * max(len(step.m), cols) * post for step in steps
+                 for pre, cols, post in [step.shape])
+    assert widest == 4 * 2 ** (n - 1)
+    touched = sum(pre * (len(step.m) + cols) * post for step in steps
+                  for pre, cols, post in [step.shape])  # read plus written
+    assert touched <= 0.01 * len(steps) * 4**n
+    # two buffers of the widest vector, and the readout's arrays of 2^n outcomes
+    assert peak <= 2.25 * widest * 8 + 16 * 2**n * 8
 
 
 def test_noisy_peak_memory_is_two_pauli_vectors():

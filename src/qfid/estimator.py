@@ -14,7 +14,10 @@ estimate.  Two value semantics are available:
   share one linear scale.
 
 Sampling stops once z_alpha * sigma / sqrt(|T|) <= delta (after a minimum
-number of batches), or when the shot cap is reached.
+number of batches), or when the shot cap is reached.  The loop reads shots
+in chunks of whole batches, doubling the shots drawn each time, and looks
+at every batch of a chunk in order; it may draw past its stop point, up to
+the shots it used and never past the cap.
 """
 
 from __future__ import annotations
@@ -63,6 +66,10 @@ class PlanConfig:
             raise DomainError(f"alpha must exceed 2**-53, got {self.alpha}")
         if self.batch_min < 1:
             raise DomainError(f"batch_min must be >= 1, got {self.batch_min}")
+        if self.min_batches_before_stop < 1:
+            raise DomainError(
+                f"min_batches_before_stop must be >= 1, got {self.min_batches_before_stop}"
+            )
         if self.p_max < self.batch_min:
             raise DomainError("p_max must be at least batch_min")
         if self.estimator not in ("success", "xeb"):
@@ -190,7 +197,17 @@ def estimate(
     cfg: PlanConfig,
     batch: int,
 ) -> EstimationTrace:
-    """Run the adaptive loop until the CI criterion or the shot cap."""
+    """Run the adaptive loop until the CI criterion or the shot cap.
+
+    Shots are read in chunks of whole batches, each one ``oracle.sample``
+    call: first ``min_batches_before_stop`` batches, since no stop comes
+    earlier, then as many batches as were drawn so far.  A chunk's
+    statistics are computed as arrays, batch for batch as a loop over its
+    batches would compute them, and the loop stops at the first batch where
+    the stop rule holds.  The shots drawn past that batch are dropped: at
+    most as many as the trace used, and never past ``ceil(p_max / batch)``
+    batches in all.
+    """
     if batch < 1:
         raise EstimationError(f"batch must be >= 1, got {batch}")
     if oracle.num_bits != ideal.num_bits:
@@ -199,45 +216,58 @@ def estimate(
         )
     z = cfg.z_alpha
     value_of = shot_values(ideal, cfg.estimator)
+    cap = -(-cfg.p_max // batch)
 
-    batches: list[BatchStat] = []
-    total = 0
+    chunks: list[tuple[np.ndarray, ...]] = []
+    drawn = 0
     running_sum = 0.0
     running_sumsq = 0.0
     while True:
-        values = value_of[oracle.sample(batch)]
-        batch_sum = float(values.sum())
-        total += batch
-        running_sum += batch_sum
-        running_sumsq += float(np.square(values).sum())
-        mean = running_sum / total
-        if total > 1:
-            var = max(0.0, (running_sumsq - total * mean * mean) / (total - 1))
-        else:
-            var = 0.0
-        std = math.sqrt(var)
-        stat = BatchStat(
-            index=len(batches),
-            size=batch,
-            batch_mean=batch_sum / batch,
-            cum_mean=mean,
-            cum_std=std,
-            ci=z * std / math.sqrt(total),
-            total_shots=total,
-        )
-        batches.append(stat)
-        reason = stop_reason(stat, cfg)
-        if reason:
-            return _stopped(batch, cfg, batches, reason)
+        k = min(max(drawn, cfg.min_batches_before_stop), cap - drawn)
+        values = value_of[oracle.sample(k * batch)].reshape(k, batch)
+        # each row sums pairwise, as a batch's own sum does; the cumsum then
+        # adds left to right onto the total so far, as a running sum does
+        batch_sum = values.sum(axis=1)
+        cum_sum = np.cumsum(np.concatenate(([running_sum], batch_sum)))[1:]
+        cum_sumsq = np.cumsum(
+            np.concatenate(([running_sumsq], np.square(values).sum(axis=1)))
+        )[1:]
+        index = np.arange(drawn, drawn + k)
+        total = (index + 1) * batch
+        mean = cum_sum / total
+        var = (cum_sumsq - total * mean * mean) / np.maximum(total - 1, 1)
+        std = np.sqrt(np.where((total > 1) & (var > 0.0), var, 0.0))
+        ci = z * std / np.sqrt(total)
+        chunks.append((batch_sum / batch, mean, std, ci, total))
+        ci_met, cap_reached = _stop_flags(ci, index, total, cfg)
+        stops = ci_met | cap_reached
+        if stops.any():
+            row = int(stops.argmax())
+            reason = "ci_met" if ci_met[row] else "cap_reached"
+            break
+        drawn += k
+        running_sum = float(cum_sum[-1])
+        running_sumsq = float(cum_sumsq[-1])
+
+    used = drawn + row + 1
+    columns = [np.concatenate(column)[:used].tolist() for column in zip(*chunks)]
+    batches = [BatchStat(i, batch, *row_stats) for i, row_stats in enumerate(zip(*columns))]
+    return _stopped(batch, cfg, batches, reason)
+
+
+def _stop_flags(ci, index, total_shots, cfg: PlanConfig):
+    """The stop rule after batch ``index``: (ci_met, cap_reached).
+
+    Elementwise, so it reads one batch's scalars or a run of batches' arrays.
+    """
+    ci_met = (ci <= cfg.delta) & (index + 1 >= cfg.min_batches_before_stop)
+    return ci_met, total_shots >= cfg.p_max
 
 
 def stop_reason(stat: BatchStat, cfg: PlanConfig) -> str:
     """Why sampling stops after this batch: ``ci_met``, ``cap_reached`` or ""."""
-    if stat.ci <= cfg.delta and stat.index + 1 >= cfg.min_batches_before_stop:
-        return "ci_met"
-    if stat.total_shots >= cfg.p_max:
-        return "cap_reached"
-    return ""
+    ci_met, cap_reached = _stop_flags(stat.ci, stat.index, stat.total_shots, cfg)
+    return "ci_met" if ci_met else "cap_reached" if cap_reached else ""
 
 
 def _stopped(

@@ -233,6 +233,9 @@ def test_plan_config_validation():
         PlanConfig(p_max=5, batch_min=10)
     with pytest.raises(DomainError):
         PlanConfig(estimator="other")
+    for min_batches in (0, -1):
+        with pytest.raises(DomainError):
+            PlanConfig(min_batches_before_stop=min_batches)
 
 
 def test_hellinger_examples():
@@ -357,13 +360,20 @@ def _bitstring_loop(oracle, ideal, cfg, batch):
     zeros=st.floats(0.0, 0.9),
     batch=st.integers(1, 60),
     p_max=st.integers(1, 4000),
+    min_batches=st.integers(1, 4),
     estimator=st.sampled_from(["success", "xeb"]),
     delta=st.floats(0.005, 0.3),
     seed=st.integers(0, 2**16),
 )
-@example(num_bits=6, zeros=0.0, batch=1, p_max=300, estimator="xeb", delta=0.01, seed=0)
-def test_index_shots_match_bitstring_loop(num_bits, zeros, batch, p_max, estimator, delta, seed):
-    """Index shots give the bitstring loop's trace, BatchStat for BatchStat."""
+@example(num_bits=6, zeros=0.0, batch=1, p_max=300, min_batches=2, estimator="xeb",
+         delta=0.01, seed=0)
+@example(num_bits=3, zeros=0.0, batch=50, p_max=20, min_batches=3, estimator="success",
+         delta=0.01, seed=5)  # p_max < batch: one batch, cut short of min_batches
+def test_index_shots_match_bitstring_loop(
+    num_bits, zeros, batch, p_max, min_batches, estimator, delta, seed
+):
+    """Index shots in chunks give the per-batch bitstring loop's trace, BatchStat
+    for BatchStat, wherever the chunk edges fall."""
     rng = np.random.default_rng(seed)
     dim = 2**num_bits
     ideal_w = rng.random(dim) * (rng.random(dim) >= zeros)
@@ -373,8 +383,48 @@ def test_index_shots_match_bitstring_loop(num_bits, zeros, batch, p_max, estimat
     ideal, noisy = dist(ideal_w / ideal_w.sum()), dist(noisy_w / noisy_w.sum())
     if estimator == "xeb" and abs(dim * float(np.square(ideal.probs).sum()) - 1.0) < 1e-9:
         return  # xeb is undefined on a uniform ideal
-    cfg = PlanConfig(delta=delta, p_max=p_max, batch_min=1, estimator=estimator)
+    cfg = PlanConfig(delta=delta, p_max=p_max, batch_min=1,
+                     min_batches_before_stop=min_batches, estimator=estimator)
     trace = estimate(DistributionOracle(noisy, seed), ideal, cfg, batch)
     batches, reason = _bitstring_loop(_BitstringOracle(noisy, seed), ideal, cfg, batch)
     assert trace.batches == batches
     assert trace.stop_reason == reason
+
+
+class _CountingOracle(DistributionOracle):
+    """A distribution oracle that counts the shots it is asked for."""
+
+    requested = 0
+
+    def sample(self, batch_size: int):
+        self.requested += batch_size
+        return super().sample(batch_size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    weights=st.lists(st.integers(0, 40), min_size=4, max_size=4).filter(any),
+    batch=st.integers(1, 60),
+    min_batches=st.integers(1, 6),
+    p_max=st.integers(1, 5000),
+    estimator=st.sampled_from(["success", "xeb"]),
+    delta=st.floats(0.002, 0.3),
+    seed=st.integers(0, 2**16),
+)
+@example(weights=[0, 1, 0, 0], batch=20, min_batches=3, p_max=10_000, estimator="success",
+         delta=0.01, seed=0)  # a point mass: ci is 0, the stop comes at min_batches
+@example(weights=[5, 5, 5, 5], batch=20, min_batches=2, p_max=990, estimator="success",
+         delta=0.0001, seed=1)  # the cap, not a batch multiple
+def test_draw_ahead_is_bounded(weights, batch, min_batches, p_max, estimator, delta, seed):
+    """The loop asks for at most twice the shots it uses, never past the cap,
+    and for exactly the shots it uses when it stops at ``min_batches``."""
+    ideal = dist([0.4, 0.3, 0.2, 0.1])
+    noisy = dist(np.array(weights) / sum(weights))
+    cfg = PlanConfig(delta=delta, p_max=p_max, batch_min=1,
+                     min_batches_before_stop=min_batches, estimator=estimator)
+    oracle = _CountingOracle(noisy, seed)
+    trace = estimate(oracle, ideal, cfg, batch)
+    cap_shots = -(-p_max // batch) * batch
+    assert trace.shots_used <= oracle.requested <= min(2 * trace.shots_used, cap_shots)
+    if len(trace.batches) == min_batches:
+        assert oracle.requested == trace.shots_used

@@ -391,12 +391,22 @@ def test_oracle_determinism():
 
 
 def test_oracle_stream_does_not_depend_on_batching():
-    # run_estimate re-draws an estimate's shots in one call for its outcome bias
+    # estimate draws its shots in chunks of batches, and run_estimate re-draws
+    # them in one call for its outcome bias
     c = generate(BenchSpec.make("ghz", 3))
     nm = NoiseModel(p1=1e-3, p2=1e-2, p_ro=1e-2)
     batched = make_oracle(c, nm, seed=4)
     drawn = np.concatenate([batched.sample(size) for size in (1, 7, 20, 33)])
     assert np.array_equal(drawn, make_oracle(c, nm, seed=4).sample(61))
+    rng = np.random.default_rng(0)
+    weights = rng.random(8)
+    dist = OutcomeDistribution(3, weights / weights.sum())
+    whole = DistributionOracle(dist, seed=8).sample(500)
+    for _ in range(20):  # random splits of the same 500 shots
+        cuts = np.sort(rng.choice(np.arange(1, 500), size=rng.integers(1, 30), replace=False))
+        split = DistributionOracle(dist, seed=8)
+        parts = [split.sample(int(size)) for size in np.diff([0, *cuts, 500])]
+        assert np.array_equal(np.concatenate(parts), whole)
 
 
 def test_oracle_draws_pinned():

@@ -16,7 +16,7 @@ from .qasm import emit_qasm, parse_qasm
 from .report import analyze_circuit, run_estimate
 from .simulator import NoiseModel, ideal_distribution, make_oracle, noisy_distribution
 from .spectral import build_kernel, spectral_complexity, top_eigenvalues
-from .transpile import CouplingMap, decompose_to_basis, route, transpile
+from .transpile import CouplingMap, transpile
 
 __version__ = "0.1.0"
 
@@ -32,7 +32,6 @@ __all__ = [
     "build_dag",
     "build_kernel",
     "circuit_depth",
-    "decompose_to_basis",
     "default_suite",
     "deformation_report",
     "degree_histogram",
@@ -46,7 +45,6 @@ __all__ = [
     "make_oracle",
     "noisy_distribution",
     "parse_qasm",
-    "route",
     "run_estimate",
     "spectral_complexity",
     "top_eigenvalues",

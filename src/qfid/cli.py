@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 parse or usage error, 2 transpile/layout error,
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -158,6 +159,16 @@ def _kernel_config(args) -> KernelConfig:
         return KernelConfig(self_loop=args.self_loop, fanin_quantile=args.fanin_quantile)
     except SpectralError as exc:
         raise CliError(str(exc), EXIT_PARSE) from None
+
+
+def _check_output_dirs(args) -> None:
+    """Raise the error ``open`` would, before any work, if the directory of
+    ``--out`` (or of analyze's ``--dot``) is missing or not a directory."""
+    for path in (getattr(args, "out", None), getattr(args, "dot", None)):
+        parent = os.path.dirname(path) if path else ""
+        if parent and not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+            raise OSError(code, os.strerror(code), path)
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -429,6 +440,7 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        _check_output_dirs(args)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

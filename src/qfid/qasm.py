@@ -2,7 +2,7 @@
 
 Supported grammar (whitespace and // comments between any tokens):
 
-    program := "OPENQASM 2.0;" include? decl* stmt*
+    program := "OPENQASM 2.0;" include? (decl | stmt)*
     include := "include" STRING ";"
     decl    := ("qreg" | "creg") ID "[" INT "]" ";"
     stmt    := ID params? args ";"              (gate application)
@@ -23,6 +23,11 @@ grammar reads anything but an argument or a declaration there, the parser
 splits it back into the id, "[", number and "]" tokens it stands for, so
 every other spelling and every error reads as it would token by token.
 
+A register is declared before its first use, as OpenQASM 2.0 requires, so
+each statement is lowered into the circuit as soon as it is read, and the
+first error in source order is raised.  Within a statement, syntax comes
+first, then the gate name, the counts, registers, widths and duplicates.
+
 Gate applications on whole registers broadcast to per-index gates; a
 whole-register ``measure q -> c`` expands pairwise.  Error taxonomy:
 syntactic problems (including wrong parameter counts, division by zero and
@@ -38,8 +43,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .circuit import GATE_SIGNATURES, Circuit, Gate, Measure
 
@@ -149,34 +152,21 @@ def _bad_token(text: str, token: str, offset: int) -> QasmSyntaxError:
 # name): a plain tuple, as there is one per argument
 _Arg = tuple[str, int | None, int]
 
-
-class _Stmt(NamedTuple):
-    kind: str  # gate | measure | barrier
-    name: str
-    params: tuple[float, ...]
-    args: tuple[_Arg, ...]
-    offset: int
-
-
-@dataclass
-class QasmProgram:
-    """Parsed program before register flattening and broadcast expansion."""
-
-    version: str = "2.0"
-    qregs: dict[str, int] = field(default_factory=dict)
-    cregs: dict[str, int] = field(default_factory=dict)
-    statements: list[_Stmt] = field(default_factory=list)
-
-
 _MAX_EXPR_DEPTH = 64
 
 
 class _Parser:
+    """Reads a program and lowers each statement into ``circuit`` as it goes."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.expr_depth = 0
+        self.circuit = Circuit(0, 0)
+        # register name -> (first flat index, width), in the order declared
+        self.qregs: dict[str, tuple[int, int]] = {}
+        self.cregs: dict[str, tuple[int, int]] = {}
 
     def at(self, offset: int) -> tuple[int, int]:
         return _location(self.text, offset)
@@ -239,8 +229,7 @@ class _Parser:
 
     # -- header ----------------------------------------------------------
 
-    def parse_program(self) -> QasmProgram:
-        prog = QasmProgram()
+    def parse_program(self) -> Circuit:
         self.expect("id", "OPENQASM")
         _, ver, offset = self.expect("number")
         if ver != "2.0":
@@ -253,12 +242,12 @@ class _Parser:
                 raise UnsupportedFeature(f"include {fname!r} not supported", *self.at(offset))
             self.expect("symbol", ";")
         while self.peek()[0] != "eof":
-            self.parse_statement(prog)
-        return prog
+            self.parse_statement()
+        return self.circuit
 
     # -- statements ------------------------------------------------------
 
-    def parse_statement(self, prog: QasmProgram) -> None:
+    def parse_statement(self) -> None:
         tok = self.peek()
         kind, word, offset = tok
         if kind != "id":
@@ -266,13 +255,13 @@ class _Parser:
         if word in _UNSUPPORTED_KEYWORDS:
             raise UnsupportedFeature(f"{word!r} is not supported", *self.at(offset))
         if word in ("qreg", "creg"):
-            self.parse_decl(prog)
+            self.parse_decl()
         elif word == "measure":
-            self.parse_measure(prog)
+            self.parse_measure()
         elif word == "barrier":
-            self.parse_barrier(prog)
+            self.parse_barrier()
         else:
-            self.parse_gate(prog)
+            self.parse_gate()
 
     def parse_int(self, what: str) -> int:
         _, text, offset = self.expect("number")
@@ -283,7 +272,7 @@ class _Parser:
                 f"{what} must be an integer, got {text!r}", *self.at(offset)
             ) from None
 
-    def parse_decl(self, prog: QasmProgram) -> None:
+    def parse_decl(self) -> None:
         _, kw, _ = self.next()
         arg = self.take_arg()
         if arg is not None:
@@ -296,9 +285,15 @@ class _Parser:
         self.expect("symbol", ";")
         if width < 1:
             raise RegisterError(f"register {name!r} has width {width} < 1", *self.at(offset))
-        if name in prog.qregs or name in prog.cregs:
+        if name in self.qregs or name in self.cregs:
             raise RegisterError(f"register {name!r} redeclared", *self.at(offset))
-        (prog.qregs if kw == "qreg" else prog.cregs)[name] = width
+        c = self.circuit
+        if kw == "qreg":
+            self.qregs[name] = (c.num_qubits, width)
+            c.num_qubits += width
+        else:
+            self.cregs[name] = (c.num_clbits, width)
+            c.num_clbits += width
 
     def parse_arg(self) -> _Arg:
         arg = self.take_arg()
@@ -320,19 +315,50 @@ class _Parser:
         self.expect("symbol", ";")
         return tuple(args)
 
-    def parse_measure(self, prog: QasmProgram) -> None:
+    def resolve(self, arg: _Arg, quantum: bool) -> list[int]:
+        """Flat indices of a register argument, against the registers declared so far."""
+        reg, index, offset = arg
+        span = (self.qregs if quantum else self.cregs).get(reg)
+        space = "qreg" if quantum else "creg"
+        if span is None:
+            raise RegisterError(f"undeclared {space} {reg!r}", *self.at(offset))
+        start, width = span
+        if index is None:
+            return list(range(start, start + width))
+        if not 0 <= index < width:
+            raise RegisterError(
+                f"index {index} out of range for {space} {reg!r} of width {width}",
+                *self.at(offset),
+            )
+        return [start + index]
+
+    def parse_measure(self) -> None:
         offset = self.next()[2]
         src = self.parse_arg()
         self.expect("symbol", "->")
         dst = self.parse_arg()
         self.expect("symbol", ";")
-        prog.statements.append(_Stmt("measure", "measure", (), (src, dst), offset))
+        qs = self.resolve(src, quantum=True)
+        cs = self.resolve(dst, quantum=False)
+        if (src[1] is None) != (dst[1] is None):  # one side indexed
+            raise RegisterError(
+                "measure requires both operands indexed or both whole registers",
+                *self.at(offset),
+            )
+        if len(qs) != len(cs):
+            raise RegisterError(
+                f"measure width mismatch: {len(qs)} qubits -> {len(cs)} clbits",
+                *self.at(offset),
+            )
+        for q, c in zip(qs, cs):
+            self.circuit.measure(q, c)
 
-    def parse_barrier(self, prog: QasmProgram) -> None:
-        offset = self.next()[2]
-        prog.statements.append(_Stmt("barrier", "barrier", (), self.parse_args(), offset))
+    def parse_barrier(self) -> None:
+        self.next()
+        qubits = [q for arg in self.parse_args() for q in self.resolve(arg, quantum=True)]
+        self.circuit.barrier(*qubits)
 
-    def parse_gate(self, prog: QasmProgram) -> None:
+    def parse_gate(self) -> None:
         _, name, offset = self.next()
         params: tuple[float, ...] = ()
         if self.symbol() == "(":
@@ -343,7 +369,37 @@ class _Parser:
                 exprs.append(self.parse_expr())
             self.expect("symbol", ")")
             params = tuple(exprs)
-        prog.statements.append(_Stmt("gate", name, params, self.parse_args(), offset))
+        args = self.parse_args()
+        sig = GATE_SIGNATURES.get(name)
+        if sig is None:
+            raise UnknownGate(f"unknown gate {name!r}", *self.at(offset))
+        nq_expected, np_expected = sig
+        if len(params) != np_expected:
+            raise QasmSyntaxError(
+                f"gate {name!r} expects {np_expected} parameter(s), got {len(params)}",
+                *self.at(offset),
+            )
+        if len(args) != nq_expected:
+            raise QasmSyntaxError(
+                f"gate {name!r} expects {nq_expected} qubit argument(s), got {len(args)}",
+                *self.at(offset),
+            )
+        operands = [self.resolve(arg, quantum=True) for arg in args]
+        widths = {len(ops) for ops in operands}
+        widths.discard(1)
+        if len(widths) > 1:
+            raise RegisterError(
+                f"broadcast width mismatch in {name!r}: {sorted(widths)}", *self.at(offset)
+            )
+        repeat = widths.pop() if widths else 1
+        # a one-qubit operand repeats across a broadcast
+        columns = [ops if len(ops) > 1 else ops * repeat for ops in operands]
+        for qubits in zip(*columns):
+            if len(qubits) > 1 and len(set(qubits)) != len(qubits):
+                raise RegisterError(
+                    f"duplicate qubit operands in {name!r}: {qubits}", *self.at(offset)
+                )
+            self.circuit.add(name, qubits, params)
 
     # -- parameter expressions --------------------------------------------
 
@@ -411,98 +467,6 @@ class _Parser:
         raise self.unexpected(tok, " in expression", ("number", "pi", "(", "-"))
 
 
-def _lower(prog: QasmProgram, text: str) -> Circuit:
-    """Flatten registers to a single index space and expand broadcasts;
-    ``text`` is the source, for the locations of errors."""
-
-    def spans(regs: dict[str, int]) -> dict[str, tuple[int, int]]:
-        """Register name -> (first flat index, width)."""
-        out, start = {}, 0
-        for name, width in regs.items():
-            out[name] = (start, width)
-            start += width
-        return out
-
-    qspans, cspans = spans(prog.qregs), spans(prog.cregs)
-    circ = Circuit(sum(prog.qregs.values()), sum(prog.cregs.values()))
-
-    def resolve(arg: _Arg, quantum: bool) -> list[int]:
-        reg, index, offset = arg
-        span = (qspans if quantum else cspans).get(reg)
-        space = "qreg" if quantum else "creg"
-        if span is None:
-            raise RegisterError(f"undeclared {space} {reg!r}", *_location(text, offset))
-        start, width = span
-        if index is None:
-            return list(range(start, start + width))
-        if not 0 <= index < width:
-            raise RegisterError(
-                f"index {index} out of range for {space} {reg!r} of width {width}",
-                *_location(text, offset),
-            )
-        return [start + index]
-
-    for stmt in prog.statements:
-        if stmt.kind == "barrier":
-            qubits: list[int] = []
-            for arg in stmt.args:
-                qubits.extend(resolve(arg, quantum=True))
-            circ.barrier(*qubits)
-            continue
-
-        if stmt.kind == "measure":
-            src, dst = stmt.args
-            qs = resolve(src, quantum=True)
-            cs = resolve(dst, quantum=False)
-            if (src[1] is None) != (dst[1] is None):  # one side indexed
-                raise RegisterError(
-                    "measure requires both operands indexed or both whole registers",
-                    *_location(text, stmt.offset),
-                )
-            if len(qs) != len(cs):
-                raise RegisterError(
-                    f"measure width mismatch: {len(qs)} qubits -> {len(cs)} clbits",
-                    *_location(text, stmt.offset),
-                )
-            for q, c in zip(qs, cs):
-                circ.measure(q, c)
-            continue
-
-        sig = GATE_SIGNATURES.get(stmt.name)
-        if sig is None:
-            raise UnknownGate(f"unknown gate {stmt.name!r}", *_location(text, stmt.offset))
-        nq_expected, np_expected = sig
-        if len(stmt.params) != np_expected:
-            raise QasmSyntaxError(
-                f"gate {stmt.name!r} expects {np_expected} parameter(s), got {len(stmt.params)}",
-                *_location(text, stmt.offset),
-            )
-        if len(stmt.args) != nq_expected:
-            raise QasmSyntaxError(
-                f"gate {stmt.name!r} expects {nq_expected} qubit argument(s), got {len(stmt.args)}",
-                *_location(text, stmt.offset),
-            )
-        operands = [resolve(arg, quantum=True) for arg in stmt.args]
-        widths = {len(ops) for ops in operands}
-        widths.discard(1)
-        if len(widths) > 1:
-            raise RegisterError(
-                f"broadcast width mismatch in {stmt.name!r}: {sorted(widths)}",
-                *_location(text, stmt.offset),
-            )
-        repeat = widths.pop() if widths else 1
-        # a one-qubit operand repeats across a broadcast
-        columns = [ops if len(ops) > 1 else ops * repeat for ops in operands]
-        for qubits in zip(*columns):
-            if len(qubits) > 1 and len(set(qubits)) != len(qubits):
-                raise RegisterError(
-                    f"duplicate qubit operands in {stmt.name!r}: {qubits}",
-                    *_location(text, stmt.offset),
-                )
-            circ.add(stmt.name, qubits, stmt.params)
-    return circ
-
-
 def parse_qasm(text: str | bytes) -> Circuit:
     """Parse OpenQASM 2.0 source into a Circuit.
 
@@ -514,8 +478,7 @@ def parse_qasm(text: str | bytes) -> Circuit:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise QasmSyntaxError(f"input is not valid UTF-8: {exc}", 1, 1) from None
-    prog = _Parser(text).parse_program()
-    return _lower(prog, text)
+    return _Parser(text).parse_program()
 
 
 def _format_angle(value: float) -> str:

@@ -199,8 +199,8 @@ def _iterative_top_k(
     eigsh(k=1) from a fresh start vector runs on the inverse deflated by the
     k pairs found, lu.solve(x) - V M V^T x; a mode nearer sigma than the
     farthest of the k replaces it, and the check repeats, at most k times.
-    Needs k < n - 1 (_top_k sends larger k to the dense solver).  Returns the
-    k eigenvalues and the largest ||S v - theta v||.
+    Needs k < n - 1 (_resolve_method sends larger k to the dense solver).
+    Returns the k eigenvalues and the largest ||S v - theta v||.
     """
     n = kernel.n
     # scipy.sparse.linalg imports scipy.linalg: a cost only this path pays
@@ -262,12 +262,14 @@ def _iterative_top_k(
     return theta, float(np.linalg.norm(s @ vecs - vecs * theta, axis=0).max())
 
 
-def _resolve_method(kernel: WeightedKernel, method: str) -> str:
+def _resolve_method(kernel: WeightedKernel, method: str, k: int) -> str:
+    """The solver that runs for ``k`` modes: "auto" picks by size, and the
+    iterative path needs k < n - 1, so a larger k always runs dense."""
+    if method not in ("auto", "dense", "iterative"):
+        raise SpectralError(f"method must be auto|dense|iterative, got {method!r}")
     if method == "auto":
-        return "dense" if kernel.is_dense else "iterative"
-    if method in ("dense", "iterative"):
-        return method
-    raise SpectralError(f"method must be auto|dense|iterative, got {method!r}")
+        method = "dense" if kernel.is_dense else "iterative"
+    return "dense" if k >= kernel.n - 1 else method
 
 
 def _top_k(
@@ -277,7 +279,7 @@ def _top_k(
     if k < 1:
         raise SpectralError(f"k must be >= 1, got {k}")
     k = min(k, kernel.n)
-    if _resolve_method(kernel, method) == "dense" or k >= kernel.n - 1:
+    if _resolve_method(kernel, method, k) == "dense":
         values, residual = np.linalg.eigvalsh(_symmetric_similar(kernel)), 0.0
     else:
         values, residual = _iterative_top_k(kernel, k, tol, max_iter)
@@ -325,7 +327,7 @@ def analyze_spectrum(
     """Convenience wrapper: eigenvalues + complexity, flagging non-convergence."""
     cfg = cfg or KernelConfig()
     k = default_mode_count(kernel.n) if k is None else min(k, kernel.n)
-    used = _resolve_method(kernel, method)
+    used = _resolve_method(kernel, method, k)
     try:
         eigs, residual = _top_k(kernel, k, used)
     except ConvergenceFailure as exc:

@@ -6,11 +6,11 @@ each cx whose endpoints are not adjacent, walks the control toward the
 target along a BFS shortest path, inserting SWAPs as 3-cx blocks.  The
 whole pipeline is deterministic for a fixed (circuit, map).
 
-``transpile`` is one stream: decomposition yields basis ops as
-(kind, qubits, params) tuples and the router consumes them, so each output
-gate is built and validated once, by ``Circuit.add``.  ``decompose_to_basis``
-and ``route`` are the two halves of that stream, each with a circuit at its
-end.
+``transpile`` is the one entry point and one stream: decomposition yields
+basis ops as (kind, qubits, params) tuples and the router consumes them, so
+each output gate is built and validated once, by ``Circuit.add``.  On a map
+where every pair of qubits is linked nothing is routed, and the output is
+the circuit lowered to the basis.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .circuit import Barrier, Circuit, Gate, Measure
+from .circuit import Circuit, Gate, Measure
 
 BASIS_GATES = ("rz", "sx", "x", "cx")
 
@@ -313,35 +313,25 @@ def _basis_stream(c: Circuit) -> Iterator[_BasisOp]:
             yield item
 
 
-def decompose_to_basis(c: Circuit) -> Circuit:
-    """Lower to {rz, sx, x, cx} + measures; merge rz runs, drop zero rz."""
-    out = Circuit(c.num_qubits, c.num_clbits)
-    for item in _basis_stream(c):
-        if isinstance(item, Measure):
-            out.measure(item.qubit, item.clbit)
-        else:
-            out.add(*item)
-    return out
-
-
 # -- routing ---------------------------------------------------------------
 
 
-def _route(
-    ops: Iterable[_BasisOp | Barrier], num_qubits: int, num_clbits: int, cmap: CouplingMap
-) -> TranspileResult:
-    """Route basis ops onto ``cmap``; each output gate is built once, by ``Circuit.add``.
+def transpile(c: Circuit, cmap: CouplingMap) -> TranspileResult:
+    """Decompose to the native basis and route onto ``cmap``, as one stream:
+    each output gate is built once, by ``Circuit.add``.
 
-    The depth is tracked per physical wire as ops are emitted, by the rule
-    of ``circuit_depth``.
+    The BFS path choice (lowest physical index first) breaks every tie, so
+    identical inputs always give identical results.  The depth is tracked
+    per physical wire as ops are emitted, by the rule of ``circuit_depth``.
     """
+    num_qubits = c.num_qubits
     n_phys = cmap.num_physical_qubits
     if num_qubits > n_phys:
         raise LayoutError(f"circuit needs {num_qubits} qubits, map has {n_phys}")
     l2p = list(range(num_qubits))
     p2l = [i if i < num_qubits else -1 for i in range(n_phys)]
     initial_layout = tuple(l2p)
-    out = Circuit(n_phys, num_clbits)
+    out = Circuit(n_phys, c.num_clbits)
     add = out.add
     adj = cmap.adjacency()
     linked = {(a, b) for a in adj for b in adj[a]}
@@ -349,7 +339,7 @@ def _route(
     level = [0] * n_phys
     swap_count = 0
 
-    for op in ops:
+    for op in _basis_stream(c):
         if isinstance(op, tuple):
             kind, qubits, params = op
             if kind != "cx":
@@ -378,16 +368,10 @@ def _route(
                 pa = path[-2]
             add("cx", (pa, pb))
             level[pa] = level[pb] = max(level[pa], level[pb]) + 1
-        elif isinstance(op, Measure):
+        else:  # a Measure
             p = l2p[op.qubit]
             out.measure(p, op.clbit)
             level[p] += 1
-        else:
-            fence = out.barrier(*(l2p[q] for q in op.qubits)).qubits
-            if fence:
-                sync = max(level[q] for q in fence)
-                for q in fence:
-                    level[q] = sync
 
     return TranspileResult(
         circuit_t=out,
@@ -397,31 +381,6 @@ def _route(
         swap_count=swap_count,
         coupling=cmap,
     )
-
-
-def route(c: Circuit, cmap: CouplingMap) -> TranspileResult:
-    """Greedy router for circuits already in the native basis.
-
-    The BFS path choice (lowest physical index first) breaks every tie, so
-    identical inputs always give identical results.
-    """
-
-    def ops() -> Iterator[_BasisOp | Barrier]:
-        for op in c.ops:
-            if isinstance(op, Gate):
-                if op.kind not in BASIS_GATES:
-                    raise UnsupportedGate(f"route requires basis gates, got {op.kind!r}")
-                yield op.kind, op.qubits, op.params
-            else:
-                yield op
-
-    return _route(ops(), c.num_qubits, c.num_clbits, cmap)
-
-
-def transpile(c: Circuit, cmap: CouplingMap) -> TranspileResult:
-    """Decompose to the native basis, then route onto the coupling map, as
-    one stream: each output gate is built once."""
-    return _route(_basis_stream(c), c.num_qubits, c.num_clbits, cmap)
 
 
 def check_coupling(result: TranspileResult) -> bool:

@@ -550,6 +550,28 @@ def test_negative_oracle_seed_exits_1_before_any_work(argv, tmp_path, capsys, mo
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--suite", "default10", "--seeds", "1,2,3", "--out", "{missing}/x.csv"],
+    ["analyze", "--bench", "ghz:3", "--dot", "{missing}/dag.dot"],
+    ["bench", "--out", "{file}/x.json"],
+], ids=["sweep-out", "analyze-dot", "bench-out-under-a-file"])
+def test_missing_output_directory_exits_1_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    import qfid.cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output directory was checked")
+
+    for name in ("_load_circuit", "_load_suite", "sweep_csv"):
+        monkeypatch.setattr(qfid.cli, name, no_work)
+    (tmp_path / "file").write_text("")
+    argv = [a.format(missing=tmp_path / "missing", file=tmp_path / "file") for a in argv]
+    code, stdout, err = run(argv, capsys)
+    with pytest.raises(OSError) as info:  # the error writing the output would raise
+        open(argv[-1], "w")
+    assert code == 1
+    assert err == f"error: {info.value}\n" and stdout == ""
+
+
 @pytest.mark.parametrize("content", [
     "",
     '[{"family": "ghz"}]',

@@ -74,6 +74,16 @@ def test_division_by_zero_is_syntax_error():
         parse_qasm(HEADER + "qreg q[1]; rz(1/0) q[0];")
 
 
+def test_register_declared_after_gates_parses():
+    late = parse_qasm(HEADER + "qreg a[1]; h a[0]; qreg b[2]; creg c[1]; cx a[0], b[1];"
+                      " measure b[0] -> c[0];")
+    early = parse_qasm(HEADER + "qreg a[1]; qreg b[2]; creg c[1]; h a[0]; cx a[0], b[1];"
+                       " measure b[0] -> c[0];")
+    assert late == early
+    assert (late.num_qubits, late.num_clbits) == (3, 1)
+    assert [op.qubits for op in late.gates] == [(0,), (0, 2)]
+
+
 def test_broadcast_whole_register():
     c = parse_qasm(HEADER + "qreg q[3]; h q;")
     assert [op.qubits for op in c.ops] == [(0,), (1,), (2,)]
@@ -147,6 +157,10 @@ _ERROR_LOCATIONS = {
         HEADER + "qreg q[1];\t// x\r\n\trz(pi, 1)\tq[0];\r\n", QasmSyntaxError, 4, 2),
     "tabs before an undeclared register": (
         HEADER + "qreg q[1];\n\t\t\th r[0];", RegisterError, 4, 6),
+    "use before declaration": (
+        HEADER + "\th q[0];\nqreg q[1];\n", RegisterError, 3, 4),
+    "two errors, the earlier one": (
+        HEADER + "qreg q[1];\n\tbogus q[0];\r\nrx(1e400) q[0];\n", UnknownGate, 4, 2),
 }
 
 

@@ -285,6 +285,14 @@ def h_chain(length: int, self_loop: float):
     return build_kernel(build_dag(c), ZERO, KernelConfig(self_loop=self_loop))
 
 
+def test_spectrum_reports_the_solver_that_ran():
+    # the iterative path needs k < n - 1, so a larger k runs dense and says so
+    kernel = h_chain(30, 0.5)
+    spec = analyze_spectrum(kernel, k=kernel.n, method="iterative")
+    assert (spec.method, spec.residual) == ("dense", 0.0)
+    assert analyze_spectrum(kernel, k=kernel.n - 2, method="iterative").method == "iterative"
+
+
 def test_iterative_finds_negative_modes_in_top_k():
     # a small self-loop on a bipartite chain puts lambda near -1: the top 10
     # by |lambda| hold four negative modes, which only the bottom end reaches

@@ -15,15 +15,12 @@ from qfid.transpile import (
     DisconnectedMap,
     LayoutError,
     TranspileError,
-    UnsupportedGate,
     check_coupling,
     coupling_from_json,
-    decompose_to_basis,
     grid_map,
     heavy_hex_27,
     linear_map,
     ring_map,
-    route,
     transpile,
 )
 
@@ -32,6 +29,14 @@ def in_basis(c: Circuit) -> bool:
     return all(
         op.kind in BASIS_GATES for op in c.ops if isinstance(op, Gate)
     )
+
+
+def lower(c: Circuit) -> Circuit:
+    """``c`` in the native basis: transpiled onto a map where every pair of
+    qubits is linked, so nothing is routed and the layout stays the identity."""
+    n = c.num_qubits
+    complete = CouplingMap.from_edges(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
+    return transpile(c, complete).circuit_t
 
 
 def unitary_equal_up_to_phase(u1: np.ndarray, u2: np.ndarray, tol: float) -> bool:
@@ -96,7 +101,7 @@ def test_shortest_path_lowest_index_ties():
 def test_swap_becomes_three_cx():
     c = Circuit(2)
     c.add("swap", (0, 1))
-    d = decompose_to_basis(c)
+    d = lower(c)
     assert [(op.kind, op.qubits) for op in d.ops] == [
         ("cx", (0, 1)),
         ("cx", (1, 0)),
@@ -107,7 +112,7 @@ def test_swap_becomes_three_cx():
 def test_h_is_three_basis_gates_and_equivalent():
     c = Circuit(1)
     c.add("h", (0,))
-    d = decompose_to_basis(c)
+    d = lower(c)
     assert len(d.ops) == 3
     assert unitary_equal_up_to_phase(
         circuit_unitary(d), gate_unitary(Gate("h", (0,))), 1e-12
@@ -118,17 +123,17 @@ def test_rz_merge_and_zero_drop():
     c = Circuit(1)
     c.add("rz", (0,), (0.3,))
     c.add("rz", (0,), (0.4,))
-    d = decompose_to_basis(c)
+    d = lower(c)
     assert [(op.kind, op.params) for op in d.ops] == [("rz", (0.7,))]
 
     c2 = Circuit(1)
     c2.add("rz", (0,), (0.5,))
     c2.add("rz", (0,), (-0.5,))
-    assert decompose_to_basis(c2).ops == []
+    assert lower(c2).ops == []
 
     c3 = Circuit(1)
     c3.add("rz", (0,), (0.0,))
-    assert decompose_to_basis(c3).ops == []
+    assert lower(c3).ops == []
 
 
 def test_rz_merge_respects_wire_boundaries():
@@ -136,7 +141,7 @@ def test_rz_merge_respects_wire_boundaries():
     c.add("rz", (0,), (0.3,))
     c.add("h", (1,))  # other wire: must not block the merge
     c.add("rz", (0,), (0.4,))
-    d = decompose_to_basis(c)
+    d = lower(c)
     rz_angles = [op.params[0] for op in d.ops if isinstance(op, Gate) and op.kind == "rz"]
     assert 0.7 in rz_angles
 
@@ -144,7 +149,7 @@ def test_rz_merge_respects_wire_boundaries():
     c2.add("rz", (0,), (0.3,))
     c2.add("x", (0,))  # same wire: blocks the merge
     c2.add("rz", (0,), (0.4,))
-    d2 = decompose_to_basis(c2)
+    d2 = lower(c2)
     angles = [op.params[0] for op in d2.ops if isinstance(op, Gate) and op.kind == "rz"]
     assert 0.3 in angles and 0.4 in angles
 
@@ -167,7 +172,7 @@ def test_rz_cancellation_across_a_long_idle_stretch():
     c.add("rz", (1,), (0.5,))
     c.add("rz", (1,), (-0.5,))
     c.add("h", (1,))
-    ops = [(op.kind, op.qubits, op.params) for op in decompose_to_basis(c).ops]
+    ops = [(op.kind, op.qubits, op.params) for op in lower(c).ops]
     assert ops == [
         ("x", (0,), ()),
         *[("sx", (1,), ())] * 400,
@@ -183,7 +188,7 @@ def test_decomposition_of_default_suite_pinned():
     # sha256 over the emitted QASM of every default-suite circuit, lowered
     digest = hashlib.sha256()
     for spec in default_suite():
-        digest.update(emit_qasm(decompose_to_basis(generate(spec))).encode())
+        digest.update(emit_qasm(lower(generate(spec))).encode())
     assert digest.hexdigest() == "f56b5fd4091c799e857d41ca55b39cc1049f169d4123d061265a3e0af05f62a7"
 
 
@@ -194,15 +199,15 @@ def test_rz_merge_keeps_both_gates_when_the_sum_overflows():
     c.add("rz", (0,), (1e308,))
     c.add("rz", (0,), (-1e308,))  # merges with the second one, to 0, and drops it
     c.add("rz", (0,), (0.5,))
-    ops = [(op.kind, op.params) for op in decompose_to_basis(c).ops]
+    ops = [(op.kind, op.params) for op in lower(c).ops]
     assert ops == [("rz", (1e308,)), ("rz", (0.5,))]
-    assert transpile(c, linear_map(1)).circuit_t.ops == decompose_to_basis(c).ops
+    assert transpile(c, linear_map(1)).circuit_t.ops == lower(c).ops
 
 
 def test_u3_whose_z_angles_overflow_lowers_to_two_rz():
     c = Circuit(1)
     c.add("u3", (0,), (0.0, 1.7e308, 1.7e308))
-    ops = [(op.kind, op.params) for op in decompose_to_basis(c).ops]
+    ops = [(op.kind, op.params) for op in lower(c).ops]
     assert ops == [("rz", (1.7e308,)), ("rz", (1.7e308,))]
 
 
@@ -220,7 +225,7 @@ def test_u3_whose_z_angles_overflow_lowers_to_two_rz():
 def test_every_gate_decomposes_equivalently(kind, params, nq):
     c = Circuit(nq)
     c.add(kind, tuple(range(nq)), params)
-    d = decompose_to_basis(c)
+    d = lower(c)
     assert in_basis(d)
     assert unitary_equal_up_to_phase(circuit_unitary(d), circuit_unitary(c), 1e-11)
 
@@ -230,7 +235,7 @@ def test_barriers_dropped_measures_kept():
     c.add("h", (0,))
     c.barrier(0, 1)
     c.measure(0, 0)
-    d = decompose_to_basis(c)
+    d = lower(c)
     assert all(not type(op).__name__ == "Barrier" for op in d.ops)
     assert sum(isinstance(op, Measure) for op in d.ops) == 1
 
@@ -241,7 +246,7 @@ def test_barriers_dropped_measures_kept():
 def test_route_cx_0_2_on_linear_three():
     c = Circuit(3)
     c.add("cx", (0, 2))
-    res = route(c, linear_map(3))
+    res = transpile(c, linear_map(3))
     kinds = [op.kind for op in res.circuit_t.ops]
     assert kinds == ["cx"] * 4  # one swap (3 cx) + the routed cx
     assert res.swap_count == 1
@@ -254,7 +259,7 @@ def test_route_compatible_circuit_unchanged():
     c.add("x", (0,))
     c.add("cx", (0, 1))
     c.add("cx", (1, 2))
-    res = route(c, linear_map(3))
+    res = transpile(c, linear_map(3))
     assert res.swap_count == 0
     assert [op.kind for op in res.circuit_t.ops] == ["x", "cx", "cx"]
 
@@ -262,13 +267,6 @@ def test_route_compatible_circuit_unchanged():
 def test_ghz_chain_needs_no_swaps():
     res = transpile(generate(BenchSpec.make("ghz", 3)), linear_map(3))
     assert res.swap_count == 0
-
-
-def test_route_requires_basis():
-    c = Circuit(2)
-    c.add("h", (0,))
-    with pytest.raises(UnsupportedGate):
-        route(c, linear_map(2))
 
 
 def test_layout_error():
@@ -281,7 +279,7 @@ def test_disconnected_map():
     c = Circuit(4)
     c.add("cx", (0, 3))
     with pytest.raises(DisconnectedMap):
-        route(c, cmap)
+        transpile(c, cmap)
 
 
 def test_transpile_empty_circuit():
@@ -300,15 +298,15 @@ _STREAM_MAPS = {
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_transpile_equals_route_of_decompose(family):
-    # transpile routes the basis stream directly; the public two-step path
-    # must give the same ops, layouts, depth and swaps, and each output gate
-    # must pass the full Gate check again
+    # a circuit already lowered to the basis transpiles to the same ops,
+    # layouts, depth and swaps as the original, and each output gate must
+    # pass the full Gate check again
     for n in (4, 8, 12):
         c = generate(BenchSpec.make(family, n))
         for name, make in _STREAM_MAPS.items():
             cmap = make(c.num_qubits)
             got = transpile(c, cmap)
-            want = route(decompose_to_basis(c), cmap)
+            want = transpile(lower(c), cmap)
             assert got.circuit_t.ops == want.circuit_t.ops, (family, n, name)
             assert (got.initial_layout, got.final_layout, got.depth_t, got.swap_count) == (
                 want.initial_layout, want.final_layout, want.depth_t, want.swap_count)
@@ -325,10 +323,10 @@ def test_route_tracks_depth_through_barriers_and_measures():
     c.add("sx", (2,))
     c.add("cx", (0, 2))
     c.measure(1, 0)
-    res = route(c, linear_map(3))
-    # wire 0 reaches layer 2, the barrier lifts wire 2 to it, the swap's 3 cx
-    # take wires 0-1 to layer 5 and cx(1,2) to 6; logical 1 now sits on
-    # physical 0, so its measure also ends at layer 6
+    res = transpile(c, linear_map(3))
+    # the barrier is dropped, so sx leaves wire 2 at layer 1; wire 0 reaches
+    # layer 2, the swap's 3 cx take wires 0-1 to layer 5 and cx(1,2) to 6;
+    # logical 1 now sits on physical 0, so its measure also ends at layer 6
     assert res.depth_t == circuit_depth(res.circuit_t) == 6
 
 

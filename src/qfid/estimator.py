@@ -220,18 +220,19 @@ def estimate(
 
     chunks: list[tuple[np.ndarray, ...]] = []
     drawn = 0
-    running_sum = 0.0
-    running_sumsq = 0.0
+    running = np.zeros(2)  # sum and sum of squares of every value so far
     while True:
         k = min(max(drawn, cfg.min_batches_before_stop), cap - drawn)
         values = value_of[oracle.sample(k * batch)].reshape(k, batch)
         # each row sums pairwise, as a batch's own sum does; the cumsum then
-        # adds left to right onto the total so far, as a running sum does
+        # adds left to right onto the totals so far, as a running sum does
+        sums = np.empty((k + 1, 2))
+        sums[0] = running
         batch_sum = values.sum(axis=1)
-        cum_sum = np.cumsum(np.concatenate(([running_sum], batch_sum)))[1:]
-        cum_sumsq = np.cumsum(
-            np.concatenate(([running_sumsq], np.square(values).sum(axis=1)))
-        )[1:]
+        sums[1:, 0] = batch_sum
+        sums[1:, 1] = np.square(values).sum(axis=1)
+        cum = np.cumsum(sums, axis=0)
+        cum_sum, cum_sumsq = cum[1:].T
         index = np.arange(drawn, drawn + k)
         total = (index + 1) * batch
         mean = cum_sum / total
@@ -246,8 +247,7 @@ def estimate(
             reason = "ci_met" if ci_met[row] else "cap_reached"
             break
         drawn += k
-        running_sum = float(cum_sum[-1])
-        running_sumsq = float(cum_sumsq[-1])
+        running = cum[-1]
 
     used = drawn + row + 1
     columns = [np.concatenate(column)[:used].tolist() for column in zip(*chunks)]

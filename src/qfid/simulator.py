@@ -11,7 +11,9 @@ most-significant-clbit first, so clbit 0 is the rightmost character and
 
 Measurements are treated as terminal: the state is evolved through all
 unitaries, then read out.  A gate acting on an already-measured qubit is
-rejected, which keeps the deferred readout exact.
+rejected, which keeps the deferred readout exact.  So is a qubit measured
+twice: the readout flips each measured qubit once, and a second
+measurement would need a flip of its own.
 
 The noisy simulator works in the Pauli transfer basis.  rho over n active
 qubits is the real vector r_P = Tr(P rho) over the 4^n Pauli strings P, and
@@ -21,12 +23,13 @@ scaled by 1-p (Greenbaum, arXiv:1509.02921).  r takes half the memory of
 a complex rho, and every contraction is real.  Consecutive gates whose
 qubit sets nest are multiplied into one matrix before they touch r, so
 single-qubit gates fold into their neighbouring cx and the three cx of a
-routed SWAP cost one contraction.  r stores only the qubits in play: a
-qubit joins r at its first contraction, as the I = Z = 1 components of
-|0><0|, and keeps only its I and Z components after its last, which is all
-the readout reads.  A stored axis thus has four entries or two, and r moves
-between two buffers as wide as the widest r the circuit needs, one copy per
-contraction at most.  Only the active qubits -- those a gate or the readout
+routed SWAP cost one contraction; the smaller matrix is lifted onto the
+larger one's Pauli digits, and the two multiply as plain matrices.  r
+stores only the qubits in play: a qubit joins r at its first contraction,
+as the I = Z = 1 components of |0><0|, and keeps only its I and Z
+components after its last, which is all the readout reads.  A stored axis
+thus has four entries or two, and r moves between two buffers as wide as
+the widest r the circuit needs, one copy per contraction at most.  Only the active qubits -- those a gate or the readout
 touches -- are simulated, and ``DENSITY_MAX_QUBITS`` caps their number, so
 a small circuit routed onto a large coupling map stays cheap.  A circuit
 without measurements reads out every qubit, so all of its qubits are
@@ -122,32 +125,40 @@ class OutcomeDistribution:
 # components are kept; ``_Step`` records which qubit each axis holds.
 
 
-def _axes(qubits: tuple[int, ...], n: int) -> list[int]:
+def _axes(qubits: tuple[int, ...], n: int) -> tuple[int, ...]:
     """Ket axes of a gate's qubits, most significant local bit first.
 
     Local bit j of a gate matrix belongs to ``qubits[j]``, so the last qubit
     carries the most significant bit.
     """
-    return [n - 1 - q for q in reversed(qubits)]
+    return tuple(n - 1 - q for q in reversed(qubits))
 
 
-def _apply_matrix(tensor: np.ndarray, m: np.ndarray, axes: list[int]) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _axis_order(axes: tuple[int, ...], ndim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The transpose that brings ``axes`` to the front, and its inverse."""
+    order = axes + tuple(a for a in range(ndim) if a not in axes)
+    return order, tuple(int(a) for a in np.argsort(order))
+
+
+def _apply_matrix(tensor: np.ndarray, m: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """Contract the d^k x d^k matrix ``m`` into ``axes`` of a (d,)*ndim tensor.
 
     ``axes[0]`` carries the most significant digit of m's row and column
     index; the result keeps the input's axis order.
     """
-    order = axes + [a for a in range(tensor.ndim) if a not in axes]
+    order, inverse = _axis_order(axes, tensor.ndim)
     out = m @ tensor.transpose(order).reshape(len(m), -1)
-    return out.reshape(tensor.shape).transpose(np.argsort(order))
+    return out.reshape(tensor.shape).transpose(inverse)
 
 
 _PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 @functools.lru_cache(maxsize=None)
-def _pauli_basis(k: int) -> np.ndarray:
-    """4^k x 4^k matrix whose column j is the row-major vec of Pauli string j.
+def _pauli_basis(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """4^k x 4^k matrix whose column j is the row-major vec of Pauli string j,
+    and its conjugate transpose.
 
     Base-4 digit i of j is the Pauli on local qubit i, so the last local
     qubit carries the most significant digit, as in a gate matrix.
@@ -157,8 +168,9 @@ def _pauli_basis(k: int) -> np.ndarray:
         dim = 2 * basis.shape[1]
         basis = np.einsum("iab,jcd->ijacbd", _PAULIS, basis).reshape(-1, dim, dim)
     t = basis.reshape(len(basis), -1).T
-    t.flags.writeable = False
-    return t
+    t_dag = t.conj().T
+    t.flags.writeable = t_dag.flags.writeable = False
+    return t, t_dag
 
 
 def _ptm(u: np.ndarray, p: float) -> np.ndarray:
@@ -170,35 +182,60 @@ def _ptm(u: np.ndarray, p: float) -> np.ndarray:
     and scales every other one by 1-p: it scales every row but the first.
     """
     dim = len(u)
-    t = _pauli_basis(dim.bit_length() - 1)
+    t, t_dag = _pauli_basis(dim.bit_length() - 1)
     superop = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(dim * dim, -1)
-    r = (t.conj().T @ superop @ t).real / dim
+    r = (t_dag @ superop @ t).real / dim
     r[0, :] = r[:, 0] = 0.0
     r[0, 0] = 1.0
     r[1:] *= 1.0 - p
     return r
 
 
+@functools.lru_cache(maxsize=None)
+def _lift_index(pos: tuple[int, ...], k: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Gather arrays that lift a PTM on digits ``pos`` of a k-qubit block to the block.
+
+    Entry (R, C) of the lift is the small PTM's entry at the Pauli digits R
+    and C hold on ``pos``, if R and C agree on every other digit, and 0
+    otherwise: (index, same), with the lift ``small.take(index) * same``.
+    None if ``pos`` is every digit in order, where the lift is the PTM itself.
+    """
+    if pos == tuple(range(k)):
+        return None
+    block = np.arange(4**k)
+    digits = [(block >> 2 * i) & 3 for i in pos]
+    small = sum(d << 2 * m for m, d in enumerate(digits))
+    rest = block - sum(d << 2 * i for i, d in zip(pos, digits))
+    index = small[:, None] * 4 ** len(pos) + small[None, :]
+    same = (rest[:, None] == rest[None, :]).astype(float)
+    index.flags.writeable = same.flags.writeable = False
+    return index, same
+
+
+def _lift(small: np.ndarray, pos: tuple[int, ...], k: int) -> np.ndarray:
+    """The PTM ``small`` on digits ``pos`` of a k-qubit block, as the block's PTM."""
+    lift = _lift_index(pos, k)
+    if lift is None:
+        return small
+    index, same = lift
+    return small.take(index) * same
+
+
 def _compose(
     late: np.ndarray, late_q: tuple[int, ...], early: np.ndarray, early_q: tuple[int, ...]
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """PTM of ``early`` followed by ``late``, where one qubit set holds the other.
+) -> tuple[np.ndarray, tuple[int, ...]] | None:
+    """PTM of ``early`` followed by ``late``, and its qubits; None unless one
+    qubit set holds the other.
 
-    A PTM on k qubits, reshaped to (4,)*2k, has one Pauli axis per qubit for
-    its rows and again for its columns.  The smaller matrix goes onto the
-    larger one's rows (applied after it) or, transposed, onto its columns
-    (applied before it).
+    The smaller matrix is lifted onto the larger one's Pauli digits, as the
+    identity on the rest, and the two multiply as plain matrices.
     """
-    if set(late_q) <= set(early_q):
-        k, qubits = len(early_q), early_q
-        pos = tuple(early_q.index(q) for q in late_q)
-        t = _apply_matrix(early.reshape((4,) * (2 * k)), late, _axes(pos, k))
-    else:
-        k, qubits = len(late_q), late_q
-        pos = tuple(late_q.index(q) for q in early_q)
-        axes = [k + a for a in _axes(pos, k)]
-        t = _apply_matrix(late.reshape((4,) * (2 * k)), early.T, axes)
-    return t.reshape(4**k, 4**k), qubits
+    late_set = set(late_q)
+    if late_set.issubset(early_q):
+        return _lift(late, tuple(early_q.index(q) for q in late_q), len(early_q)) @ early, early_q
+    if late_set.issuperset(early_q):
+        return late @ _lift(early, tuple(late_q.index(q) for q in early_q), len(late_q)), late_q
+    return None
 
 
 class _Step(NamedTuple):
@@ -319,7 +356,7 @@ def _diagonal(vec: np.ndarray, order: tuple[int, ...], dims: tuple[int, ...], n:
     iz = iz.transpose([order.index(q) for q in qubits])
     h = np.array([[0.5, 0.5], [0.5, -0.5]])
     for axis in range(len(qubits)):
-        iz = _apply_matrix(iz, h, [axis])
+        iz = _apply_matrix(iz, h, (axis,))
     out = np.zeros((2,) * n)
     out[tuple(slice(None) if q in order else 0 for q in reversed(range(n)))] = iz
     return out.reshape(-1)
@@ -328,8 +365,8 @@ def _diagonal(vec: np.ndarray, order: tuple[int, ...], dims: tuple[int, ...], n:
 def _readout_plan(c: Circuit) -> list[tuple[int, int]]:
     """Ordered (qubit, clbit) pairs; defaults to measuring every qubit.
 
-    Also validates that no gate touches a qubit after it was measured and
-    that no clbit is written twice.
+    Also validates that no gate touches a qubit after it was measured, and
+    that no qubit is measured and no clbit written twice.
     """
     measured: set[int] = set()
     written: set[int] = set()
@@ -338,6 +375,8 @@ def _readout_plan(c: Circuit) -> list[tuple[int, int]]:
         if isinstance(op, Measure):
             if op.clbit in written:
                 raise SimulationError(f"clbit {op.clbit} measured twice")
+            if op.qubit in measured:
+                raise SimulationError(f"qubit {op.qubit} measured twice")
             measured.add(op.qubit)
             written.add(op.clbit)
             plan.append((op.qubit, op.clbit))
@@ -416,10 +455,11 @@ def _blocks(
         r = ptms[key]
         overlapped = {blocks[q][1]: blocks[q] for q in qubits if q in blocks}  # each block once
         for early, early_q in overlapped.values():
-            if set(early_q) <= set(qubits) or set(qubits) <= set(early_q):
-                r, qubits = _compose(r, qubits, early, early_q)
-            else:
+            composed = _compose(r, qubits, early, early_q)
+            if composed is None:
                 contractions.append((early, early_q))
+            else:
+                r, qubits = composed
             for q in early_q:
                 del blocks[q]
         blocks.update((q, (r, qubits)) for q in qubits)

@@ -417,6 +417,15 @@ def test_estimate_simulator_cap_exit_4(capsys):
     assert "TooManyQubits" in err
 
 
+def test_qubit_measured_twice_exits_4(tmp_path, capsys):
+    qasm = tmp_path / "twice.qasm"
+    qasm.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[1];\ncreg c[2];\n'
+                    "measure q[0] -> c[0];\nmeasure q[0] -> c[1];\n")
+    code, _, err = run(["estimate", "--qasm", str(qasm), "--noise", "ro=0.1"], capsys)
+    assert code == 4
+    assert "SimulationError: qubit 0 measured twice" in err
+
+
 def test_estimate_on_large_maps_matches_linear(capsys):
     # ghz:4 routes with no SWAPs, so only 4 of the 27 (16) map qubits are simulated
     def estimate(coupling):

@@ -122,6 +122,17 @@ def test_gate_after_measure_rejected():
         ideal_distribution(c)
 
 
+def test_qubit_measured_twice_rejected():
+    # a readout flip per measurement would give [0.81, 0.09, 0.09, 0.01]; one
+    # flip of the qubit copied into both clbits gave [0.82, 0, 0, 0.18]
+    c = Circuit(1, 2)
+    c.measure(0, 0)
+    c.measure(0, 1)
+    for simulate in (ideal_distribution, lambda c: noisy_distribution(c, NoiseModel(p_ro=0.1))):
+        with pytest.raises(SimulationError, match="qubit 0 measured twice"):
+            simulate(c)
+
+
 def test_noise_model_validation():
     with pytest.raises(SimulationError):
         NoiseModel(p1=1.5)
@@ -499,6 +510,53 @@ def test_ptm_of_every_gate_kind(kind):
         assert np.array_equal(r[0], np.eye(4**width)[0])  # trace preserved
         scale = np.r_[1.0, np.full(4**width - 1, 1.0 - p)][:, None]
         assert np.abs(r - scale * expected).max() <= 1e-13, p
+
+
+def lift_reference(small: np.ndarray, pos: tuple[int, ...], k: int) -> np.ndarray:
+    """``small`` on digits ``pos`` of a k-qubit block: a kron with the identity,
+    then a permutation of the Pauli digits."""
+    j = len(pos)
+    full = np.kron(np.eye(4 ** (k - j)), small)  # small on digits 0..j-1, identity above
+    digit_of = list(pos) + [d for d in range(k) if d not in pos]  # full digit -> block digit
+    source = [digit_of.index(d) for d in range(k)]  # block digit -> full digit
+    axes = [k - 1 - source[k - 1 - a] for a in range(k)]  # axis a holds digit k-1-a
+    t = full.reshape((4,) * (2 * k)).transpose(axes + [k + a for a in axes])
+    return t.reshape(4**k, 4**k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_compose_matches_kron_lift(k):
+    # the lift holds the small matrix's own entries and exact zeros, and the
+    # product is the same matmul, so the two agree bit for bit
+    from qfid.simulator import _compose
+
+    rng = np.random.default_rng(k)
+    block_q = (5, 2, 7)[:k]
+    block = rng.standard_normal((4**k, 4**k))
+    for j in range(1, k + 1):
+        for pos in itertools.permutations(range(k), j):  # reversed pairs too
+            small_q = tuple(block_q[p] for p in pos)
+            small = rng.standard_normal((4**j, 4**j))
+            lifted = lift_reference(small, pos, k)
+            r, qubits = _compose(small, small_q, block, block_q)  # small applied after
+            assert qubits == block_q
+            assert np.array_equal(r, lifted @ block), pos
+            if j < k:  # small applied before; equal sets always lift the later one
+                r, qubits = _compose(block, block_q, small, small_q)
+                assert qubits == block_q
+                assert np.array_equal(r, block @ lifted), pos
+    if k > 1:  # overlapping sets that do not nest stay apart
+        assert _compose(block, block_q, block, block_q[1:] + (9,)) is None
+
+
+def test_lift_reference_places_one_qubit_ptms_by_digit():
+    # a 1q PTM onto each digit of a 3-qubit block is I(x)I(x)A, I(x)A(x)I, A(x)I(x)I
+    a = np.arange(16.0).reshape(4, 4)
+    eye = np.eye(4)
+    expected = [np.kron(eye, np.kron(eye, a)), np.kron(eye, np.kron(a, eye)),
+                np.kron(a, np.kron(eye, eye))]
+    for digit in range(3):
+        assert np.array_equal(lift_reference(a, (digit,), 3), expected[digit])
 
 
 def _counting_contractions(monkeypatch):

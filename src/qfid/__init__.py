@@ -14,7 +14,7 @@ from .deformation import compare as deformation_report
 from .estimator import PlanConfig, batch_size, estimate, hellinger_distance, z_quantile
 from .qasm import emit_qasm, parse_qasm
 from .report import analyze_circuit, run_estimate
-from .simulator import NoiseModel, ideal_distribution, make_oracle, noisy_distribution
+from .simulator import NoiseModel, ideal_distribution, noisy_distribution
 from .spectral import build_kernel, spectral_complexity, top_eigenvalues
 from .transpile import CouplingMap, transpile
 
@@ -42,7 +42,6 @@ __all__ = [
     "hellinger_distance",
     "ideal_distribution",
     "longest_path_len",
-    "make_oracle",
     "noisy_distribution",
     "parse_qasm",
     "run_estimate",

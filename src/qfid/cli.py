@@ -313,6 +313,7 @@ def cmd_sweep(args) -> int:
     def factory(width: int) -> CouplingMap:
         return parse_coupling(args.coupling, width)
 
+    factory(2)  # a malformed --coupling exits here, before any row is computed
     text = sweep_csv(
         suite, deltas, seeds, factory, noise,
         plan_cfg=plans[0], timing=args.timing,
@@ -355,11 +356,11 @@ def cmd_reference(args) -> int:
         raise CliError(f"--shots must be >= 1, got {args.shots}", EXIT_PARSE)
     circuit, _ = _load_circuit(args)
     noise = parse_noise(args.noise)
+    # routed even without noise, so a map that cannot hold the circuit always fails
+    routed = transpile(circuit, parse_coupling(args.coupling, circuit.num_qubits))
     if noise.is_noiseless:
         dist = ideal_distribution(circuit)
     else:
-        coupling = parse_coupling(args.coupling, circuit.num_qubits)
-        routed = transpile(circuit, coupling)
         dist = noisy_distribution(routed.readout_circuit(), noise)
     shots = DistributionOracle(dist, args.seed).sample(args.shots)
     counts = counts_from_shots(shots, dist.num_bits)
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="structural pipeline, no shots")
     p_estimate = sub.add_parser("estimate", help="run the adaptive estimation loop")
     p_sweep = sub.add_parser("sweep", help="suite x delta x seed CSV")
-    p_ref = sub.add_parser("reference", help="write a counts file for the replay oracle")
+    p_ref = sub.add_parser("reference", help="write a counts file of sampled shots")
     # each command takes only the flags it reads
     for p in (p_analyze, p_estimate, p_ref):
         _add_circuit_flags(p)

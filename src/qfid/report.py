@@ -415,14 +415,15 @@ def sweep_rows(
     """One CSV row per (spec, seed, delta), ordered deterministically.
 
     Each distinct circuit of a suite entry is built once (``build_pipeline``,
-    a failure included), and each seed samples once, at the tightest delta.
-    Every delta's row is a prefix of that trace, cut where the stop rule
-    first holds at its delta (``estimator.truncate``): the batch size and
-    the oracle seed do not depend on delta, so the cut equals a run made at
-    that delta.  Wall time is left blank unless ``timing`` is set, keeping
-    default output byte-stable; when it is set, every delta row of a (spec,
-    seed) carries the time that (spec, seed) took, its build included when
-    the circuit was not built before.  ``kernel_cfg`` and ``k`` go to every
+    a failure included), and each seed samples once, at the tightest delta,
+    which gives that delta's row.  Every looser delta's row is a prefix of
+    that trace, cut where the stop rule first holds at its delta
+    (``estimator.truncate``): the batch size and the oracle seed do not
+    depend on delta, so the cut equals a run made at that delta.  Wall time
+    is left blank unless ``timing`` is set, keeping default output
+    byte-stable; when it is set, every delta row of a (spec, seed) carries
+    the time that (spec, seed) took, its build included when the circuit
+    was not built before.  ``kernel_cfg`` and ``k`` go to every
     build, as in ``build_pipeline``; each of ``seeds`` picks the circuit and
     the oracle.  A run that raises leaves a row whose stop_reason cell reads
     ``error:<Type>: <message>``, with commas and line breaks in the message
@@ -458,7 +459,10 @@ def sweep_rows(
                 if isinstance(pipeline, Exception):
                     raise pipeline
                 record = sample_pipeline(pipeline, seed, tightest)
-                cuts = [_record_at(record, cfg) for cfg in cfgs]
+                cuts = [
+                    record if cfg.delta == tightest.delta else _record_at(record, cfg)
+                    for cfg in cfgs
+                ]
             except Exception as exc:  # noqa: BLE001 - partial rows keep the sweep alive
                 # one cell: the message must not split the row or the file
                 message = " ".join(f"{type(exc).__name__}: {exc}".splitlines())

@@ -1,10 +1,10 @@
-"""Noiseless statevector and noisy density-matrix simulation, plus shot oracles.
+"""Noiseless statevector and noisy density-matrix simulation, plus a shot oracle.
 
 Noise model: depolarizing after every gate (p1 on single-qubit gates, p2 on
 the qubit set of wider gates) and a per-qubit readout confusion matrix at
 measurement.  Distributions live over the classical-bit space, and an
 outcome is its index there: bit j of the index is clbit j.  Inside the
-pipeline a shot is that integer index, and oracles return arrays of them.
+pipeline a shot is that integer index, and the oracle returns arrays of them.
 Bitstrings appear only at I/O (counts files and reports); they are written
 most-significant-clbit first, so clbit 0 is the rightmost character and
 ``int(text, 2)`` is the index.
@@ -63,10 +63,6 @@ class TooManyQubits(SimulationError):
 
 class MidCircuitMeasurement(SimulationError):
     """A gate touched a qubit after that qubit was measured."""
-
-
-class ReplayExhausted(SimulationError):
-    """A replay oracle ran out of recorded shots."""
 
 
 @dataclass
@@ -511,7 +507,7 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     return u.reshape(2**n, 2**n)
 
 
-# -- shot oracles ------------------------------------------------------------
+# -- shot oracle -------------------------------------------------------------
 
 
 class DistributionOracle:
@@ -522,7 +518,6 @@ class DistributionOracle:
     """
 
     def __init__(self, dist: OutcomeDistribution, seed: int):
-        self.distribution = dist
         self.num_bits = dist.num_bits
         self._cdf = np.cumsum(dist.probs)
         self._cdf[-1] = 1.0
@@ -532,40 +527,6 @@ class DistributionOracle:
         if batch_size < 1:
             raise SimulationError(f"batch_size must be >= 1, got {batch_size}")
         return np.searchsorted(self._cdf, self._rng.random(batch_size), side="right")
-
-
-class ReplayOracle:
-    """Replays shots recorded in a counts file, in a seed-shuffled order."""
-
-    def __init__(self, num_bits: int, counts: dict[str, int], seed: int = 0):
-        self.num_bits = num_bits
-        outcomes = sorted(counts.items())
-        for bits, count in outcomes:
-            if len(bits) != num_bits or set(bits) - {"0", "1"}:
-                raise SimulationError(f"bad bitstring {bits!r} for {num_bits} bits")
-            if int(count) < 0:
-                raise SimulationError(f"negative count {count} for {bits!r}")
-        shots = np.repeat(
-            np.array([int(bits, 2) if bits else 0 for bits, _ in outcomes], dtype=np.int64),
-            np.array([int(count) for _, count in outcomes], dtype=np.int64),
-        )
-        np.random.default_rng(seed).shuffle(shots)
-        self._shots = shots
-        self._pos = 0
-
-    def sample(self, batch_size: int) -> np.ndarray:
-        if self._pos + batch_size > len(self._shots):
-            raise ReplayExhausted(
-                f"requested {batch_size} shots with {len(self._shots) - self._pos} remaining"
-            )
-        batch = self._shots[self._pos : self._pos + batch_size]
-        self._pos += batch_size
-        return batch
-
-
-def make_oracle(c: Circuit, nm: NoiseModel, seed: int) -> DistributionOracle:
-    """Shot oracle over the exact noisy distribution of the circuit."""
-    return DistributionOracle(noisy_distribution(c, nm), seed)
 
 
 def counts_from_shots(shots: np.ndarray, num_bits: int) -> dict[str, int]:
@@ -586,12 +547,3 @@ def write_counts_file(path: str, num_bits: int, counts: dict[str, int]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-
-
-def read_counts_file(path: str) -> tuple[int, dict[str, int]]:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
-    try:
-        return int(data["n"]), {str(k): int(v) for k, v in data["counts"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SimulationError(f"bad counts file: {exc}") from None

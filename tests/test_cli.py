@@ -457,15 +457,26 @@ def test_sweep_error_row_carries_message(tmp_path, capsys):
     assert "13" in cells[12]
 
 
-@pytest.mark.parametrize("bad", ["1.5", "0", "nan"])
-def test_sweep_bad_delta_exits_1_before_any_row(bad, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        *(pytest.param(["--deltas", f"0.01,{bad}"], "delta must be in (0,1)", id=bad)
+          for bad in ("1.5", "0", "nan")),
+        # a map is parsed once, before any entry is routed on it
+        pytest.param(["--coupling", "bogus"], "unknown coupling", id="coupling-bogus"),
+        pytest.param(["--coupling", "grid:0x2"], "grid spec", id="coupling-grid:0x2"),
+        pytest.param(["--coupling", "@missing.json"], "missing.json", id="coupling-missing"),
+    ],
+)
+def test_sweep_bad_delta_exits_1_before_any_row(flags, message, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps([{"family": "ghz", "n": 3}]))
     out = tmp_path / "sweep.csv"
-    code, _, err = run(["sweep", "--suite", f"@{suite}", "--deltas", f"0.01,{bad}",
-                        "--seeds", "1", "--out", str(out)], capsys)
+    code, _, err = run(["sweep", "--suite", f"@{suite}", "--deltas", "0.01", "--seeds", "1",
+                        "--out", str(out), *flags], capsys)
     assert code == 1
-    assert "delta must be in (0,1)" in err
+    assert message in err
     assert not out.exists()
 
 
@@ -708,6 +719,14 @@ def test_reference_counts_file_bytes_pinned(tmp_path, capsys):
                       "--seed", "5", "--shots", "500", "--out", str(out)], capsys)
     assert code == 0
     assert out.read_text() == _GHZ3_COUNTS_SEED5
+
+
+@pytest.mark.parametrize("noise", ["", "p1=1e-3"])
+@pytest.mark.parametrize("coupling, code", [("bogus", 1), ("grid:1x2", 2)])
+def test_reference_checks_coupling_with_or_without_noise(noise, coupling, code, capsys):
+    # a noiseless run samples the ideal distribution, but routes all the same
+    argv = ["reference", "--bench", "ghz:3", "--coupling", coupling, "--shots", "5"]
+    assert run([*argv, "--noise", noise], capsys)[0] == code
 
 
 def test_reference_measureless_qasm_reads_logical_qubits(tmp_path, capsys):

@@ -12,17 +12,12 @@ from qfid.simulator import (
     MidCircuitMeasurement,
     NoiseModel,
     OutcomeDistribution,
-    ReplayExhausted,
-    ReplayOracle,
     SimulationError,
     TooManyQubits,
     counts_from_shots,
     empirical_distribution,
     ideal_distribution,
-    make_oracle,
     noisy_distribution,
-    read_counts_file,
-    write_counts_file,
 )
 
 
@@ -394,9 +389,9 @@ def test_noisy_probabilities_sum_to_one():
 
 def test_oracle_determinism():
     c = generate(BenchSpec.make("ghz", 3))
-    nm = NoiseModel(p1=1e-3, p2=1e-2, p_ro=1e-2)
-    a = make_oracle(c, nm, seed=11)
-    b = make_oracle(c, nm, seed=11)
+    noisy = noisy_distribution(c, NoiseModel(p1=1e-3, p2=1e-2, p_ro=1e-2))
+    a = DistributionOracle(noisy, seed=11)
+    b = DistributionOracle(noisy, seed=11)
     assert np.array_equal(a.sample(50), b.sample(50))
     assert np.array_equal(a.sample(10), b.sample(10))  # streams stay aligned call by call
 
@@ -405,10 +400,10 @@ def test_oracle_stream_does_not_depend_on_batching():
     # estimate draws its shots in chunks of batches, and run_estimate re-draws
     # them in one call for its outcome bias
     c = generate(BenchSpec.make("ghz", 3))
-    nm = NoiseModel(p1=1e-3, p2=1e-2, p_ro=1e-2)
-    batched = make_oracle(c, nm, seed=4)
+    noisy = noisy_distribution(c, NoiseModel(p1=1e-3, p2=1e-2, p_ro=1e-2))
+    batched = DistributionOracle(noisy, seed=4)
     drawn = np.concatenate([batched.sample(size) for size in (1, 7, 20, 33)])
-    assert np.array_equal(drawn, make_oracle(c, nm, seed=4).sample(61))
+    assert np.array_equal(drawn, DistributionOracle(noisy, seed=4).sample(61))
     rng = np.random.default_rng(0)
     weights = rng.random(8)
     dist = OutcomeDistribution(3, weights / weights.sum())
@@ -423,7 +418,8 @@ def test_oracle_stream_does_not_depend_on_batching():
 def test_oracle_draws_pinned():
     # the first 20 shots of this oracle when it still returned bitstrings
     c = generate(BenchSpec.make("ghz", 3))
-    oracle = make_oracle(c, NoiseModel(p1=1e-3, p2=1e-2, p_ro=1e-2), seed=11)
+    noisy = noisy_distribution(c, NoiseModel(p1=1e-3, p2=1e-2, p_ro=1e-2))
+    oracle = DistributionOracle(noisy, seed=11)
     expected = [0, 3, 7, 0, 0, 7, 0, 0, 7, 7, 0, 5, 7, 0, 0, 7, 7, 6, 7, 7]
     assert np.array_equal(oracle.sample(20), expected)
 
@@ -446,24 +442,6 @@ def test_million_shot_empirical_close_to_exact():
     oracle = DistributionOracle(ideal_distribution(c), 17)
     empirical = empirical_distribution(4, oracle.sample(1_000_000))
     assert hellinger_distance(empirical, exact) <= 0.01
-
-
-def test_replay_oracle_roundtrip(tmp_path):
-    path = tmp_path / "counts.json"
-    write_counts_file(str(path), 2, {"00": 60, "11": 40})
-    bits, counts = read_counts_file(str(path))
-    oracle = ReplayOracle(bits, counts, seed=3)
-    drawn = oracle.sample(100)
-    assert sorted(counts_from_shots(drawn, 2).items()) == [("00", 60), ("11", 40)]
-    with pytest.raises(ReplayExhausted):
-        oracle.sample(1)
-
-
-def test_replay_oracle_rejects_bad_counts():
-    with pytest.raises(SimulationError, match="bad bitstring"):
-        ReplayOracle(2, {"0": 3})
-    with pytest.raises(SimulationError, match="negative count"):
-        ReplayOracle(1, {"0": 3, "1": -1})
 
 
 def test_empirical_distribution():

@@ -15,7 +15,7 @@ from .estimator import PlanConfig, batch_size, estimate, hellinger_distance, z_q
 from .qasm import emit_qasm, parse_qasm
 from .report import analyze_circuit, run_estimate
 from .simulator import NoiseModel, ideal_distribution, noisy_distribution
-from .spectral import build_kernel, spectral_complexity, top_eigenvalues
+from .spectral import analyze_spectrum, build_kernel, spectral_complexity
 from .transpile import CouplingMap, transpile
 
 __version__ = "0.1.0"
@@ -28,6 +28,7 @@ __all__ = [
     "NoiseModel",
     "PlanConfig",
     "analyze_circuit",
+    "analyze_spectrum",
     "batch_size",
     "build_dag",
     "build_kernel",
@@ -46,7 +47,6 @@ __all__ = [
     "parse_qasm",
     "run_estimate",
     "spectral_complexity",
-    "top_eigenvalues",
     "transpile",
     "z_quantile",
 ]

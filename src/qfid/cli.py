@@ -99,7 +99,11 @@ def parse_coupling(text: str, num_qubits: int) -> CouplingMap:
     """linear | ring | grid:RxC | heavyhex27 | @file.json; sized to fit."""
     if text.startswith("@"):
         with open(text[1:], encoding="utf-8") as fh:
-            return coupling_from_json(fh.read())
+            data = fh.read()
+        try:
+            return coupling_from_json(data)
+        except TranspileError as exc:  # a malformed map is a usage error
+            raise CliError(f"coupling map {text[1:]}: {exc}", EXIT_PARSE) from None
     if text == "linear":
         return linear_map(max(num_qubits, 2))
     if text == "ring":

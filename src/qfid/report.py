@@ -195,7 +195,6 @@ def analyze_circuit(
     Routing takes no seed: ``seed`` is only recorded, as the report's
     ``transpile.seed``.
     """
-    kernel_cfg = kernel_cfg or KernelConfig()
     plan_cfg = plan_cfg or PlanConfig()
     depth0 = circuit_depth(circuit)
     tr = transpile(circuit, coupling)
@@ -205,7 +204,7 @@ def analyze_circuit(
         g0, gt, extra_raw={"depth_0": depth0, "depth_t": tr.depth_t}
     )
     kernel = build_kernel(gt, deformation, kernel_cfg)
-    spectrum = analyze_spectrum(kernel, k, kernel_cfg)
+    spectrum = analyze_spectrum(kernel, k)
     batch = batch_size(spectrum.complexity, tr.depth_t, plan_cfg)
     report = AnalyzeReport(
         source=source or {},

@@ -109,9 +109,6 @@ class OutcomeDistribution:
             raise SimulationError(f"probabilities sum to {total}, not 1")
         self.probs = np.clip(self.probs, 0.0, None)
 
-    def prob_of(self, bitstring: str) -> float:
-        return float(self.probs[int(bitstring, 2)]) if bitstring else 1.0
-
 
 # -- state evolution -------------------------------------------------------
 #

@@ -8,12 +8,13 @@ mass.  Because P is similar to the symmetric S = D^-1/2 K D^-1/2, the whole
 spectrum is real and lives in [-1, 1], with the Perron eigenvalue pinned
 at 1.
 
-The kernel is held as its nonzero entries.  Two eigensolver paths are
-exposed: a dense full decomposition (LAPACK symmetric solver) for
-n <= 1024, and beyond it ARPACK's implicitly restarted Lanczos in
-shift-invert mode at each end of the Gershgorin interval, plus the
-deflation check for missed copies of repeated eigenvalues.  The iterative
-path is validated against the dense one in the test suite.
+The kernel is held as its nonzero entries.  ``analyze_spectrum`` is the
+one entry point to its eigenvalues, with two solvers chosen by size: a
+dense full decomposition (LAPACK symmetric solver) for n <= 1024, and
+beyond it ARPACK's implicitly restarted Lanczos in shift-invert mode at
+each end of the Gershgorin interval, plus the deflation check for missed
+copies of repeated eigenvalues.  The iterative solver is validated against
+the dense one in the test suite.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ DENSE_LIMIT = 1024
 _POWER_SEED = 0x5EED1E5  # fixed: the iterative path must be reproducible
 _SCALE_ROWS = 128  # rows of S scaled per block in the dense path
 _SHIFT = 1e-3  # gap between each shift and its end of the Gershgorin interval
+_TOL = 1e-8  # ARPACK's relative accuracy on the inverted operator
+_MAX_ITER = 10_000  # cap on ARPACK's restarts at each solve
 
 
 class SpectralError(ValueError):
@@ -68,11 +71,7 @@ class WeightedKernel:
     cols: np.ndarray
     vals: np.ndarray
     self_loop: float
-
-    @property
-    def is_dense(self) -> bool:
-        """Whether method "auto" solves this kernel with the dense solver."""
-        return self.n <= DENSE_LIMIT
+    fanin_quantile: float
 
     @property
     def matrix(self) -> np.ndarray:
@@ -83,9 +82,6 @@ class WeightedKernel:
 
     def degrees(self) -> np.ndarray:
         return np.bincount(self.rows, weights=self.vals, minlength=self.n)
-
-    def total_weight(self) -> float:
-        return float(self.vals.sum())
 
 
 @dataclass
@@ -156,6 +152,7 @@ def build_kernel(
         np.concatenate([cols, rows, diag]),
         np.concatenate([half, half, np.full(n, cfg.self_loop)]),
         cfg.self_loop,
+        cfg.fanin_quantile,
     )
 
 
@@ -178,9 +175,7 @@ def _symmetric_similar(kernel: WeightedKernel) -> np.ndarray:
     return s
 
 
-def _iterative_top_k(
-    kernel: WeightedKernel, k: int, tol: float, max_iter: int
-) -> tuple[np.ndarray, float]:
+def _iterative_top_k(kernel: WeightedKernel, k: int) -> tuple[np.ndarray, float]:
     """ARPACK's Lanczos in shift-invert mode at each end of the Gershgorin
     interval, plus the deflation check.
 
@@ -199,8 +194,10 @@ def _iterative_top_k(
     eigsh(k=1) from a fresh start vector runs on the inverse deflated by the
     k pairs found, lu.solve(x) - V M V^T x; a mode nearer sigma than the
     farthest of the k replaces it, and the check repeats, at most k times.
-    Needs k < n - 1 (_resolve_method sends larger k to the dense solver).
-    Returns the k eigenvalues and the largest ||S v - theta v||.
+    Needs k < n - 1 (analyze_spectrum sends larger k to the dense solver).
+    Returns the k eigenvalues and the largest ||S v - theta v||; raises
+    ConvergenceFailure, padded with zeros to k values, if ARPACK exceeds
+    _MAX_ITER restarts (_TOL is its relative accuracy on the inverse).
     """
     n = kernel.n
     # scipy.sparse.linalg imports scipy.linalg: a cost only this path pays
@@ -221,13 +218,12 @@ def _iterative_top_k(
             op = LinearOperator((n, n), matvec=matvec, dtype=float)
             v0 = rng.standard_normal(n)
             try:
-                return eigsh(op, count, which="LM", v0=v0, tol=tol, maxiter=max_iter)
+                return eigsh(op, count, which="LM", v0=v0, tol=_TOL, maxiter=_MAX_ITER)
             except ArpackNoConvergence as exc:
                 found = [sigma + 1.0 / float(mu) for mu in exc.eigenvalues]
-                found = sorted(found, key=abs, reverse=True)[:k]
                 partial = found + [0.0] * (k - len(found))
                 raise ConvergenceFailure(
-                    f"ARPACK exceeded {max_iter} restarts", partial
+                    f"ARPACK exceeded {_MAX_ITER} restarts", partial
                 ) from None
 
         mu, vecs = solve(lu.solve, k)
@@ -239,7 +235,7 @@ def _iterative_top_k(
                 return lu.solve(x) - vecs @ (mu * (vecs.T @ x))
 
             extra, u = solve(deflated, 1)
-            if 1.0 / abs(extra[0]) >= farthest - tol:
+            if 1.0 / abs(extra[0]) >= farthest - _TOL:
                 break
             keep = np.argsort(-np.abs(mu))[: k - 1]
             mu = np.append(mu[keep], extra)
@@ -262,50 +258,6 @@ def _iterative_top_k(
     return theta, float(np.linalg.norm(s @ vecs - vecs * theta, axis=0).max())
 
 
-def _resolve_method(kernel: WeightedKernel, method: str, k: int) -> str:
-    """The solver that runs for ``k`` modes: "auto" picks by size, and the
-    iterative path needs k < n - 1, so a larger k always runs dense."""
-    if method not in ("auto", "dense", "iterative"):
-        raise SpectralError(f"method must be auto|dense|iterative, got {method!r}")
-    if method == "auto":
-        method = "dense" if kernel.is_dense else "iterative"
-    return "dense" if k >= kernel.n - 1 else method
-
-
-def _top_k(
-    kernel: WeightedKernel, k: int, method: str, tol: float = 1e-8, max_iter: int = 10_000
-) -> tuple[list[float], float]:
-    """Eigenvalues and the largest Ritz residual; see top_eigenvalues."""
-    if k < 1:
-        raise SpectralError(f"k must be >= 1, got {k}")
-    k = min(k, kernel.n)
-    if _resolve_method(kernel, method, k) == "dense":
-        values, residual = np.linalg.eigvalsh(_symmetric_similar(kernel)), 0.0
-    else:
-        values, residual = _iterative_top_k(kernel, k, tol, max_iter)
-    ordered = sorted(values, key=lambda x: (-abs(x), -x))
-    return [float(v) for v in ordered[:k]], residual
-
-
-def top_eigenvalues(
-    kernel: WeightedKernel,
-    k: int,
-    method: str = "auto",
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
-) -> list[float]:
-    """Top-k eigenvalues of P by magnitude, descending; all real.
-
-    method "auto" uses the dense solver up to n = 1024 and beyond it ARPACK's
-    Lanczos in shift-invert mode at each end of the Gershgorin interval, plus
-    the deflation check; ``tol`` is ARPACK's relative accuracy on the
-    inverted operator and ``max_iter`` caps its restarts at each solve.
-    Raises ConvergenceFailure (carrying partial results, as eigenvalues of
-    P) if the iterative path does not converge.
-    """
-    return _top_k(kernel, k, method, tol, max_iter)[0]
-
-
 def spectral_complexity(eigenvalues: list[float], k: int) -> float:
     """Sum of |lambda_i| over the top min(k, len) modes."""
     if k < 1:
@@ -314,32 +266,45 @@ def spectral_complexity(eigenvalues: list[float], k: int) -> float:
     return float(sum(top))
 
 
-def default_mode_count(n: int) -> int:
-    return min(10, n)
-
-
 def analyze_spectrum(
-    kernel: WeightedKernel,
-    k: int | None = None,
-    cfg: KernelConfig | None = None,
-    method: str = "auto",
+    kernel: WeightedKernel, k: int | None = None, method: str = "auto"
 ) -> PropagationSpectrum:
-    """Convenience wrapper: eigenvalues + complexity, flagging non-convergence."""
-    cfg = cfg or KernelConfig()
-    k = default_mode_count(kernel.n) if k is None else min(k, kernel.n)
-    used = _resolve_method(kernel, method, k)
-    try:
-        eigs, residual = _top_k(kernel, k, used)
-    except ConvergenceFailure as exc:
-        eigs, residual = exc.partial, math.inf
+    """Top-k eigenvalues of P by magnitude, descending (all real), and their
+    complexity; the kernel's self-loop and fan-in quantile are recorded.
+
+    ``k`` defaults to min(10, n) and is capped at n.  method "auto" uses the
+    dense solver up to n = DENSE_LIMIT and the iterative one beyond it; the
+    iterative solver needs k < n - 1, so a larger k runs dense, and
+    ``method`` records the solver that ran.  An iterative run that does not
+    converge is flagged, not raised: ``converged`` is False, ``residual``
+    inf, and the eigenvalues are the partial ones it resolved.
+    """
+    if method not in ("auto", "dense", "iterative"):
+        raise SpectralError(f"method must be auto|dense|iterative, got {method!r}")
+    if k is not None and k < 1:
+        raise SpectralError(f"k must be >= 1, got {k}")
+    n = kernel.n
+    k = min(10 if k is None else k, n)
+    if method == "auto":
+        method = "dense" if n <= DENSE_LIMIT else "iterative"
+    if k >= n - 1:
+        method = "dense"
+    if method == "dense":
+        values, residual = np.linalg.eigvalsh(_symmetric_similar(kernel)), 0.0
+    else:
+        try:
+            values, residual = _iterative_top_k(kernel, k)
+        except ConvergenceFailure as exc:
+            values, residual = exc.partial, math.inf
+    eigs = [float(v) for v in sorted(values, key=lambda x: (-abs(x), -x))[:k]]
     return PropagationSpectrum(
-        n=kernel.n,
+        n=n,
         k=k,
         eigenvalues=eigs,
         complexity=spectral_complexity(eigs, k),
         self_loop=kernel.self_loop,
-        fanin_quantile=cfg.fanin_quantile,
-        method=used,
+        fanin_quantile=kernel.fanin_quantile,
+        method=method,
         converged=math.isfinite(residual),
         residual=residual,
     )

@@ -26,9 +26,9 @@ def test_spec_validation():
 
 def test_bv_point_mass_on_secret():
     d = ideal_distribution(generate(BenchSpec.make("bv", 4, secret="101")))
-    assert d.prob_of("101") == pytest.approx(1.0, abs=1e-10)
+    assert d.probs[int("101", 2)] == pytest.approx(1.0, abs=1e-10)
     d2 = ideal_distribution(generate(BenchSpec.make("bv", 5, secret="0110")))
-    assert d2.prob_of("0110") == pytest.approx(1.0, abs=1e-10)
+    assert d2.probs[int("0110", 2)] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_bv_excludes_ancilla_from_readout():
@@ -47,8 +47,8 @@ def test_bv_seeded_secret_deterministic():
 
 def test_ghz_closed_form():
     d = ideal_distribution(generate(BenchSpec.make("ghz", 4)))
-    assert d.prob_of("0000") == pytest.approx(0.5, abs=1e-10)
-    assert d.prob_of("1111") == pytest.approx(0.5, abs=1e-10)
+    assert d.probs[int("0000", 2)] == pytest.approx(0.5, abs=1e-10)
+    assert d.probs[int("1111", 2)] == pytest.approx(0.5, abs=1e-10)
 
 
 def test_qft_uniform_on_zero_input():
@@ -58,11 +58,11 @@ def test_qft_uniform_on_zero_input():
 
 def test_qpe_exact_phase_point_mass():
     d = ideal_distribution(generate(BenchSpec.make("qpe", 4, phase=0.125)))
-    assert d.prob_of("0010") == pytest.approx(1.0, abs=1e-10)  # phase * 16 = 2
+    assert d.probs[int("0010", 2)] == pytest.approx(1.0, abs=1e-10)  # phase * 16 = 2
     d2 = ideal_distribution(generate(BenchSpec.make("qpe", 4, phase=5 / 16)))
-    assert d2.prob_of("0101") == pytest.approx(1.0, abs=1e-10)
+    assert d2.probs[int("0101", 2)] == pytest.approx(1.0, abs=1e-10)
     d3 = ideal_distribution(generate(BenchSpec.make("qpe", 2)))
-    assert d3.prob_of("01") == pytest.approx(1.0, abs=1e-10)  # default 1/4 at n=2
+    assert d3.probs[int("01", 2)] == pytest.approx(1.0, abs=1e-10)  # default 1/4 at n=2
 
 
 def test_qpe_uses_one_extra_target_qubit():

@@ -98,6 +98,19 @@ def test_analyze_layout_error_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "estimate", "reference"])
+def test_malformed_map_exit_1(command, tmp_path, capsys):
+    # a map that is not JSON is a usage error, where one too small is a layout error
+    path = tmp_path / "map.json"
+    path.write_text("nope")
+    out = tmp_path / "out"
+    code, _, err = run([command, "--bench", "ghz:3", "--coupling", f"@{path}", "--out", str(out)],
+                       capsys)
+    assert code == 1
+    assert "bad coupling map JSON" in err
+    assert not out.exists()
+
+
 def _options(subcommand: str) -> set[str]:
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     actions = sub.choices[subcommand]._actions
@@ -466,10 +479,16 @@ def test_sweep_error_row_carries_message(tmp_path, capsys):
         pytest.param(["--coupling", "bogus"], "unknown coupling", id="coupling-bogus"),
         pytest.param(["--coupling", "grid:0x2"], "grid spec", id="coupling-grid:0x2"),
         pytest.param(["--coupling", "@missing.json"], "missing.json", id="coupling-missing"),
+        pytest.param(["--coupling", "@nope.json"], "bad coupling map JSON", id="coupling-not-json"),
+        pytest.param(["--coupling", "@far.json"], "outside 3 qubits", id="coupling-edge-range"),
+        pytest.param(["--coupling", "@loop.json"], "self-loop", id="coupling-self-loop"),
     ],
 )
 def test_sweep_bad_delta_exits_1_before_any_row(flags, message, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "nope.json").write_text("nope")
+    (tmp_path / "far.json").write_text('{"n": 3, "edges": [[0, 5]]}')
+    (tmp_path / "loop.json").write_text('{"n": 3, "edges": [[0, 0]]}')
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps([{"family": "ghz", "n": 3}]))
     out = tmp_path / "sweep.csv"

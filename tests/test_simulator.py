@@ -71,15 +71,15 @@ def test_h_then_measure():
 
 def test_ghz3_distribution():
     d = ideal_distribution(generate(BenchSpec.make("ghz", 3)))
-    assert d.prob_of("000") == pytest.approx(0.5, abs=1e-12)
-    assert d.prob_of("111") == pytest.approx(0.5, abs=1e-12)
+    assert d.probs[int("000", 2)] == pytest.approx(0.5, abs=1e-12)
+    assert d.probs[int("111", 2)] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_x_point_mass():
     c = Circuit(1, 1)
     c.add("x", (0,))
     c.measure(0, 0)
-    assert ideal_distribution(c).prob_of("1") == pytest.approx(1.0, abs=1e-12)
+    assert ideal_distribution(c).probs[int("1", 2)] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_readout_order_follows_measure_map():
@@ -89,7 +89,7 @@ def test_readout_order_follows_measure_map():
     c.measure(0, 1)
     c.measure(1, 0)
     d = ideal_distribution(c)
-    assert d.prob_of("10") == pytest.approx(1.0)
+    assert d.probs[int("10", 2)] == pytest.approx(1.0)
 
 
 def test_partial_readout_marginalizes():

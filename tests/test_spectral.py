@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import qfid
+from qfid import spectral
 from qfid.bench import random_circuit
 from qfid.circuit import Circuit
 from qfid.dag import EmptyGraph, GateDag, build_dag, longest_path_len
@@ -20,10 +21,8 @@ from qfid.spectral import (
     _symmetric_similar,
     analyze_spectrum,
     build_kernel,
-    default_mode_count,
     operator_rows,
     spectral_complexity,
-    top_eigenvalues,
 )
 
 ZERO = DeformationReport(0.0, 0.0, 0.0)
@@ -100,7 +99,7 @@ def test_kernel_symmetric_and_deformation_weighted():
         assert np.all(k.matrix >= 0)
     # multipliers never shrink weights below the base kernel
     assert np.all(boosted.matrix >= base.matrix - 1e-15)
-    assert boosted.total_weight() > base.total_weight()
+    assert boosted.vals.sum() > base.vals.sum()
 
 
 def test_kernel_negative_deltas_are_clamped():
@@ -119,7 +118,7 @@ def test_operator_rows_hand_normalized():
 
 def test_top_eigenvalues_analytic_two_by_two():
     k = build_kernel(two_node_double_edge(), ZERO)
-    eigs = top_eigenvalues(k, 2)
+    eigs = analyze_spectrum(k, 2).eigenvalues
     assert eigs[0] == pytest.approx(1.0, abs=1e-12)
     assert eigs[1] == pytest.approx(-1 / 3, abs=1e-12)
 
@@ -128,7 +127,7 @@ def test_single_node_spectrum():
     c = Circuit(1)
     c.add("h", (0,))
     k = build_kernel(build_dag(c), ZERO)
-    assert top_eigenvalues(k, 1) == pytest.approx([1.0], abs=1e-12)
+    assert analyze_spectrum(k, 1).eigenvalues == pytest.approx([1.0], abs=1e-12)
 
 
 def test_three_node_path_matches_jacobi_oracle():
@@ -139,8 +138,9 @@ def test_three_node_path_matches_jacobi_oracle():
     d = k.degrees()
     s = k.matrix / np.sqrt(np.outer(d, d))
     expected = jacobi_eigenvalues(s)
-    got = top_eigenvalues(k, 3)
-    assert np.allclose(got, expected, atol=1e-8)
+    spec = analyze_spectrum(k)
+    assert spec.k == k.n == 3  # below 10 nodes, every mode is kept
+    assert np.allclose(spec.eigenvalues, expected, atol=1e-8)
 
 
 def test_dense_matches_jacobi_oracle_random_kernels():
@@ -150,7 +150,7 @@ def test_dense_matches_jacobi_oracle_random_kernels():
         d = k.degrees()
         s = k.matrix / np.sqrt(np.outer(d, d))
         expected = jacobi_eigenvalues(s)
-        got = top_eigenvalues(k, k.n, method="dense")
+        got = analyze_spectrum(k, k.n, method="dense").eigenvalues
         assert np.allclose(got, expected, atol=1e-8), seed
 
 
@@ -162,8 +162,8 @@ def test_iterative_matches_dense():
         report = DeformationReport(0.1, float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
         k = build_kernel(build_dag(random_circuit(nq, ng, trial, measure=True)), report)
         kk = min(10, k.n)
-        dense = top_eigenvalues(k, kk, method="dense")
-        iterative = top_eigenvalues(k, kk, method="iterative")
+        dense = analyze_spectrum(k, kk, method="dense").eigenvalues
+        iterative = analyze_spectrum(k, kk, method="iterative").eigenvalues
         assert np.allclose(
             [abs(x) for x in dense], [abs(x) for x in iterative], atol=1e-6
         ), trial
@@ -176,7 +176,7 @@ def test_row_stochastic_and_perron_properties():
         k = build_kernel(build_dag(c), ZERO)
         p = operator_rows(k)
         assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-9
-        eigs = top_eigenvalues(k, min(10, k.n))
+        eigs = analyze_spectrum(k, min(10, k.n)).eigenvalues
         assert abs(abs(eigs[0]) - 1.0) <= 1e-9
         assert all(abs(e) <= 1 + 1e-9 for e in eigs)
 
@@ -191,11 +191,6 @@ def test_spectral_complexity_rules():
         spectral_complexity(eigs, 0)
 
 
-def test_default_mode_count():
-    assert default_mode_count(5) == 5
-    assert default_mode_count(50) == 10
-
-
 def test_kernel_total_weight_monotone_under_insertion():
     # zero-delta kernels: adding a gate never shrinks node count or weight
     rng = np.random.default_rng(11)
@@ -207,14 +202,14 @@ def test_kernel_total_weight_monotone_under_insertion():
         k1 = build_kernel(build_dag(c1), ZERO)
         k2 = build_kernel(build_dag(c2), ZERO)
         assert k2.n >= k1.n
-        assert k2.total_weight() >= k1.total_weight() - 1e-12
+        assert k2.vals.sum() >= k1.vals.sum() - 1e-12
 
 
 def test_analyze_spectrum_summary():
     c = random_circuit(4, 40, seed=8, measure=True)
     dag = build_dag(c)
     spec = analyze_spectrum(build_kernel(dag, ZERO))
-    assert spec.k == min(10, spec.n)
+    assert spec.n > 10 and spec.k == 10
     assert len(spec.eigenvalues) == spec.k
     assert 0 < spec.complexity <= spec.k
     assert spec.converged
@@ -227,7 +222,15 @@ def test_fanin_quantile_affects_weights():
     report = DeformationReport(0.0, 0.0, 1.0)  # only the fan-in multiplier acts
     narrow = build_kernel(dag, report, KernelConfig(fanin_quantile=0.99))
     broad = build_kernel(dag, report, KernelConfig(fanin_quantile=0.0))
-    assert broad.total_weight() >= narrow.total_weight()
+    assert broad.vals.sum() >= narrow.vals.sum()
+
+
+def test_spectrum_records_the_kernel_settings():
+    # the spectrum reads both settings off the kernel, not off a default config
+    dag = build_dag(random_circuit(4, 40, seed=9, measure=True))
+    kernel = build_kernel(dag, ZERO, KernelConfig(fanin_quantile=0.5, self_loop=0.7))
+    spec = analyze_spectrum(kernel)
+    assert (spec.fanin_quantile, spec.self_loop) == (0.5, 0.7)
 
 
 def test_kernel_config_validation():
@@ -240,8 +243,10 @@ def test_kernel_config_validation():
 def test_iterative_handles_singular_kernel():
     # single-edge kernel is rank 1: spectrum {1, 0}
     k = build_kernel(two_node_single_edge(), ZERO)
-    assert top_eigenvalues(k, 2, method="dense") == pytest.approx([1.0, 0.0], abs=1e-12)
-    assert top_eigenvalues(k, 2, method="iterative") == pytest.approx([1.0, 0.0], abs=1e-8)
+    dense = analyze_spectrum(k, 2, method="dense").eigenvalues
+    assert dense == pytest.approx([1.0, 0.0], abs=1e-12)
+    iterative = analyze_spectrum(k, 2, method="iterative").eigenvalues
+    assert iterative == pytest.approx([1.0, 0.0], abs=1e-8)
 
 
 def test_sparse_kernel_path_beyond_dense_limit():
@@ -250,7 +255,6 @@ def test_sparse_kernel_path_beyond_dense_limit():
     dag = build_dag(c)
     assert dag.num_nodes > 1024
     k = build_kernel(dag, ZERO)
-    assert not k.is_dense
     spec = analyze_spectrum(k)
     assert spec.method == "iterative"
     assert spec.converged
@@ -258,20 +262,21 @@ def test_sparse_kernel_path_beyond_dense_limit():
     assert 0 < spec.complexity <= 10
 
 
-def test_convergence_failure_carries_partial_results():
-    from qfid.spectral import ConvergenceFailure
-
+def test_convergence_failure_carries_partial_results(monkeypatch):
     c = Circuit(1)
     for _ in range(650):  # long chain: one restart cannot reach 1e-8 residuals
         c.add("h", (0,))
     k = build_kernel(build_dag(c), ZERO)
-    with pytest.raises(ConvergenceFailure) as info:
-        top_eigenvalues(k, 3, method="iterative", max_iter=1)
-    assert len(info.value.partial) == 3
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_MAX_ITER", 1)
+        flagged = analyze_spectrum(k, k=3, method="iterative")
+    assert (flagged.method, flagged.converged, flagged.residual) == ("iterative", False, math.inf)
+    assert len(flagged.eigenvalues) == 3
     # partial values are eigenvalues of P, mapped back from the shift-inverted
     # operator (an unmapped mu near 1 would read about -1/_SHIFT)
-    assert any(info.value.partial)
-    assert all(-1 - 1e-9 <= v <= 1 + 1e-9 for v in info.value.partial)
+    assert any(flagged.eigenvalues)
+    assert all(-1 - 1e-9 <= v <= 1 + 1e-9 for v in flagged.eigenvalues)
+    assert flagged.complexity == spectral_complexity(flagged.eigenvalues, 3)
 
     spec = analyze_spectrum(k, k=3, method="iterative")
     assert spec.converged  # the default iteration budget is enough
@@ -297,7 +302,7 @@ def test_iterative_finds_negative_modes_in_top_k():
     # a small self-loop on a bipartite chain puts lambda near -1: the top 10
     # by |lambda| hold four negative modes, which only the bottom end reaches
     kernel = h_chain(30, 0.05)
-    dense = top_eigenvalues(kernel, 10, method="dense")
+    dense = analyze_spectrum(kernel, 10, method="dense").eigenvalues
     assert sum(v < 0 for v in dense) >= 3
     spec = analyze_spectrum(kernel, k=10, method="iterative")
     assert np.allclose(spec.eigenvalues, dense, rtol=0, atol=1e-10)
@@ -308,8 +313,8 @@ def test_iterative_ends_overlap_without_duplicates():
     # n = 12, k = 10: each end's 10 modes share 8 with the other end's
     kernel = h_chain(12, 0.05)
     assert kernel.n == 12
-    dense = top_eigenvalues(kernel, 10, method="dense")
-    iterative = top_eigenvalues(kernel, 10, method="iterative")
+    dense = analyze_spectrum(kernel, 10, method="dense").eigenvalues
+    iterative = analyze_spectrum(kernel, 10, method="iterative").eigenvalues
     assert np.allclose(iterative, dense, rtol=0, atol=1e-10)
     assert len(set(np.round(iterative, 8))) == 10
 
@@ -323,7 +328,8 @@ def test_spectrum_above_gershgorin_floor():
         cfg = KernelConfig(self_loop=float(rng.uniform(0.1, 2)))
         kernel = build_kernel(build_dag(random_circuit(nq, ng, trial, measure=True)), report, cfg)
         floor = 2 * float((cfg.self_loop / kernel.degrees()).min()) - 1
-        assert min(top_eigenvalues(kernel, kernel.n, method="dense")) >= floor - 1e-12, trial
+        eigs = analyze_spectrum(kernel, kernel.n, method="dense").eigenvalues
+        assert min(eigs) >= floor - 1e-12, trial
 
 
 def dense_kernel_oracle(dag: GateDag, report: DeformationReport, cfg: KernelConfig):
@@ -392,12 +398,13 @@ def test_iterative_finds_every_copy_of_repeated_eigenvalues():
             chains.add("h", (q,))
     kernel = build_kernel(build_dag(chains), ZERO)
     assert kernel.n == 36
-    assert top_eigenvalues(kernel, 10, method="dense")[:3] == pytest.approx([1.0] * 3, abs=1e-12)
+    top = analyze_spectrum(kernel, 10, method="dense").eigenvalues[:3]
+    assert top == pytest.approx([1.0] * 3, abs=1e-12)
     # the criterion-2 kernels on which Lanczos alone missed a repeated mode
     for kernel in [kernel, *criterion_2_kernels({3, 36, 48})]:
         k = min(10, kernel.n)
         assert k < kernel.n - 1
-        dense = top_eigenvalues(kernel, k, method="dense")
+        dense = analyze_spectrum(kernel, k, method="dense").eigenvalues
         spec = analyze_spectrum(kernel, k=k, method="iterative")
         assert np.allclose(spec.eigenvalues, dense, rtol=0, atol=1e-10)
         assert spec.converged and spec.residual <= 1e-8
@@ -409,7 +416,7 @@ def test_iterative_reproducible_beyond_dense_limit():
     first = analyze_spectrum(kernel)
     assert first.method == "iterative"
     assert 0 < first.residual <= 1e-8
-    assert top_eigenvalues(kernel, first.k, method="iterative") == first.eigenvalues
+    assert analyze_spectrum(kernel, method="iterative").eigenvalues == first.eigenvalues
     dense = analyze_spectrum(kernel, method="dense")
     assert dense.residual == 0.0
     assert np.allclose(first.eigenvalues, dense.eigenvalues, rtol=0, atol=1e-10)

@@ -11,7 +11,7 @@ from .bench import BenchSpec, default_suite, generate
 from .circuit import Circuit, Gate, circuit_depth, gate_unitary
 from .dag import build_dag, degree_histogram, longest_path_len
 from .deformation import compare as deformation_report
-from .estimator import PlanConfig, batch_size, estimate, hellinger_distance, z_quantile
+from .estimator import Plan, PlanConfig, batch_size, estimate, hellinger_distance, z_quantile
 from .qasm import emit_qasm, parse_qasm
 from .report import analyze_circuit, run_estimate
 from .simulator import NoiseModel, ideal_distribution, noisy_distribution
@@ -26,6 +26,7 @@ __all__ = [
     "CouplingMap",
     "Gate",
     "NoiseModel",
+    "Plan",
     "PlanConfig",
     "analyze_circuit",
     "analyze_spectrum",

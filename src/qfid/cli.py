@@ -187,7 +187,7 @@ def _write_report(args, circuit, source: dict, analyze, record=None) -> None:
     """An analyze or estimate report, in ``--format``, to ``--out``."""
     if args.format == "csv":
         family, n = source.get("family", ""), source.get("n", circuit.num_qubits)
-        row = csv_row(family, n, args.seed, args.delta, analyze, record)
+        row = csv_row(family, n, args.seed, analyze, record)
         _write_output(SWEEP_COLUMNS + "\n" + row + "\n", args.out)
     else:
         _write_output(to_json((record or analyze).to_dict()) + "\n", args.out)
@@ -312,16 +312,15 @@ def cmd_sweep(args) -> int:
     noise = parse_noise(args.noise)
     # the plan comes from --deltas (sweep accepts --delta but reads none of
     # it); every delta is checked before any row is computed
-    plans = [_plan_config(args, delta) for delta in deltas]
+    cfgs = [_plan_config(args, delta) for delta in deltas]
 
     def factory(width: int) -> CouplingMap:
         return parse_coupling(args.coupling, width)
 
     factory(2)  # a malformed --coupling exits here, before any row is computed
     text = sweep_csv(
-        suite, deltas, seeds, factory, noise,
-        plan_cfg=plans[0], timing=args.timing,
-        kernel_cfg=_kernel_config(args), k=args.k,
+        suite, cfgs, seeds, factory, noise,
+        timing=args.timing, kernel_cfg=_kernel_config(args), k=args.k,
     )
     _write_output(text, args.out)
     return 0

@@ -23,7 +23,7 @@ the shots it used and never past the cap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -48,10 +48,11 @@ class DimensionMismatch(EstimationError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlanConfig:
     delta: float = 0.01
     alpha: float = 0.05
+    z_alpha: float = field(init=False)  # z_quantile(alpha); field order is report key order
     p_max: int = 10_000
     batch_min: int = 20
     min_batches_before_stop: int = 2
@@ -74,10 +75,23 @@ class PlanConfig:
             raise DomainError("p_max must be at least batch_min")
         if self.estimator not in ("success", "xeb"):
             raise DomainError(f"estimator must be success|xeb, got {self.estimator!r}")
+        object.__setattr__(self, "z_alpha", z_quantile(self.alpha))
 
-    @property
-    def z_alpha(self) -> float:
-        return z_quantile(self.alpha)
+
+@dataclass(frozen=True)
+class Plan:
+    """A measurement plan: the batch size and the stop rule to sample under."""
+
+    batch: int
+    config: PlanConfig
+
+    def __post_init__(self) -> None:
+        if self.batch < 1:
+            raise EstimationError(f"batch must be >= 1, got {self.batch}")
+
+    def to_dict(self) -> dict:
+        """The report's ``plan`` object: the batch size, then the config's fields in order."""
+        return {"batch_size": self.batch, **asdict(self.config)}
 
 
 @dataclass
@@ -93,8 +107,7 @@ class BatchStat:
 
 @dataclass
 class EstimationTrace:
-    batch_size: int
-    estimator: str
+    plan: Plan
     batches: list[BatchStat] = field(default_factory=list)
     fhat: float = 0.0
     sigma: float = 0.0
@@ -192,12 +205,9 @@ def shot_values(ideal: OutcomeDistribution, estimator: str) -> np.ndarray:
 
 
 def estimate(
-    oracle: DistributionOracle,
-    ideal: OutcomeDistribution,
-    cfg: PlanConfig,
-    batch: int,
+    oracle: DistributionOracle, ideal: OutcomeDistribution, plan: Plan
 ) -> EstimationTrace:
-    """Run the adaptive loop until the CI criterion or the shot cap.
+    """Run the adaptive loop under ``plan`` until the CI criterion or the shot cap.
 
     Shots are read in chunks of whole batches, each one ``oracle.sample``
     call: first ``min_batches_before_stop`` batches, since no stop comes
@@ -208,8 +218,7 @@ def estimate(
     most as many as the trace used, and never past ``ceil(p_max / batch)``
     batches in all.
     """
-    if batch < 1:
-        raise EstimationError(f"batch must be >= 1, got {batch}")
+    cfg, batch = plan.config, plan.batch
     if oracle.num_bits != ideal.num_bits:
         raise DimensionMismatch(
             f"oracle has {oracle.num_bits} bits, ideal has {ideal.num_bits}"
@@ -252,7 +261,7 @@ def estimate(
     used = drawn + row + 1
     columns = [np.concatenate(column)[:used].tolist() for column in zip(*chunks)]
     batches = [BatchStat(i, batch, *row_stats) for i, row_stats in enumerate(zip(*columns))]
-    return _stopped(batch, cfg, batches, reason)
+    return _stopped(plan, batches, reason)
 
 
 def _stop_flags(ci, index, total_shots, cfg: PlanConfig):
@@ -270,16 +279,13 @@ def stop_reason(stat: BatchStat, cfg: PlanConfig) -> str:
     return "ci_met" if ci_met else "cap_reached" if cap_reached else ""
 
 
-def _stopped(
-    batch: int, cfg: PlanConfig, batches: list[BatchStat], reason: str
-) -> EstimationTrace:
+def _stopped(plan: Plan, batches: list[BatchStat], reason: str) -> EstimationTrace:
     last = batches[-1]
     fhat = last.cum_mean
-    if cfg.estimator == "xeb":
+    if plan.config.estimator == "xeb":
         fhat = min(max(fhat, 0.0), 1.05)
     return EstimationTrace(
-        batch_size=batch,
-        estimator=cfg.estimator,
+        plan=plan,
         batches=batches,
         fhat=fhat,
         sigma=last.cum_std,
@@ -289,21 +295,21 @@ def _stopped(
     )
 
 
-def truncate(trace: EstimationTrace, cfg: PlanConfig) -> EstimationTrace:
-    """The trace ``estimate`` returns under ``cfg``, cut from a longer one.
+def truncate(trace: EstimationTrace, plan: Plan) -> EstimationTrace:
+    """The trace ``estimate`` returns under ``plan``, cut from a longer one.
 
-    ``trace`` must come from the same oracle seed, batch size and config
-    except for a tolerance no looser than ``cfg.delta``: the batches then
-    agree, and the loop under ``cfg`` stops at the first batch where
+    ``trace`` must come from the same oracle seed and a plan equal to
+    ``plan`` except for a tolerance no looser than its delta: the batches
+    then agree, and the loop under ``plan`` stops at the first batch where
     ``stop_reason`` holds, which is no later than the end of ``trace``.
     """
-    if trace.estimator != cfg.estimator:
-        raise EstimationError(f"trace is {trace.estimator}, config is {cfg.estimator}")
+    if replace(plan, config=replace(plan.config, delta=trace.plan.config.delta)) != trace.plan:
+        raise EstimationError(f"trace ran under {trace.plan}, not {plan} up to delta")
     for stat in trace.batches:
-        reason = stop_reason(stat, cfg)
+        reason = stop_reason(stat, plan.config)
         if reason:
-            return _stopped(trace.batch_size, cfg, trace.batches[: stat.index + 1], reason)
-    raise EstimationError(f"trace ends before the stop rule holds at delta {cfg.delta}")
+            return _stopped(plan, trace.batches[: stat.index + 1], reason)
+    raise EstimationError(f"trace ends before the stop rule holds at delta {plan.config.delta}")
 
 
 def hellinger_distance(p: OutcomeDistribution, q: OutcomeDistribution) -> float:

@@ -3,7 +3,8 @@
 ``analyze_circuit`` runs the shot-free half of the pipeline (DAG,
 transpile, deformation, spectrum, batch size); ``build_pipeline`` adds the
 exact ideal and noisy distributions, and ``sample_pipeline`` the adaptive
-sampling loop and bias accounting against the exact noisy distribution.
+sampling loop, under the plan the build made, and bias accounting against
+the exact noisy distribution.
 ``run_estimate`` is those two steps in a row, plus the outcome bias of
 its shots; a sweep reuses one build across seeds and one sampling trace
 across tolerances.  Reports serialize to JSON/CSV with every float
@@ -34,6 +35,7 @@ from .dag import build_dag
 from .deformation import DeformationReport, compare
 from .estimator import (
     EstimationTrace,
+    Plan,
     PlanConfig,
     batch_size,
     bernoulli_hellinger,
@@ -100,7 +102,7 @@ class AnalyzeReport:
     transpiled: dict
     deformation: DeformationReport
     spectrum: PropagationSpectrum
-    plan: dict
+    plan: Plan
 
     def to_dict(self) -> dict:
         return {
@@ -125,7 +127,7 @@ class AnalyzeReport:
                 "method": self.spectrum.method,
                 "converged": self.spectrum.converged,
             },
-            "plan": self.plan,
+            "plan": self.plan.to_dict(),
         }
 
 
@@ -144,8 +146,8 @@ class RunRecord:
             "noise": self.noise,
             "oracle_seed": self.oracle_seed,
             "estimate": {
-                "batch_size": self.trace.batch_size,
-                "estimator": self.trace.estimator,
+                "batch_size": self.trace.plan.batch,
+                "estimator": self.trace.plan.config.estimator,
                 "shots_used": self.trace.shots_used,
                 "stop_reason": self.trace.stop_reason,
                 "fhat": self.trace.fhat,
@@ -205,7 +207,6 @@ def analyze_circuit(
     )
     kernel = build_kernel(gt, deformation, kernel_cfg)
     spectrum = analyze_spectrum(kernel, k)
-    batch = batch_size(spectrum.complexity, tr.depth_t, plan_cfg)
     report = AnalyzeReport(
         source=source or {},
         circuit={
@@ -225,16 +226,7 @@ def analyze_circuit(
         },
         deformation=deformation,
         spectrum=spectrum,
-        plan={
-            "batch_size": batch,
-            "delta": plan_cfg.delta,
-            "alpha": plan_cfg.alpha,
-            "z_alpha": plan_cfg.z_alpha,
-            "p_max": plan_cfg.p_max,
-            "batch_min": plan_cfg.batch_min,
-            "min_batches_before_stop": plan_cfg.min_batches_before_stop,
-            "estimator": plan_cfg.estimator,
-        },
+        plan=Plan(batch_size(spectrum.complexity, tr.depth_t, plan_cfg), plan_cfg),
     )
     return report, tr
 
@@ -292,14 +284,13 @@ def _fidelity_bias(fhat: float, f_true: float) -> dict:
     }
 
 
-def sample_pipeline(
-    pipeline: Pipeline, oracle_seed: int, plan_cfg: PlanConfig
-) -> RunRecord:
-    """Sample adaptively from the noisy distribution; record the fidelity bias."""
+def sample_pipeline(pipeline: Pipeline, oracle_seed: int) -> RunRecord:
+    """Sample adaptively under the build's plan; record the fidelity bias."""
+    plan = pipeline.analyze.plan
     oracle = DistributionOracle(pipeline.noisy, oracle_seed)
-    trace = estimate(oracle, pipeline.ideal, plan_cfg, pipeline.analyze.plan["batch_size"])
+    trace = estimate(oracle, pipeline.ideal, plan)
     bias = _fidelity_bias(
-        trace.fhat, _true_fidelity(plan_cfg.estimator, pipeline.ideal, pipeline.noisy)
+        trace.fhat, _true_fidelity(plan.config.estimator, pipeline.ideal, pipeline.noisy)
     )
     noise = pipeline.noise
     return RunRecord(
@@ -330,12 +321,11 @@ def run_estimate(
     the shots the estimate saw.  A reference of ``reference_shots`` comes
     from the next seed.
     """
-    plan_cfg = plan_cfg or PlanConfig()
     t_start = time.perf_counter()
     pipeline = build_pipeline(
         circuit, coupling, noise, source, transpile_seed, kernel_cfg, plan_cfg, k
     )
-    record = sample_pipeline(pipeline, oracle_seed, plan_cfg)
+    record = sample_pipeline(pipeline, oracle_seed)
     noisy = pipeline.noisy
     shots = DistributionOracle(noisy, oracle_seed).sample(record.trace.shots_used)
     empirical = empirical_distribution(noisy.num_bits, shots)
@@ -359,25 +349,29 @@ def csv_row(
     family: str,
     n: int,
     seed: int,
-    delta: float,
     analyze: AnalyzeReport,
     record: RunRecord | None = None,
     walltime: str = "",
 ) -> str:
-    """One sweep-schema row; estimate columns stay empty for analyze-only."""
+    """One sweep-schema row; estimate columns stay empty for analyze-only.
+
+    Delta and batch come from the plan ``record`` sampled under, else from
+    ``analyze``'s plan.
+    """
     d = analyze.deformation
+    plan = (record.trace if record is not None else analyze).plan
     fields = [
         family,
         str(n),
         str(seed),
-        format_float(delta),
+        format_float(plan.config.delta),
         str(analyze.circuit["depth"]),
         str(analyze.transpiled["depth"]),
         format_float(d.delta_deg),
         format_float(d.delta_path),
         format_float(d.delta_conn),
         format_float(analyze.spectrum.complexity),
-        str(analyze.plan["batch_size"]),
+        str(plan.batch),
     ]
     if record is not None:
         fields += [
@@ -395,24 +389,24 @@ def csv_row(
 
 def _record_at(record: RunRecord, cfg: PlanConfig) -> RunRecord:
     """A shot-free ``record`` cut back to the looser tolerance of ``cfg``."""
-    trace = truncate(record.trace, cfg)
+    trace = truncate(record.trace, replace(record.trace.plan, config=cfg))
     bias = _fidelity_bias(trace.fhat, record.bias["f_true_exact"])
     return replace(record, trace=trace, bias=bias)
 
 
 def sweep_rows(
     suite: list[BenchSpec],
-    deltas: list[float],
+    cfgs: list[PlanConfig],
     seeds: list[int],
     coupling_factory,
     noise: NoiseModel,
-    plan_cfg: PlanConfig | None = None,
     timing: bool = False,
     kernel_cfg: KernelConfig | None = None,
     k: int | None = None,
 ) -> list[str]:
     """One CSV row per (spec, seed, delta), ordered deterministically.
 
+    ``cfgs`` holds one plan config per delta, equal in every other field.
     Each distinct circuit of a suite entry is built once (``build_pipeline``,
     a failure included), and each seed samples once, at the tightest delta,
     which gives that delta's row.  Every looser delta's row is a prefix of
@@ -428,10 +422,8 @@ def sweep_rows(
     ``error:<Type>: <message>``, with commas and line breaks in the message
     replaced so the row keeps its 17 cells.
     """
-    if not deltas:
+    if not cfgs:
         return []
-    base_cfg = plan_cfg or PlanConfig()
-    cfgs = [replace(base_cfg, delta=delta) for delta in deltas]
     tightest = min(cfgs, key=lambda cfg: cfg.delta)
     rows = []
     for spec in suite:
@@ -457,19 +449,16 @@ def sweep_rows(
                 pipeline = pipelines[key]
                 if isinstance(pipeline, Exception):
                     raise pipeline
-                record = sample_pipeline(pipeline, seed, tightest)
-                cuts = [
-                    record if cfg.delta == tightest.delta else _record_at(record, cfg)
-                    for cfg in cfgs
-                ]
+                record = sample_pipeline(pipeline, seed)
+                cuts = [record if cfg == tightest else _record_at(record, cfg) for cfg in cfgs]
             except Exception as exc:  # noqa: BLE001 - partial rows keep the sweep alive
                 # one cell: the message must not split the row or the file
                 message = " ".join(f"{type(exc).__name__}: {exc}".splitlines())
                 message = message.replace(",", ";")
                 rows.extend(
-                    f"{spec.family},{spec.n},{seed},{format_float(delta)},"
+                    f"{spec.family},{spec.n},{seed},{format_float(cfg.delta)},"
                     f",,,,,,,,error:{message},,,,"
-                    for delta in deltas
+                    for cfg in cfgs
                 )
                 continue
             wall = (
@@ -477,10 +466,7 @@ def sweep_rows(
                 if timing
                 else ""
             )
-            rows.extend(
-                csv_row(spec.family, spec.n, seed, delta, cut.analyze, cut, wall)
-                for delta, cut in zip(deltas, cuts)
-            )
+            rows.extend(csv_row(spec.family, spec.n, seed, cut.analyze, cut, wall) for cut in cuts)
     return rows
 
 

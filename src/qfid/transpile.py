@@ -135,8 +135,12 @@ def coupling_from_json(text: str) -> CouplingMap:
     """Load a map from JSON of the form {"n": int, "edges": [[a, b], ...]}."""
     try:
         data = json.loads(text)
-        n = int(data["n"])
-        pairs = [(int(a), int(b)) for a, b in data["edges"]]
+        n = data["n"]
+        pairs = [(a, b) for a, b in data["edges"]]
+        # JSON integers only: int() would read 1.5 as 1, "3" as 3 and true as 1
+        bad = [v for v in (n, *(v for ab in pairs for v in ab)) if type(v) is not int]
+        if bad or n < 0:
+            raise ValueError(f"n and endpoints must be integers, n >= 0; got {(bad or [n])[0]!r}")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise TranspileError(f"bad coupling map JSON: {exc}") from None
     return CouplingMap.from_edges(n, pairs)

@@ -18,6 +18,7 @@ from qfid.circuit import Circuit, gate_unitary
 from qfid.dag import build_dag
 from qfid.deformation import DeformationReport, compare
 from qfid.estimator import (
+    Plan,
     PlanConfig,
     batch_size,
     bernoulli_hellinger,
@@ -273,7 +274,7 @@ def test_criterion_5_stopping_rule_oracle():
                 stop_ref = (len(t), "cap_reached")
                 break
 
-        trace = estimate(_StreamOracle(values), ideal, cfg, batch=20)
+        trace = estimate(_StreamOracle(values), ideal, Plan(20, cfg))
         if (trace.shots_used, trace.stop_reason) != stop_ref:
             mismatches += 1
     passed = mismatches == 0
@@ -324,7 +325,7 @@ def suite_runs():
                     cache[key] = (batch, ideal, noisy, f_true)
                 batch, ideal, noisy, f_true = cache[key]
                 oracle = DistributionOracle(noisy, seed=seed)
-                trace = estimate(oracle, ideal, cfg, batch)
+                trace = estimate(oracle, ideal, Plan(batch, cfg))
                 cells.append(
                     SuiteCell(
                         family, n, seed, batch, ideal, noisy, f_true,
@@ -389,7 +390,7 @@ def test_criterion_8_delta_sweep_monotone(suite_runs):
                 for delta in deltas[1:]:
                     cfg = PlanConfig(delta=delta, alpha=0.05)
                     oracle = DistributionOracle(cell.noisy, seed=seed)
-                    trace = estimate(oracle, cell.ideal, cfg, cell.batch)
+                    trace = estimate(oracle, cell.ideal, Plan(cell.batch, cfg))
                     shots.append(trace.shots_used)
                 total_cells += 1
                 if shots == sorted(shots, reverse=True):

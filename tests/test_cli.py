@@ -98,11 +98,24 @@ def test_analyze_layout_error_exit_2(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("command", ["analyze", "estimate", "reference"])
-def test_malformed_map_exit_1(command, tmp_path, capsys):
-    # a map that is not JSON is a usage error, where one too small is a layout error
+_MALFORMED_MAPS = {  # by test id suffix; the not-JSON case's id is the bare command
+    "": "nope",
+    "fraction": '{"n": 3, "edges": [[0, 1.5], [1, 2]]}',  # int() would read edge (0, 1)
+    "negative": '{"n": -1, "edges": []}',
+    "string": '{"n": "3", "edges": [[0, 1], [1, 2]]}',
+    "bool": '{"n": 3, "edges": [[0, true], [1, 2]]}',
+}
+
+
+@pytest.mark.parametrize("command, text", [
+    pytest.param(command, text, id=f"{command}-{name}" if name else command)
+    for command in ("analyze", "estimate", "reference")
+    for name, text in _MALFORMED_MAPS.items()
+])
+def test_malformed_map_exit_1(command, text, tmp_path, capsys):
+    # a malformed map is a usage error, where one too small is a layout error
     path = tmp_path / "map.json"
-    path.write_text("nope")
+    path.write_text(text)
     out = tmp_path / "out"
     code, _, err = run([command, "--bench", "ghz:3", "--coupling", f"@{path}", "--out", str(out)],
                        capsys)

@@ -12,6 +12,7 @@ from qfid.estimator import (
     DimensionMismatch,
     DomainError,
     EstimationError,
+    Plan,
     PlanConfig,
     UniformIdeal,
     batch_size,
@@ -117,7 +118,7 @@ def test_constant_stream_stops_at_min_batches():
     ideal = dist([0.0, 1.0])
     oracle = StubOracle(1, [1] * 200)
     cfg = PlanConfig(delta=0.01)
-    trace = estimate(oracle, ideal, cfg, batch=20)
+    trace = estimate(oracle, ideal, Plan(20, cfg))
     assert trace.stop_reason == "ci_met"
     assert trace.shots_used == 40  # 2 batches: min_batches_before_stop
     assert trace.fhat == 1.0
@@ -154,7 +155,7 @@ def test_stopping_matches_reference_loop():
                 stop_ref = (len(t), "cap_reached")
                 break
 
-        trace = estimate(StubOracle(1, stream), ideal, cfg, batch=20)
+        trace = estimate(StubOracle(1, stream), ideal, Plan(20, cfg))
         assert (trace.shots_used, trace.stop_reason) == stop_ref, seed
 
 
@@ -163,7 +164,7 @@ def test_cap_reached_on_high_variance_stream():
     rng = np.random.default_rng(0)
     stream = [1 if rng.random() < 0.5 else 0 for _ in range(30_000)]
     cfg = PlanConfig(delta=0.001, p_max=1000)
-    trace = estimate(StubOracle(1, stream), ideal, cfg, batch=20)
+    trace = estimate(StubOracle(1, stream), ideal, Plan(20, cfg))
     assert trace.stop_reason == "cap_reached"
     assert trace.shots_used == 1000
 
@@ -173,16 +174,16 @@ def test_shots_bounded_by_cap_plus_batch():
     rng = np.random.default_rng(1)
     stream = [1 if rng.random() < 0.5 else 0 for _ in range(30_000)]
     cfg = PlanConfig(delta=0.0001, p_max=990)  # not a batch multiple
-    trace = estimate(StubOracle(1, stream), ideal, cfg, batch=20)
+    trace = estimate(StubOracle(1, stream), ideal, Plan(20, cfg))
     assert trace.stop_reason == "cap_reached"
-    assert trace.shots_used < cfg.p_max + trace.batch_size
+    assert trace.shots_used < cfg.p_max + trace.plan.batch
 
 
 def test_stop_condition_holds_on_recorded_trace():
     ideal = dist([0.05, 0.95])
     oracle = DistributionOracle(ideal, seed=3)
     cfg = PlanConfig(delta=0.01)
-    trace = estimate(oracle, ideal, cfg, batch=20)
+    trace = estimate(oracle, ideal, Plan(20, cfg))
     assert trace.stop_reason == "ci_met"
     assert trace.ci <= cfg.delta
     # F-hat equals the S-outcome frequency exactly
@@ -203,7 +204,7 @@ def test_ci_recomputed_every_batch_and_monotone_in_t():
 def test_success_fhat_in_unit_interval():
     ideal = dist([0.3, 0.7])
     oracle = DistributionOracle(ideal, seed=9)
-    trace = estimate(oracle, ideal, PlanConfig(delta=0.05), batch=20)
+    trace = estimate(oracle, ideal, Plan(20, PlanConfig(delta=0.05)))
     assert 0.0 <= trace.fhat <= 1.0
 
 
@@ -212,7 +213,7 @@ def test_xeb_estimate_unbiased_on_ideal_oracle():
     ideal = dist(probs)
     oracle = DistributionOracle(ideal, seed=4)
     cfg = PlanConfig(delta=0.02, estimator="xeb", p_max=50_000)
-    trace = estimate(oracle, ideal, cfg, batch=500)
+    trace = estimate(oracle, ideal, Plan(500, cfg))
     assert trace.fhat == pytest.approx(1.0, abs=5 * trace.ci + 0.02)
     assert 0.0 <= trace.fhat <= 1.05
 
@@ -221,7 +222,7 @@ def test_estimate_dimension_mismatch():
     ideal = dist([0.5, 0.3, 0.1, 0.1])
     oracle = DistributionOracle(dist([1.0, 0.0]), seed=0)
     with pytest.raises(DimensionMismatch):
-        estimate(oracle, ideal, PlanConfig(), batch=10)
+        estimate(oracle, ideal, Plan(10, PlanConfig()))
 
 
 def test_plan_config_validation():
@@ -236,6 +237,8 @@ def test_plan_config_validation():
     for min_batches in (0, -1):
         with pytest.raises(DomainError):
             PlanConfig(min_batches_before_stop=min_batches)
+    with pytest.raises(EstimationError):
+        Plan(0, PlanConfig())
 
 
 def test_hellinger_examples():
@@ -285,22 +288,39 @@ def test_truncated_trace_equals_direct_run(
         for d in deltas
     ]
     tight = min(cfgs, key=lambda cfg: cfg.delta)
-    trace = estimate(DistributionOracle(noisy, seed), ideal, tight, batch)
+    trace = estimate(DistributionOracle(noisy, seed), ideal, Plan(batch, tight))
     for cfg in cfgs:
-        direct = estimate(DistributionOracle(noisy, seed), ideal, cfg, batch)
+        direct = estimate(DistributionOracle(noisy, seed), ideal, Plan(batch, cfg))
         # every BatchStat, fhat, sigma, ci, shots_used and stop_reason
-        assert truncate(trace, cfg) == direct
+        assert truncate(trace, Plan(batch, cfg)) == direct
 
 
 def test_truncate_refuses_a_trace_it_cannot_cut():
     ideal = dist([0.05, 0.95])
     cfg = PlanConfig(delta=0.05)
-    trace = estimate(DistributionOracle(ideal, seed=3), ideal, cfg, batch=20)
+    trace = estimate(DistributionOracle(ideal, seed=3), ideal, Plan(20, cfg))
     assert trace.stop_reason == "ci_met"
     with pytest.raises(EstimationError):
-        truncate(trace, PlanConfig(delta=0.001))  # would need more shots
+        truncate(trace, Plan(20, PlanConfig(delta=0.001)))  # would need more shots
     with pytest.raises(EstimationError):
-        truncate(trace, PlanConfig(delta=0.05, estimator="xeb"))
+        truncate(trace, Plan(20, PlanConfig(delta=0.05, estimator="xeb")))
+
+
+def test_truncate_refuses_a_plan_that_differs_beyond_delta():
+    ideal = dist([0.5, 0.0, 0.0, 0.5])
+    noisy = dist([0.45, 0.05, 0.05, 0.45])
+    trace = estimate(DistributionOracle(noisy, seed=3), ideal, Plan(20, PlanConfig(delta=0.02)))
+    loose = Plan(20, PlanConfig(delta=0.05))
+    assert truncate(trace, loose) == estimate(DistributionOracle(noisy, seed=3), ideal, loose)
+    for plan in (
+        # the cut would stop at 80 shots, where a run under this plan takes 260
+        Plan(20, PlanConfig(delta=0.05, alpha=0.01)),
+        Plan(20, PlanConfig(delta=0.05, p_max=60)),
+        Plan(20, PlanConfig(delta=0.05, min_batches_before_stop=3)),
+        Plan(25, PlanConfig(delta=0.05)),
+    ):
+        with pytest.raises(EstimationError, match="trace ran under"):
+            truncate(trace, plan)
 
 
 class _BitstringOracle(DistributionOracle):
@@ -385,7 +405,7 @@ def test_index_shots_match_bitstring_loop(
         return  # xeb is undefined on a uniform ideal
     cfg = PlanConfig(delta=delta, p_max=p_max, batch_min=1,
                      min_batches_before_stop=min_batches, estimator=estimator)
-    trace = estimate(DistributionOracle(noisy, seed), ideal, cfg, batch)
+    trace = estimate(DistributionOracle(noisy, seed), ideal, Plan(batch, cfg))
     batches, reason = _bitstring_loop(_BitstringOracle(noisy, seed), ideal, cfg, batch)
     assert trace.batches == batches
     assert trace.stop_reason == reason
@@ -423,7 +443,7 @@ def test_draw_ahead_is_bounded(weights, batch, min_batches, p_max, estimator, de
     cfg = PlanConfig(delta=delta, p_max=p_max, batch_min=1,
                      min_batches_before_stop=min_batches, estimator=estimator)
     oracle = _CountingOracle(noisy, seed)
-    trace = estimate(oracle, ideal, cfg, batch)
+    trace = estimate(oracle, ideal, Plan(batch, cfg))
     cap_shots = -(-p_max // batch) * batch
     assert trace.shots_used <= oracle.requested <= min(2 * trace.shots_used, cap_shots)
     if len(trace.batches) == min_batches:

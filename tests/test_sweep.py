@@ -32,7 +32,7 @@ def per_row_sweep(suite, deltas, seeds, coupling_factory, noise, plan_cfg):
                     rows.append(f"{spec.family},{spec.n},{seed},{format_float(delta)},"
                                 f",,,,,,,,error:{message},,,,")
                     continue
-                rows.append(csv_row(spec.family, spec.n, seed, delta, record.analyze, record))
+                rows.append(csv_row(spec.family, spec.n, seed, record.analyze, record))
     return rows
 
 
@@ -57,7 +57,8 @@ def _suite(names):
 def test_sweep_rows_equal_the_per_row_path(case):
     names, deltas, seeds, cfg = CASES[case]
     suite = _suite(names)
-    rows = sweep_rows(suite, deltas, seeds, linear_map, NOISE, plan_cfg=cfg)
+    cfgs = [replace(cfg, delta=delta) for delta in deltas]
+    rows = sweep_rows(suite, cfgs, seeds, linear_map, NOISE)
     assert rows == per_row_sweep(suite, deltas, seeds, linear_map, NOISE, cfg)
     assert len(rows) == len(suite) * len(seeds) * len(deltas)
     if case == "xeb-cap":
@@ -78,12 +79,12 @@ def test_sweep_builds_each_distinct_circuit_once_per_entry(monkeypatch):
     monkeypatch.setattr(report, "transpile", spy("transpile", report.transpile))
     monkeypatch.setattr(report, "noisy_distribution", spy("noisy", report.noisy_distribution))
 
-    seeds, deltas = [1, 2, 3], [0.01, 0.02, 0.03]
+    seeds, cfgs = [1, 2, 3], [PlanConfig(delta=delta) for delta in (0.01, 0.02, 0.03)]
 
     def built(names):
         calls.update(transpile=0, noisy=0)
-        rows = sweep_rows(_suite(names), deltas, seeds, linear_map, NOISE)
-        assert len(rows) == len(names) * len(seeds) * len(deltas)
+        rows = sweep_rows(_suite(names), cfgs, seeds, linear_map, NOISE)
+        assert len(rows) == len(names) * len(seeds) * len(cfgs)
         return dict(calls)
 
     assert built(["ghz:3"]) == {"transpile": 1, "noisy": 1}

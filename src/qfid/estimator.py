@@ -15,9 +15,13 @@ estimate.  Two value semantics are available:
 
 Sampling stops once z_alpha * sigma / sqrt(|T|) <= delta (after a minimum
 number of batches), or when the shot cap is reached.  The loop reads shots
-in chunks of whole batches, doubling the shots drawn each time, and looks
-at every batch of a chunk in order; it may draw past its stop point, up to
-the shots it used and never past the cap.
+in chunks of whole batches and looks at every batch of a chunk in order.
+After the first chunk, each one reads up to twice the shots drawn so far
+or up to twice T* = z_alpha * sqrt(SS) / delta, whichever is more, with SS
+the sum of squared deviations so far.  The rule cannot hold at or before
+T*: SS never shrinks, so the half-width at any later count T exceeds
+z_alpha * sqrt(SS) / T, which is at least delta up to T*.  So the loop may
+draw past its stop point, up to the shots it used and never past the cap.
 """
 
 from __future__ import annotations
@@ -211,12 +215,16 @@ def estimate(
 
     Shots are read in chunks of whole batches, each one ``oracle.sample``
     call: first ``min_batches_before_stop`` batches, since no stop comes
-    earlier, then as many batches as were drawn so far.  A chunk's
+    earlier, then up to twice the batches drawn so far, or the whole
+    batches within twice the shot count T* at or before which the rule
+    cannot hold (``_earliest_stop``), whichever is more.  A chunk's
     statistics are computed as arrays, batch for batch as a loop over its
     batches would compute them, and the loop stops at the first batch where
-    the stop rule holds.  The shots drawn past that batch are dropped: at
-    most as many as the trace used, and never past ``ceil(p_max / batch)``
-    batches in all.
+    the stop rule holds.  That batch lies past every batch drawn before the chunk and past
+    T*, so the shots drawn past it, which are dropped, are at most as many
+    as the trace used, and never past ``ceil(p_max / batch)`` batches in
+    all.  The oracle's stream does not depend on how it is chunked, so
+    neither does the trace.
     """
     cfg, batch = plan.config, plan.batch
     if oracle.num_bits != ideal.num_bits:
@@ -229,9 +237,11 @@ def estimate(
 
     chunks: list[tuple[np.ndarray, ...]] = []
     drawn = 0
+    earliest = 0.0  # shots at or before which the rule cannot hold
     running = np.zeros(2)  # sum and sum of squares of every value so far
     while True:
-        k = min(max(drawn, cfg.min_batches_before_stop), cap - drawn)
+        ahead = int(2.0 * earliest) // batch - drawn
+        k = min(max(drawn, cfg.min_batches_before_stop, ahead), cap - drawn)
         values = value_of[oracle.sample(k * batch)].reshape(k, batch)
         # each row sums pairwise, as a batch's own sum does; the cumsum then
         # adds left to right onto the totals so far, as a running sum does
@@ -257,10 +267,11 @@ def estimate(
             break
         drawn += k
         running = cum[-1]
+        earliest = _earliest_stop(*running, drawn * batch, cfg)
 
     used = drawn + row + 1
     columns = [np.concatenate(column)[:used].tolist() for column in zip(*chunks)]
-    batches = [BatchStat(i, batch, *row_stats) for i, row_stats in enumerate(zip(*columns))]
+    batches = list(map(BatchStat, range(used), [batch] * used, *columns))
     return _stopped(plan, batches, reason)
 
 
@@ -271,6 +282,20 @@ def _stop_flags(ci, index, total_shots, cfg: PlanConfig):
     """
     ci_met = (ci <= cfg.delta) & (index + 1 >= cfg.min_batches_before_stop)
     return ci_met, total_shots >= cfg.p_max
+
+
+def _earliest_stop(total: float, total_sq: float, shots: int, cfg: PlanConfig) -> float:
+    """T*: a shot count at or before which the stop rule cannot hold, from the
+    sum and sum of squares of the first ``shots`` values.
+
+    The sum of squared deviations SS never shrinks as shots are added, so
+    at any later count T the half-width z*sqrt(SS_T / (T - 1)) / sqrt(T)
+    exceeds z*sqrt(SS) / T, which is at least delta up to T* = z*sqrt(SS) /
+    delta.  SS gives up 1e-9 of the sum of squares and T* 1e-9 of itself, far
+    more than the rounding of the running sums and of the half-width.
+    """
+    ss = total_sq - total * total / shots - 1e-9 * total_sq
+    return (1.0 - 1e-9) * cfg.z_alpha * math.sqrt(max(ss, 0.0)) / cfg.delta
 
 
 def stop_reason(stat: BatchStat, cfg: PlanConfig) -> str:

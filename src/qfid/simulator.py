@@ -20,18 +20,22 @@ qubits is the real vector r_P = Tr(P rho) over the 4^n Pauli strings P, and
 a gate with its depolarizing noise is the real 4^k x 4^k Pauli transfer
 matrix R_ij = Tr(P_i U P_j U†) / 2^k with every row but the identity row
 scaled by 1-p (Greenbaum, arXiv:1509.02921).  r takes half the memory of
-a complex rho, and every contraction is real.  Consecutive gates whose
-qubit sets nest are multiplied into one matrix before they touch r, so
-single-qubit gates fold into their neighbouring cx and the three cx of a
-routed SWAP cost one contraction; the smaller matrix is lifted onto the
-larger one's Pauli digits, and the two multiply as plain matrices.  r
-stores only the qubits in play: a qubit joins r at its first contraction,
-as the I = Z = 1 components of |0><0|, and keeps only its I and Z
-components after its last, which is all the readout reads.  A stored axis
-thus has four entries or two, and r moves between two buffers as wide as
-the widest r the circuit needs, one copy per contraction at most.  Only the active qubits -- those a gate or the readout
-touches -- are simulated, and ``DENSITY_MAX_QUBITS`` caps their number, so
-a small circuit routed onto a large coupling map stays cheap.  A circuit
+a complex rho, and every contraction is real.  A call builds the PTM of
+each distinct gate (kind and angles) once, all those of one width as one
+stacked product; the statevector simulator likewise builds each distinct
+unitary once per call.  Consecutive gates whose qubit sets nest are
+multiplied into one matrix before they touch r, so single-qubit gates
+fold into their neighbouring cx and the three cx of a routed SWAP cost
+one contraction; the smaller matrix is lifted onto the larger one's Pauli
+digits, and the two multiply as plain matrices.  r stores only the qubits
+in play: a qubit joins r at its first contraction, as the I = Z = 1
+components of |0><0|, and keeps only its I and Z components after its
+last, which is all the readout reads.  A stored axis thus has four
+entries or two, and r moves between two buffers as wide as the widest r
+the circuit needs, one copy per contraction at most.  Only the active
+qubits -- those a gate or the readout touches -- are simulated, and
+``DENSITY_MAX_QUBITS`` caps their number, so a small circuit routed onto
+a large coupling map stays cheap.  A circuit
 without measurements reads out every qubit, so all of its qubits are
 active; a routed circuit is read out through
 ``TranspileResult.readout_circuit``, which measures its logical qubits.
@@ -166,22 +170,39 @@ def _pauli_basis(k: int) -> tuple[np.ndarray, np.ndarray]:
     return t, t_dag
 
 
-def _ptm(u: np.ndarray, p: float) -> np.ndarray:
-    """Pauli transfer matrix of rho -> (1-p) U rho U† + p Tr_Q(rho) I/2^k.
+def _ptms(us: np.ndarray, p: float) -> np.ndarray:
+    """Pauli transfer matrices of rho -> (1-p) U rho U† + p Tr_Q(rho) I/2^k,
+    one for each unitary of the (m, 2^k, 2^k) stack ``us``, as one product.
 
     Entry (i, j) is Tr(P_i U P_j U†) / 2^k.  The channel preserves trace and
     the identity, so the first row and column are exactly e_0, and the
     product leaves r_I unchanged.  Depolarizing keeps the identity component
     and scales every other one by 1-p: it scales every row but the first.
     """
-    dim = len(u)
+    dim = us.shape[1]
     t, t_dag = _pauli_basis(dim.bit_length() - 1)
-    superop = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(dim * dim, -1)
+    superop = us[:, :, None, :, None] * us.conj()[:, None, :, None, :]
+    superop = superop.reshape(len(us), dim * dim, -1)
     r = (t_dag @ superop @ t).real / dim
-    r[0, :] = r[:, 0] = 0.0
-    r[0, 0] = 1.0
-    r[1:] *= 1.0 - p
+    r[:, 0, :] = r[:, :, 0] = 0.0
+    r[:, 0, 0] = 1.0
+    r[:, 1:] *= 1.0 - p
     return r
+
+
+def _ptm(u: np.ndarray, p: float) -> np.ndarray:
+    """The Pauli transfer matrix of one gate's unitary, as ``_ptms`` builds it."""
+    return _ptms(u[None], p)[0]
+
+
+def _unitaries(gates: list[Gate]) -> dict[tuple, np.ndarray]:
+    """Each distinct (kind, params) among ``gates`` and its unitary; most gates repeat."""
+    unitaries = {}
+    for gate in gates:
+        key = (gate.kind, gate.params)
+        if key not in unitaries:
+            unitaries[key] = gate_unitary(gate)
+    return unitaries
 
 
 @functools.lru_cache(maxsize=None)
@@ -214,6 +235,19 @@ def _lift(small: np.ndarray, pos: tuple[int, ...], k: int) -> np.ndarray:
     return small.take(index) * same
 
 
+@functools.lru_cache(maxsize=4096)  # pairs of qubit tuples on up to 12 qubits: millions
+def _nesting(
+    late_q: tuple[int, ...], early_q: tuple[int, ...]
+) -> tuple[bool, tuple[int, ...]] | None:
+    """How two qubit sets nest: (whether the later one is inside, the inner
+    one's digit positions in the outer), or None unless one holds the other."""
+    if set(late_q).issubset(early_q):
+        return True, tuple(early_q.index(q) for q in late_q)
+    if set(late_q).issuperset(early_q):
+        return False, tuple(late_q.index(q) for q in early_q)
+    return None
+
+
 def _compose(
     late: np.ndarray, late_q: tuple[int, ...], early: np.ndarray, early_q: tuple[int, ...]
 ) -> tuple[np.ndarray, tuple[int, ...]] | None:
@@ -223,12 +257,13 @@ def _compose(
     The smaller matrix is lifted onto the larger one's Pauli digits, as the
     identity on the rest, and the two multiply as plain matrices.
     """
-    late_set = set(late_q)
-    if late_set.issubset(early_q):
-        return _lift(late, tuple(early_q.index(q) for q in late_q), len(early_q)) @ early, early_q
-    if late_set.issuperset(early_q):
-        return late @ _lift(early, tuple(late_q.index(q) for q in early_q), len(late_q)), late_q
-    return None
+    nesting = _nesting(late_q, early_q)
+    if nesting is None:
+        return None
+    late_inside, pos = nesting
+    if late_inside:
+        return _lift(late, pos, len(early_q)) @ early, early_q
+    return late @ _lift(early, pos, len(late_q)), late_q
 
 
 class _Step(NamedTuple):
@@ -253,6 +288,25 @@ class _Step(NamedTuple):
 _PICK = {4: slice(None), 2: slice(None, None, 3)}  # an axis's d stored entries among I, X, Y, Z
 
 
+@functools.lru_cache(maxsize=None)
+def _slice_index(
+    digits: tuple[int, ...], dout: tuple[int, ...], din: tuple[int, ...]
+) -> np.ndarray:
+    """Gather array that lays a 4^k x 4^k PTM out in stored order: ``index``
+    with ``m.take(index)`` its (rows, columns) matrix.
+
+    Row and column axis j hold the PTM's Pauli digit ``digits[j]`` and keep
+    ``dout[j]`` and ``din[j]`` of its entries (all four, or I and Z).
+    """
+    k = len(digits)
+    flat = np.arange(16**k).reshape((4,) * (2 * k))
+    picked = tuple(_PICK[d] for d in dout + din)
+    index = flat.transpose([*digits, *(k + i for i in digits)])[picked]
+    index = np.ascontiguousarray(index.reshape(math.prod(dout), math.prod(din)))
+    index.flags.writeable = False
+    return index
+
+
 def _schedule(contractions: list[tuple[np.ndarray, tuple[int, ...]]]) -> tuple[list[_Step], int]:
     """Lay out ``contractions`` on a vector that stores only the qubits in play.
 
@@ -274,6 +328,7 @@ def _schedule(contractions: list[tuple[np.ndarray, tuple[int, ...]]]) -> tuple[l
     dims: list[int] = []
     size = width = 1
     steps = []
+    sliced: dict[tuple, np.ndarray] = {}  # (id(PTM), digits, dout, din) -> its matrix in a layout
     for s, (m, qubits) in enumerate(contractions):
         gate = list(reversed(qubits))  # m's digits, most significant first
         k = len(gate)
@@ -299,10 +354,10 @@ def _schedule(contractions: list[tuple[np.ndarray, tuple[int, ...]]]) -> tuple[l
         dout = [2 if last[q] == s else 4 for q in lead]
         cols, rows = math.prod(din), math.prod(dout)
         if lead != gate or cols * rows != 16**k:  # m's rows and columns in stored order
-            digits = [gate.index(q) for q in lead]
-            picked = tuple(_PICK[d] for d in dout + din)
-            t = m.reshape((4,) * (2 * k)).transpose(digits + [k + i for i in digits])[picked]
-            m = np.ascontiguousarray(t.reshape(rows, cols))
+            key = (id(m), tuple(gate.index(q) for q in lead), tuple(dout), tuple(din))
+            if key not in sliced:
+                sliced[key] = m.take(_slice_index(*key[1:]))
+            m = sliced[key]
         pre = math.prod(dims[:at])
         post = size // (pre * cols)
         if copy or din != dout:  # the layout moved
@@ -388,14 +443,12 @@ def _qubit_probs_to_outcome(
     qprobs: np.ndarray, plan: list[tuple[int, int]], num_clbits: int
 ) -> OutcomeDistribution:
     """Marginalize the qubit-space diagonal onto the clbit space."""
-    m = num_clbits
-    out = np.zeros(2**m)
     indices = np.arange(len(qprobs))
     cl_index = np.zeros(len(qprobs), dtype=np.int64)
     for qubit, clbit in plan:
         cl_index |= ((indices >> qubit) & 1) << clbit
-    np.add.at(out, cl_index, qprobs)
-    return OutcomeDistribution(m, out)
+    # each outcome sums its qubit outcomes in index order
+    return OutcomeDistribution(num_clbits, np.bincount(cl_index, qprobs, 2**num_clbits))
 
 
 def ideal_distribution(c: Circuit) -> OutcomeDistribution:
@@ -406,8 +459,10 @@ def ideal_distribution(c: Circuit) -> OutcomeDistribution:
     plan = _readout_plan(c)
     psi = np.zeros((2,) * n, dtype=complex)
     psi[(0,) * n] = 1.0
-    for gate in c.gates:
-        psi = _apply_matrix(psi, gate_unitary(gate), _axes(gate.qubits, n))
+    gates = c.gates
+    unitaries = _unitaries(gates)
+    for gate in gates:
+        psi = _apply_matrix(psi, unitaries[gate.kind, gate.params], _axes(gate.qubits, n))
     qprobs = np.abs(psi.reshape(-1)) ** 2
     num_clbits = c.num_clbits if c.measures else c.num_qubits
     return _qubit_probs_to_outcome(qprobs, plan, num_clbits)
@@ -437,15 +492,18 @@ def _blocks(
     qubit's block, in order, and blocks on disjoint qubits commute, so this
     is exact.
     """
+    by_dim: dict[int, dict] = {}  # gate dimension -> {(kind, params): unitary}
+    for key, u in _unitaries(gates).items():
+        by_dim.setdefault(len(u), {})[key] = u
+    ptms: dict[tuple, np.ndarray] = {}  # (kind, params) -> PTM, one stacked build per width
+    for dim, group in by_dim.items():
+        stack = _ptms(np.array(list(group.values())), nm.p1 if dim == 2 else nm.p2)
+        ptms.update(zip(group, stack))
     contractions = []
     blocks: dict[int, tuple] = {}  # local qubit -> (PTM, qubits) of its open block
-    ptms: dict[tuple, np.ndarray] = {}  # (kind, params) -> PTM; most gates repeat
     for gate in gates:
-        qubits = tuple(local[q] for q in gate.qubits)
-        key = (gate.kind, gate.params)
-        if key not in ptms:
-            ptms[key] = _ptm(gate_unitary(gate), nm.p1 if len(qubits) == 1 else nm.p2)
-        r = ptms[key]
+        qubits = tuple(map(local.__getitem__, gate.qubits))
+        r = ptms[gate.kind, gate.params]
         overlapped = {blocks[q][1]: blocks[q] for q in qubits if q in blocks}  # each block once
         for early, early_q in overlapped.values():
             composed = _compose(r, qubits, early, early_q)
@@ -455,7 +513,9 @@ def _blocks(
                 r, qubits = composed
             for q in early_q:
                 del blocks[q]
-        blocks.update((q, (r, qubits)) for q in qubits)
+        block = (r, qubits)
+        for q in qubits:
+            blocks[q] = block
     contractions.extend({b[1]: b for b in blocks.values()}.values())  # each block once
     return contractions
 

@@ -374,7 +374,8 @@ def _bitstring_loop(oracle, ideal, cfg, batch):
             return batches, reason
 
 
-@settings(max_examples=150, deadline=None)
+# the ci-deep profile (tests/conftest.py) raises these two tests' example counts
+@settings(max_examples=max(150, settings().max_examples), deadline=None)
 @given(
     num_bits=st.integers(1, 6),
     zeros=st.floats(0.0, 0.9),
@@ -412,16 +413,18 @@ def test_index_shots_match_bitstring_loop(
 
 
 class _CountingOracle(DistributionOracle):
-    """A distribution oracle that counts the shots it is asked for."""
+    """A distribution oracle that counts its calls and the shots it is asked for."""
 
     requested = 0
+    calls = 0
 
     def sample(self, batch_size: int):
         self.requested += batch_size
+        self.calls += 1
         return super().sample(batch_size)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=max(150, settings().max_examples), deadline=None)
 @given(
     weights=st.lists(st.integers(0, 40), min_size=4, max_size=4).filter(any),
     batch=st.integers(1, 60),
@@ -435,6 +438,10 @@ class _CountingOracle(DistributionOracle):
          delta=0.01, seed=0)  # a point mass: ci is 0, the stop comes at min_batches
 @example(weights=[5, 5, 5, 5], batch=20, min_batches=2, p_max=990, estimator="success",
          delta=0.0001, seed=1)  # the cap, not a batch multiple
+@example(weights=[40, 0, 0, 1], batch=3, min_batches=1, p_max=5000, estimator="xeb",
+         delta=0.1, seed=8)  # nearly constant values: the stop comes just past T*
+@example(weights=[5, 5, 5, 5], batch=7, min_batches=2, p_max=1000, estimator="success",
+         delta=0.0065, seed=2)  # 2T* reaches the cap, which is not a batch multiple
 def test_draw_ahead_is_bounded(weights, batch, min_batches, p_max, estimator, delta, seed):
     """The loop asks for at most twice the shots it uses, never past the cap,
     and for exactly the shots it uses when it stops at ``min_batches``."""
@@ -448,3 +455,16 @@ def test_draw_ahead_is_bounded(weights, batch, min_batches, p_max, estimator, de
     assert trace.shots_used <= oracle.requested <= min(2 * trace.shots_used, cap_shots)
     if len(trace.batches) == min_batches:
         assert oracle.requested == trace.shots_used
+
+
+def test_chunks_grow_to_the_earliest_possible_stop():
+    """A Bernoulli(0.9) stream at delta 0.01 needs about 3,400 shots.  Doubling
+    from two batches of 20 reads them in 8 oracle calls; sizing each chunk from
+    the earliest stop the rule allows reads them in 3, with the same trace."""
+    ideal, noisy, cfg = dist([1.0, 0.0]), dist([0.9, 0.1]), PlanConfig(delta=0.01)
+    oracle = _CountingOracle(noisy, 0)
+    trace = estimate(oracle, ideal, Plan(20, cfg))
+    assert (trace.stop_reason, trace.shots_used) == ("ci_met", 3340)
+    assert trace.batches == _bitstring_loop(_BitstringOracle(noisy, 0), ideal, cfg, 20)[0]
+    assert oracle.calls <= 3
+    assert oracle.requested <= 2 * trace.shots_used

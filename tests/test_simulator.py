@@ -490,6 +490,45 @@ def test_ptm_of_every_gate_kind(kind):
         assert np.abs(r - scale * expected).max() <= 1e-13, p
 
 
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_stacked_ptms_of_every_gate_kind(width):
+    # one stacked build over every kind of this width, each at two angle draws
+    from qfid.simulator import _ptms
+
+    rng = np.random.default_rng(width)
+    p = 1e-3 if width == 1 else 1e-2  # the default p1 and p2
+    gates = [Gate(kind, tuple(range(width)), tuple(rng.uniform(-np.pi, np.pi, size=npar)))
+             for kind, (w, npar) in sorted(GATE_SIGNATURES.items()) if w == width
+             for _ in range(2)]
+    stack = _ptms(np.array([gate_unitary(g) for g in gates]), p)
+    assert stack.shape == (len(gates), 4**width, 4**width)
+    scale = np.r_[1.0, np.full(4**width - 1, 1.0 - p)][:, None]
+    for gate, r in zip(gates, stack):
+        assert np.abs(r - scale * explicit_ptm(gate_unitary(gate))).max() <= 1e-15, gate.kind
+
+
+@pytest.mark.parametrize("spec", ["qft:6", "su2:6", "qpe:6"])  # default-suite entries
+def test_blocks_from_stacked_ptms_match_per_gate_builds(monkeypatch, spec):
+    # a stacked build gives every PTM bit for bit as a build of that gate alone
+    import qfid.simulator as simulator
+    from qfid.transpile import linear_map, transpile
+
+    family, n = spec.split(":")
+    logical = generate(BenchSpec.make(family, int(n)))
+    c = transpile(logical, linear_map(logical.num_qubits)).readout_circuit()
+    local = {q: q for q in range(c.num_qubits)}
+    nm = NoiseModel(p1=1e-3, p2=1e-2)
+    stacked = simulator._blocks(c.gates, local, nm)
+    stack_build = simulator._ptms
+    monkeypatch.setattr(simulator, "_ptms",
+                        lambda us, p: np.array([stack_build(u[None], p)[0] for u in us]))
+    per_gate = simulator._blocks(c.gates, local, nm)
+    assert len(stacked) == len(per_gate) > 1
+    for (a, a_q), (b, b_q) in zip(stacked, per_gate):
+        assert a_q == b_q
+        assert np.array_equal(a, b)
+
+
 def lift_reference(small: np.ndarray, pos: tuple[int, ...], k: int) -> np.ndarray:
     """``small`` on digits ``pos`` of a k-qubit block: a kron with the identity,
     then a permutation of the Pauli digits."""

@@ -27,7 +27,7 @@ draw past its stop point, up to the shots it used and never past the cap.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -328,8 +328,11 @@ def truncate(trace: EstimationTrace, plan: Plan) -> EstimationTrace:
     then agree, and the loop under ``plan`` stops at the first batch where
     ``stop_reason`` holds, which is no later than the end of ``trace``.
     """
-    if replace(plan, config=replace(plan.config, delta=trace.plan.config.delta)) != trace.plan:
-        raise EstimationError(f"trace ran under {trace.plan}, not {plan} up to delta")
+    ran = trace.plan
+    # field by field: rebuilding a PlanConfig would rerun its checks and z_quantile
+    at_delta = vars(plan.config) | {"delta": ran.config.delta}
+    if plan.batch != ran.batch or at_delta != vars(ran.config):
+        raise EstimationError(f"trace ran under {ran}, not {plan} up to delta")
     for stat in trace.batches:
         reason = stop_reason(stat, plan.config)
         if reason:

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .bench import BenchSpec, generate
 from .circuit import Circuit, Gate, circuit_depth
-from .dag import build_dag
+from .dag import build_dag, longest_path_len
 from .deformation import DeformationReport, compare
 from .estimator import (
     EstimationTrace,
@@ -109,24 +109,8 @@ class AnalyzeReport:
             "source": self.source,
             "circuit": self.circuit,
             "transpile": self.transpiled,
-            "deformation": {
-                "delta_deg": self.deformation.delta_deg,
-                "delta_path": self.deformation.delta_path,
-                "delta_conn": self.deformation.delta_conn,
-                "path_degenerate": self.deformation.path_degenerate,
-                "conn_degenerate": self.deformation.conn_degenerate,
-                "raw": dict(self.deformation.raw),
-            },
-            "spectrum": {
-                "n": self.spectrum.n,
-                "k": self.spectrum.k,
-                "eigenvalues": list(self.spectrum.eigenvalues),
-                "complexity": self.spectrum.complexity,
-                "self_loop": self.spectrum.self_loop,
-                "fanin_quantile": self.spectrum.fanin_quantile,
-                "method": self.spectrum.method,
-                "converged": self.spectrum.converged,
-            },
+            "deformation": asdict(self.deformation),
+            "spectrum": {k: v for k, v in asdict(self.spectrum).items() if k != "residual"},
             "plan": self.plan.to_dict(),
         }
 
@@ -154,18 +138,7 @@ class RunRecord:
                 "sigma": self.trace.sigma,
                 "ci": self.trace.ci,
                 "num_batches": len(self.trace.batches),
-                "batches": [
-                    {
-                        "index": b.index,
-                        "size": b.size,
-                        "batch_mean": b.batch_mean,
-                        "cum_mean": b.cum_mean,
-                        "cum_std": b.cum_std,
-                        "ci": b.ci,
-                        "total_shots": b.total_shots,
-                    }
-                    for b in self.trace.batches
-                ],
+                "batches": [dict(vars(b)) for b in self.trace.batches],
             },
             "bias": self.bias,
         }
@@ -202,9 +175,9 @@ def analyze_circuit(
     tr = transpile(circuit, coupling)
     g0 = build_dag(circuit)
     gt = build_dag(tr.circuit_t)
-    deformation = compare(
-        g0, gt, extra_raw={"depth_0": depth0, "depth_t": tr.depth_t}
-    )
+    # routing drops barriers, so the routed depth is the longest path in nodes
+    depth_t = longest_path_len(gt) + 1
+    deformation = compare(g0, gt, extra_raw={"depth_0": depth0, "depth_t": depth_t})
     kernel = build_kernel(gt, deformation, kernel_cfg)
     spectrum = analyze_spectrum(kernel, k)
     report = AnalyzeReport(
@@ -217,7 +190,7 @@ def analyze_circuit(
         },
         transpiled={
             "num_physical_qubits": coupling.num_physical_qubits,
-            "depth": tr.depth_t,
+            "depth": depth_t,
             "swap_count": tr.swap_count,
             "initial_layout": list(tr.initial_layout),
             "final_layout": list(tr.final_layout),
@@ -226,7 +199,7 @@ def analyze_circuit(
         },
         deformation=deformation,
         spectrum=spectrum,
-        plan=Plan(batch_size(spectrum.complexity, tr.depth_t, plan_cfg), plan_cfg),
+        plan=Plan(batch_size(spectrum.complexity, depth_t, plan_cfg), plan_cfg),
     )
     return report, tr
 

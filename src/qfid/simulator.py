@@ -410,8 +410,9 @@ def _diagonal(vec: np.ndarray, order: tuple[int, ...], dims: tuple[int, ...], n:
     return out.reshape(-1)
 
 
-def _readout_plan(c: Circuit) -> list[tuple[int, int]]:
-    """Ordered (qubit, clbit) pairs; defaults to measuring every qubit.
+def _readout_plan(c: Circuit) -> tuple[list[tuple[int, int]], int]:
+    """Ordered (qubit, clbit) pairs and the clbit count; without measures,
+    every qubit q is read into clbit q.
 
     Also validates that no gate touches a qubit after it was measured, and
     that no qubit is measured and no clbit written twice.
@@ -435,8 +436,8 @@ def _readout_plan(c: Circuit) -> list[tuple[int, int]]:
                         f"gate {op.kind!r} acts on qubit {q} after measurement"
                     )
     if not plan:
-        plan = [(q, q) for q in range(c.num_qubits)]
-    return plan
+        return [(q, q) for q in range(c.num_qubits)], c.num_qubits
+    return plan, c.num_clbits
 
 
 def _qubit_probs_to_outcome(
@@ -456,7 +457,7 @@ def ideal_distribution(c: Circuit) -> OutcomeDistribution:
     n = c.num_qubits
     if n > STATEVECTOR_MAX_QUBITS:
         raise TooManyQubits(f"{n} qubits exceeds statevector cap {STATEVECTOR_MAX_QUBITS}")
-    plan = _readout_plan(c)
+    plan, num_clbits = _readout_plan(c)
     psi = np.zeros((2,) * n, dtype=complex)
     psi[(0,) * n] = 1.0
     gates = c.gates
@@ -464,7 +465,6 @@ def ideal_distribution(c: Circuit) -> OutcomeDistribution:
     for gate in gates:
         psi = _apply_matrix(psi, unitaries[gate.kind, gate.params], _axes(gate.qubits, n))
     qprobs = np.abs(psi.reshape(-1)) ** 2
-    num_clbits = c.num_clbits if c.measures else c.num_qubits
     return _qubit_probs_to_outcome(qprobs, plan, num_clbits)
 
 
@@ -531,7 +531,7 @@ def noisy_distribution(c: Circuit, nm: NoiseModel) -> OutcomeDistribution:
     in two buffers as wide as the widest vector any step holds, at most 4^n
     floats, and nothing else of that size is allocated.
     """
-    plan = _readout_plan(c)
+    plan, num_clbits = _readout_plan(c)
     active = sorted({q for g in c.gates for q in g.qubits} | {q for q, _ in plan})
     n = len(active)
     if n > DENSITY_MAX_QUBITS:
@@ -549,7 +549,6 @@ def noisy_distribution(c: Circuit, nm: NoiseModel) -> OutcomeDistribution:
     qprobs = qprobs / qprobs.sum()  # the channels preserve trace; drop rounding drift
     plan = [(local[q], clbit) for q, clbit in plan]
     qprobs = _apply_readout_flips(qprobs, [q for q, _ in plan], nm.p_ro)
-    num_clbits = c.num_clbits if c.measures else c.num_qubits
     return _qubit_probs_to_outcome(qprobs, plan, num_clbits)
 
 

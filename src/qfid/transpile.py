@@ -19,7 +19,7 @@ import json
 import math
 from collections import deque
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuit import Circuit, Gate, Measure
 
@@ -151,9 +151,7 @@ class TranspileResult:
     circuit_t: Circuit
     initial_layout: tuple[int, ...]
     final_layout: tuple[int, ...]
-    depth_t: int
     swap_count: int
-    coupling: CouplingMap | None = field(repr=False, default=None)
 
     def readout_circuit(self) -> Circuit:
         """``circuit_t`` with the input's readout made explicit, for simulation.
@@ -325,8 +323,9 @@ def transpile(c: Circuit, cmap: CouplingMap) -> TranspileResult:
     each output gate is built once, by ``Circuit.add``.
 
     The BFS path choice (lowest physical index first) breaks every tie, so
-    identical inputs always give identical results.  The depth is tracked
-    per physical wire as ops are emitted, by the rule of ``circuit_depth``.
+    identical inputs always give identical results.  The result holds only
+    what routing decides; the routed depth is the longest path of the routed
+    circuit's DAG, which ``report.analyze_circuit`` reads off.
     """
     num_qubits = c.num_qubits
     n_phys = cmap.num_physical_qubits
@@ -340,16 +339,13 @@ def transpile(c: Circuit, cmap: CouplingMap) -> TranspileResult:
     adj = cmap.adjacency()
     linked = {(a, b) for a in adj for b in adj[a]}
     paths: dict[tuple[int, int], list[int]] = {}
-    level = [0] * n_phys
     swap_count = 0
 
     for op in _basis_stream(c):
         if isinstance(op, tuple):
             kind, qubits, params = op
             if kind != "cx":
-                p = l2p[qubits[0]]
-                add(kind, (p,), params)
-                level[p] += 1
+                add(kind, (l2p[qubits[0]],), params)
                 continue
             pa, pb = l2p[qubits[0]], l2p[qubits[1]]
             if (pa, pb) not in linked:
@@ -361,7 +357,6 @@ def transpile(c: Circuit, cmap: CouplingMap) -> TranspileResult:
                     add("cx", (u, v))
                     add("cx", (v, u))
                     add("cx", (u, v))
-                    level[u] = level[v] = max(level[u], level[v]) + 3
                     lu, lv = p2l[u], p2l[v]
                     p2l[u], p2l[v] = lv, lu
                     if lu != -1:
@@ -371,26 +366,19 @@ def transpile(c: Circuit, cmap: CouplingMap) -> TranspileResult:
                     swap_count += 1
                 pa = path[-2]
             add("cx", (pa, pb))
-            level[pa] = level[pb] = max(level[pa], level[pb]) + 1
         else:  # a Measure
-            p = l2p[op.qubit]
-            out.measure(p, op.clbit)
-            level[p] += 1
+            out.measure(l2p[op.qubit], op.clbit)
 
     return TranspileResult(
         circuit_t=out,
         initial_layout=initial_layout,
         final_layout=tuple(l2p),
-        depth_t=max(level, default=0),
         swap_count=swap_count,
-        coupling=cmap,
     )
 
 
-def check_coupling(result: TranspileResult) -> bool:
-    """True iff every 2-qubit gate in the routed circuit sits on a map edge."""
-    for op in result.circuit_t.ops:
-        if isinstance(op, Gate) and len(op.qubits) == 2:
-            if not result.coupling.are_connected(*op.qubits):
-                return False
-    return True
+def check_coupling(circuit: Circuit, cmap: CouplingMap) -> bool:
+    """True iff every 2-qubit gate of ``circuit`` sits on an edge of ``cmap``."""
+    return all(
+        cmap.are_connected(*g.qubits) for g in circuit.gates if len(g.qubits) == 2
+    )

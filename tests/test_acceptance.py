@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from qfid.bench import BenchSpec, default_suite, generate, random_circuit
-from qfid.circuit import Circuit, gate_unitary
+from qfid.circuit import Circuit, circuit_depth, gate_unitary
 from qfid.dag import build_dag
 from qfid.deformation import DeformationReport, compare
 from qfid.estimator import (
@@ -177,10 +177,11 @@ def test_criterion_3_transpiler_semantics():
         overlap = abs(np.vdot(perm @ psi0, psi_t))
         min_overlap = min(min_overlap, overlap)
 
-    legal = all(
-        check_coupling(transpile(generate(spec), linear_map(generate(spec).num_qubits)))
-        for spec in default_suite()
-    )
+    legal = True
+    for spec in default_suite():
+        circuit = generate(spec)
+        cmap = linear_map(circuit.num_qubits)
+        legal = legal and check_coupling(transpile(circuit, cmap).circuit_t, cmap)
     passed = min_overlap >= 1 - 1e-9 and legal
     report(
         3,
@@ -317,7 +318,7 @@ def suite_runs():
                     deformation = compare(build_dag(circuit), gt)
                     spectrum_k = build_kernel(gt, deformation)
                     spectrum = analyze_spectrum(spectrum_k)
-                    batch = batch_size(spectrum.complexity, tr.depth_t, cfg)
+                    batch = batch_size(spectrum.complexity, circuit_depth(tr.circuit_t), cfg)
                     ideal = ideal_distribution(circuit)
                     noisy = noisy_distribution(tr.circuit_t, NOISE)
                     good = sorted(success_set(ideal))

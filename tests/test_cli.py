@@ -6,14 +6,21 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import qfid
 from qfid import cli
+from qfid.bench import BenchSpec, generate
 from qfid.cli import build_parser, main, parse_bench, parse_coupling, parse_noise
-from qfid.report import SWEEP_COLUMNS, format_float, to_json
+from qfid.deformation import DeformationReport
+from qfid.estimator import BatchStat
+from qfid.report import SWEEP_COLUMNS, format_float, run_estimate, to_json
+from qfid.simulator import NoiseModel
+from qfid.spectral import PropagationSpectrum
+from qfid.transpile import linear_map
 
 
 def run(argv, capsys):
@@ -65,6 +72,27 @@ def test_analyze_spectrum_keys_leave_out_solver_residual(capsys):
     assert set(json.loads(out)["spectrum"]) == {
         "n", "k", "eigenvalues", "complexity", "self_loop", "fanin_quantile", "method", "converged"
     }
+
+
+def test_report_sections_follow_their_dataclasses_and_are_fresh():
+    circuit = generate(BenchSpec.make("ghz", 3))
+    record = run_estimate(circuit, linear_map(3), NoiseModel(1e-3, 1e-2, 1e-2), oracle_seed=1)
+    data = record.to_dict()
+
+    def names(cls):
+        return [f.name for f in fields(cls)]
+
+    assert list(data["spectrum"]) == [k for k in names(PropagationSpectrum) if k != "residual"]
+    assert '"residual"' not in to_json(data)
+    assert list(data["deformation"]) == names(DeformationReport)
+    assert all(list(b) == names(BatchStat) for b in data["estimate"]["batches"])
+    # the sections are copies: editing them leaves the record as it was
+    before = to_json(record.to_dict())
+    data["estimate"]["batches"][0]["ci"] = -1.0
+    data["deformation"]["delta_deg"] = -1.0
+    data["deformation"]["raw"]["depth_t"] = -1
+    data["spectrum"]["eigenvalues"].append(-1.0)
+    assert to_json(record.to_dict()) == before
 
 
 def test_analyze_qft_forces_swaps(capsys):

@@ -8,6 +8,7 @@ import pytest
 from qfid.bench import FAMILIES, BenchSpec, default_suite, generate, random_circuit
 from qfid.circuit import Circuit, Gate, Measure, circuit_depth, gate_unitary
 from qfid.qasm import emit_qasm
+from qfid.report import analyze_circuit
 from qfid.simulator import circuit_unitary, ideal_distribution
 from qfid.transpile import (
     BASIS_GATES,
@@ -284,7 +285,7 @@ def test_disconnected_map():
 
 def test_transpile_empty_circuit():
     res = transpile(Circuit(2), linear_map(2))
-    assert res.depth_t == 0
+    assert circuit_depth(res.circuit_t) == 0
     assert res.swap_count == 0
 
 
@@ -299,8 +300,8 @@ _STREAM_MAPS = {
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_transpile_equals_route_of_decompose(family):
     # a circuit already lowered to the basis transpiles to the same ops,
-    # layouts, depth and swaps as the original, and each output gate must
-    # pass the full Gate check again
+    # layouts and swaps as the original, and each output gate must pass the
+    # full Gate check again
     for n in (4, 8, 12):
         c = generate(BenchSpec.make(family, n))
         for name, make in _STREAM_MAPS.items():
@@ -308,9 +309,8 @@ def test_transpile_equals_route_of_decompose(family):
             got = transpile(c, cmap)
             want = transpile(lower(c), cmap)
             assert got.circuit_t.ops == want.circuit_t.ops, (family, n, name)
-            assert (got.initial_layout, got.final_layout, got.depth_t, got.swap_count) == (
-                want.initial_layout, want.final_layout, want.depth_t, want.swap_count)
-            assert got.depth_t == circuit_depth(got.circuit_t)
+            assert (got.initial_layout, got.final_layout, got.swap_count) == (
+                want.initial_layout, want.final_layout, want.swap_count)
             for op in got.circuit_t.gates:
                 assert Gate(op.kind, op.qubits, op.params, op.id) == op
 
@@ -323,11 +323,40 @@ def test_route_tracks_depth_through_barriers_and_measures():
     c.add("sx", (2,))
     c.add("cx", (0, 2))
     c.measure(1, 0)
-    res = transpile(c, linear_map(3))
+    report, tr = analyze_circuit(c, linear_map(3))
     # the barrier is dropped, so sx leaves wire 2 at layer 1; wire 0 reaches
     # layer 2, the swap's 3 cx take wires 0-1 to layer 5 and cx(1,2) to 6;
     # logical 1 now sits on physical 0, so its measure also ends at layer 6
-    assert res.depth_t == circuit_depth(res.circuit_t) == 6
+    assert report.transpiled["depth"] == report.deformation.raw["depth_t"] == 6
+    assert circuit_depth(tr.circuit_t) == 6
+
+
+def _with_barriers_and_measures(c: Circuit, rng) -> Circuit:
+    """``c`` with barriers on random qubit sets between its ops, then a
+    random subset of its qubits measured."""
+    n = c.num_qubits
+    out = Circuit(n, n)
+    for op in c.ops:
+        if rng.random() < 0.2:
+            out.barrier(*sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist()))
+        out.add(op.kind, op.qubits, op.params)
+    for q in rng.permutation(n)[: int(rng.integers(1, n + 1))]:
+        out.measure(int(q), int(q))
+    return out
+
+
+def test_report_reads_the_routed_depth_off_the_routed_dag():
+    circuits = [generate(spec) for spec in default_suite(include_ten=True)]
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        nq = int(rng.integers(2, 8))
+        c = random_circuit(nq, int(rng.integers(1, 40)), seed)
+        circuits.append(_with_barriers_and_measures(c, rng))
+    for c in circuits:
+        for name, make in _STREAM_MAPS.items():
+            report, tr = analyze_circuit(c, make(c.num_qubits))
+            depth = circuit_depth(tr.circuit_t)
+            assert report.transpiled["depth"] == report.deformation.raw["depth_t"] == depth, name
 
 
 def test_determinism():
@@ -340,9 +369,10 @@ def test_determinism():
 
 def test_bv_depth_and_legality_on_linear():
     c = generate(BenchSpec.make("bv", 4, secret="111"))
-    res = transpile(c, linear_map(4))
-    assert res.depth_t >= circuit_depth(c) - len(c.measures)
-    assert check_coupling(res)
+    cmap = linear_map(4)
+    res = transpile(c, cmap)
+    assert circuit_depth(res.circuit_t) >= circuit_depth(c) - len(c.measures)
+    assert check_coupling(res.circuit_t, cmap)
 
 
 def test_qft3_unitary_preserved_up_to_phase_and_layout():
@@ -359,15 +389,14 @@ def test_legality_on_all_benchmarks_and_random_circuits():
 
     for spec in default_suite():
         c = generate(spec)
-        res = transpile(c, linear_map(c.num_qubits))
-        assert check_coupling(res), spec.label()
+        cmap = linear_map(c.num_qubits)
+        assert check_coupling(transpile(c, cmap).circuit_t, cmap), spec.label()
     for seed in range(200):
         rng = np.random.default_rng(seed)
         nq = int(rng.integers(2, 8))
         c = random_circuit(nq, int(rng.integers(1, 60)), seed, measure=True)
         cmap = [linear_map(nq), ring_map(max(nq, 3)), grid_map(2, (nq + 1) // 2 + 1)][seed % 3]
-        res = transpile(c, cmap)
-        assert check_coupling(res)
+        assert check_coupling(transpile(c, cmap).circuit_t, cmap)
 
 
 def test_noiseless_distribution_preserved_through_routing():

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass, replace
+from json.encoder import encode_basestring
 
 from .bench import BenchSpec, generate
 from .circuit import Circuit, Gate, circuit_depth
@@ -66,7 +67,11 @@ def format_float(value: float) -> str:
 
 
 def to_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON writer with 17-significant-digit floats."""
+    """Deterministic JSON writer with 17-significant-digit floats.
+
+    String values are escaped as RFC 8259 asks.  Keys are written as they
+    are: each is a field name or an outcome bitstring, never input text.
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if obj is None:
@@ -77,9 +82,8 @@ def to_json(obj, indent: int = 0) -> str:
         return str(obj)
     if isinstance(obj, float):
         return format_float(obj)
-    if isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{escaped}"'
+    if isinstance(obj, str):  # escapes \\, " and U+0000-U+001F; other text as is
+        return encode_basestring(obj)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"

@@ -27,8 +27,11 @@ unitary once per call.  Consecutive gates whose qubit sets nest are
 multiplied into one matrix before they touch r, so single-qubit gates
 fold into their neighbouring cx and the three cx of a routed SWAP cost
 one contraction; the smaller matrix is lifted onto the larger one's Pauli
-digits, and the two multiply as plain matrices.  r stores only the qubits
-in play: a qubit joins r at its first contraction, as the I = Z = 1
+digits, and the two multiply as plain matrices.  A block still open after
+the last gate folds the same way into the last contraction that held its
+qubits, if one contraction did: no later one touches them, so the trailing
+single-qubit layer of a circuit costs no pass of its own.  r stores only
+the qubits in play: a qubit joins r at its first contraction, as the I = Z = 1
 components of |0><0|, and keeps only its I and Z components after its
 last, which is all the readout reads.  A stored axis thus has four
 entries or two, and r moves between two buffers as wide as the widest r
@@ -469,13 +472,17 @@ def ideal_distribution(c: Circuit) -> OutcomeDistribution:
 
 
 def _apply_readout_flips(qprobs: np.ndarray, qubits: list[int], p_ro: float) -> np.ndarray:
+    """Each of ``qubits`` reads out flipped with probability ``p_ro``.
+
+    Seen as (higher qubits, q, lower qubits), the vector with q flipped is
+    that view with its middle axis reversed: a strided view, no gather.
+    """
     if p_ro == 0.0:
         return qprobs
     probs = qprobs
-    idx = np.arange(len(probs))
     for q in qubits:
-        flipped = probs[idx ^ (1 << q)]
-        probs = (1.0 - p_ro) * probs + p_ro * flipped
+        view = probs.reshape(-1, 2, 1 << q)
+        probs = ((1.0 - p_ro) * view + p_ro * view[:, ::-1]).reshape(-1)
     return probs
 
 
@@ -490,7 +497,12 @@ def _blocks(
     per block rather than per gate, and no block spans more qubits than one
     gate.  Every gate on a qubit that the vector has not seen sits in that
     qubit's block, in order, and blocks on disjoint qubits commute, so this
-    is exact.
+    is exact.  After the last gate, each open block whose qubits were all
+    last held by one emitted contraction C is multiplied onto C, one block
+    at a time in a fixed order: every contraction after C acts on other
+    qubits, so the block commutes past them.  ``_schedule`` then keeps only
+    those qubits' I and Z rows at C, and a trailing single-qubit gate costs
+    no pass over the vector.  Any other open block is emitted last.
     """
     by_dim: dict[int, dict] = {}  # gate dimension -> {(kind, params): unitary}
     for key, u in _unitaries(gates).items():
@@ -500,6 +512,7 @@ def _blocks(
         stack = _ptms(np.array(list(group.values())), nm.p1 if dim == 2 else nm.p2)
         ptms.update(zip(group, stack))
     contractions = []
+    held: dict[int, int] = {}  # local qubit -> index of the last contraction that holds it
     blocks: dict[int, tuple] = {}  # local qubit -> (PTM, qubits) of its open block
     for gate in gates:
         qubits = tuple(map(local.__getitem__, gate.qubits))
@@ -508,6 +521,7 @@ def _blocks(
         for early, early_q in overlapped.values():
             composed = _compose(r, qubits, early, early_q)
             if composed is None:
+                held.update(dict.fromkeys(early_q, len(contractions)))
                 contractions.append((early, early_q))
             else:
                 r, qubits = composed
@@ -516,7 +530,13 @@ def _blocks(
         block = (r, qubits)
         for q in qubits:
             blocks[q] = block
-    contractions.extend({b[1]: b for b in blocks.values()}.values())  # each block once
+    for r, qubits in {b[1]: b for b in blocks.values()}.values():  # each block once
+        last = {held.get(q) for q in qubits}
+        if len(last) == 1 and None not in last:  # contraction s is the last to hold them all
+            s = last.pop()
+            contractions[s] = _compose(r, qubits, *contractions[s])
+        else:
+            contractions.append((r, qubits))
     return contractions
 
 

@@ -591,6 +591,20 @@ def test_to_json_round_trips_floats():
     assert parsed["b"][1] == 2.5e-17
 
 
+def test_to_json_escapes_control_characters(tmp_path, capsys):
+    # RFC 8259 forbids raw U+0000-U+001F inside a string; a tab in a QASM
+    # path used to reach the report as is, and json.loads rejected it
+    assert to_json("a\tb\x01\x1f\n\"\\é") == '"a\\tb\\u0001\\u001f\\n\\"\\\\é"'
+    folder = tmp_path / "in\tside\x01"
+    folder.mkdir()
+    path = folder / "g.qasm"
+    path.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\nh q[0];\ncx q[0],q[1];\n')
+    code, out, _ = run(["analyze", "--qasm", str(path)], capsys)
+    assert code == 0
+    assert "\t" not in out and "\x01" not in out
+    assert json.loads(out)["source"]["path"] == str(path)
+
+
 @pytest.mark.parametrize("argv", [
     ["reference", "--bench", "ghz:3", "--shots", "0"],
     ["reference", "--bench", "ghz:3", "--shots", "-4"],
@@ -686,12 +700,12 @@ _PINNED_ESTIMATES = {
     ),
     "xeb4-xeb": (
         ["--bench", "xeb:4", "--estimator", "xeb"],
-        "9fc6d1fc2b0299d3e1c471c776c831644149c3453f4575d1f33f5cc89543405a",
+        "c7a3225348eed648ffcf391f7904e2e368df8bfeb627202ee4f29e16e45b9c49",
         {
             "f_true_exact": 0.91350498286532744,
             "fidelity_abs": 0.00022275995023968154,
             "fidelity_hellinger": 0.0002800194719266848,
-            "outcome_hellinger": 0.01416508843230385,
+            "outcome_hellinger": 0.014165088432307769,
         },
     ),
 }
@@ -727,7 +741,7 @@ def test_default_sweep_pinned(tmp_path):
     stop_reason = SWEEP_COLUMNS.split(",").index("stop_reason")
     assert len(rows) == 216
     assert all(row.split(",")[stop_reason] == "ci_met" for row in rows)
-    digest = "c03bcc2908d02e9987f116bdd18f3ec2759e2f0eedc8463ab227649f9c23c3ba"
+    digest = "380d1f6d9cf9f460932e05b92c77798ccf7710805555513ae41ffdd5ae9f079b"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qfid.bench import BenchSpec, generate, random_circuit
 from qfid.circuit import GATE_SIGNATURES, Circuit, Gate, gate_unitary
@@ -683,3 +685,114 @@ def test_noisy_peak_memory_is_two_pauli_vectors():
     finally:
         tracemalloc.stop()
     assert peak <= 2.25 * 4**10 * 8
+
+
+# -- trailing blocks ------------------------------------------------------------
+#
+# At the end of the gates each open block folds into the last contraction
+# that held all of its qubits, if one did.  Each case lists its gates on
+# local labels 0..k-1 and the qubit sets of the contractions ``_blocks``
+# emits for them alone.
+TRAILING = {
+    # ry(0) comes after (0, 1) was emitted, and folds into it
+    "1q-after-last-2q": ([("cx", (0, 1)), ("cx", (1, 2)), ("ry", (0,), (0.7,))],
+                         [(0, 1), (1, 2)]),
+    # h(0) folds into (0, 1); u(1) joins the open (1, 2), emitted apart: no contraction held 2
+    "1q-on-both-of-a-cx": ([("cx", (0, 1)), ("cx", (1, 2)), ("h", (0,)),
+                            ("u", (1,), (0.1, 0.2, 0.3))], [(0, 1), (1, 2)]),
+    # two 1q blocks fold into one ccx, in a fixed order
+    "1q-on-two-of-a-ccx": ([("ccx", (0, 1, 2)), ("cx", (2, 3)), ("h", (0,)), ("t", (1,))],
+                           [(0, 1, 2), (2, 3)]),
+    # a trailing 2q block nested in the ccx that last held both its qubits
+    "nested-2q": ([("ccx", (0, 1, 2)), ("cx", (2, 3)), ("cz", (1, 0))],
+                  [(0, 1, 2), (2, 3)]),
+    # no contraction ever holds qubit 0: its block is emitted alone
+    "only-1q": ([("h", (0,)), ("rz", (0,), (0.3,))], [(0,)]),
+    # 0 last met (0, 1) and 2 last met (1, 2): the (0, 2) block must not fold
+    "met-apart": ([("cx", (0, 1)), ("cx", (1, 2)), ("cx", (0, 2))],
+                  [(0, 1), (1, 2), (0, 2)]),
+}
+_ONE_QUBIT = [("h", 0), ("sx", 0), ("t", 0), ("rz", 1), ("ry", 1), ("u", 3)]  # (kind, angles)
+_BODY = [(kind, 1, npar) for kind, npar in _ONE_QUBIT] + [
+    ("cx", 2, 0), ("cz", 2, 0), ("swap", 2, 0), ("ccx", 3, 0)]  # (kind, width, angles)
+
+
+def _contractions(c: Circuit, nm: NoiseModel) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    from qfid.simulator import _blocks
+
+    return _blocks(c.gates, {q: q for q in range(c.num_qubits)}, nm)
+
+
+def _refolds_a_held_qubit(contractions) -> bool:
+    """Whether a lone 1q contraction acts on a qubit an earlier contraction holds."""
+    held = set()
+    for _, qubits in contractions:
+        if len(qubits) == 1 and qubits[0] in held:
+            return True
+        held.update(qubits)
+    return False
+
+
+@st.composite
+def trailing_circuits(draw) -> Circuit:
+    """1-5 qubits: a random body, one ``TRAILING`` case on a random placement,
+    then a random layer of 1q gates; every other draw measures a subset."""
+    case = draw(st.sampled_from(sorted(TRAILING)))
+    gates, _ = TRAILING[case]
+    need = 1 + max(q for _, qubits, *_ in gates for q in qubits)
+    n = draw(st.integers(need, 5))
+    angle = st.floats(-np.pi, np.pi)
+    body = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind, width, npar = draw(st.sampled_from([g for g in _BODY if g[1] <= n]))
+        qubits = draw(st.permutations(range(n)))[:width]
+        body.append((kind, qubits, [draw(angle) for _ in range(npar)]))
+    place = draw(st.permutations(range(n)))
+    case_gates = [(kind, [place[q] for q in qubits], *params) for kind, qubits, *params in gates]
+    layer = []
+    for q in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)):
+        kind, npar = draw(st.sampled_from(_ONE_QUBIT))
+        layer.append((kind, [q], [draw(angle) for _ in range(npar)]))
+    measured = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    c = Circuit(n, len(measured))
+    for kind, qubits, *params in body + case_gates + layer:
+        c.add(kind, qubits, *params)
+    for clbit, q in enumerate(measured):
+        c.measure(q, clbit)
+    return c
+
+
+# the ci-deep profile (tests/conftest.py) raises the example count
+@settings(deadline=None)
+@given(trailing_circuits())
+def test_trailing_fold_matches_dense_oracle(c):
+    for p in (0.0, 1e-2, 1.0):
+        nm = NoiseModel(p1=p, p2=p, p_ro=0.05 if c.measures else 0.0)
+        got = noisy_distribution(c, nm).probs
+        assert np.abs(got - dense_noisy_oracle(c, nm)).max() <= 1e-12, p
+    assert not _refolds_a_held_qubit(_contractions(c, NoiseModel()))
+
+
+@pytest.mark.parametrize("case", sorted(TRAILING))
+def test_trailing_blocks_fold_where_their_qubits_last_met(case):
+    gates, expected = TRAILING[case]
+    c = Circuit(1 + max(q for _, qubits, *_ in gates for q in qubits))
+    for kind, qubits, *params in gates:
+        c.add(kind, qubits, *params)
+    nm = NoiseModel(p1=1e-2, p2=5e-2, p_ro=0.02)
+    assert [qubits for _, qubits in _contractions(c, nm)] == expected
+    assert np.abs(noisy_distribution(c, nm).probs - dense_noisy_oracle(c, nm)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spec, contractions", [("ising:10", 27), ("su2:8", 14), ("bv:10", 15),
+                                                 ("qft:8", 106)])
+def test_contraction_counts_on_the_linear_map(spec, contractions):
+    # before trailing blocks folded: ising:10 35, su2:8 20, bv:10 17, qft:8 106
+    from qfid.transpile import linear_map, transpile
+
+    family, n = spec.split(":")
+    logical = generate(BenchSpec.make(family, int(n)))
+    c = transpile(logical, linear_map(logical.num_qubits)).readout_circuit()
+    blocks = _contractions(c, NoiseModel(p1=1e-3, p2=1e-2))
+    assert len(blocks) == contractions
+    assert not _refolds_a_held_qubit(blocks)

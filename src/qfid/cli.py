@@ -77,20 +77,22 @@ def parse_bench(text: str) -> BenchSpec:
 
 
 def parse_noise(text: str) -> NoiseModel:
-    """p1=1e-3,p2=1e-2,ro=1e-2 (any subset)."""
-    values = {"p1": 0.0, "p2": 0.0, "ro": 0.0}
+    """p1=1e-3,p2=1e-2,ro=1e-2 (any subset, each at most once)."""
+    values = {}
     if text:
         for chunk in text.split(","):
             key, _, raw = chunk.partition("=")
             key = key.strip()
-            if key not in values or not raw:
+            if key not in ("p1", "p2", "ro") or not raw:
                 raise CliError(f"bad noise component {chunk!r}", EXIT_PARSE)
+            if key in values:
+                raise CliError(f"bad noise component {chunk!r}: {key} is given twice", EXIT_PARSE)
             try:
                 values[key] = float(raw)
             except ValueError:
                 raise CliError(f"bad noise value {chunk!r}", EXIT_PARSE) from None
     try:
-        return NoiseModel(values["p1"], values["p2"], values["ro"])
+        return NoiseModel(values.get("p1", 0.0), values.get("p2", 0.0), values.get("ro", 0.0))
     except SimulationError as exc:
         raise CliError(str(exc), EXIT_PARSE) from None
 
@@ -156,11 +158,9 @@ def _plan_config(args, delta: float | None = None) -> PlanConfig:
 
 
 def _kernel_config(args) -> KernelConfig:
-    """The flags' kernel config; ``--k``, which the spectrum takes, is checked here too."""
-    if args.k is not None and args.k < 1:
-        raise CliError(f"--k must be >= 1, got {args.k}", EXIT_PARSE)
+    """The spectral flags' config, ``--k`` included; a bad value is a usage error."""
     try:
-        return KernelConfig(self_loop=args.self_loop, fanin_quantile=args.fanin_quantile)
+        return KernelConfig(args.self_loop, args.fanin_quantile, args.k)
     except SpectralError as exc:
         raise CliError(str(exc), EXIT_PARSE) from None
 
@@ -184,13 +184,14 @@ def _write_output(text: str, out: str | None) -> None:
 
 
 def _write_report(args, circuit, source: dict, analyze, record=None) -> None:
-    """An analyze or estimate report, in ``--format``, to ``--out``."""
+    """An analyze or estimate report, in ``--format``, to ``--out``; JSON leads with ``source``."""
     if args.format == "csv":
         family, n = source.get("family", ""), source.get("n", circuit.num_qubits)
         row = csv_row(family, n, args.seed, analyze, record)
         _write_output(SWEEP_COLUMNS + "\n" + row + "\n", args.out)
     else:
-        _write_output(to_json((record or analyze).to_dict()) + "\n", args.out)
+        report = {"source": source, **(record or analyze).to_dict()}
+        _write_output(to_json(report) + "\n", args.out)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -239,11 +240,9 @@ def cmd_analyze(args) -> int:
     report, _ = analyze_circuit(
         circuit,
         coupling,
-        source=source,
         seed=args.seed,
         kernel_cfg=_kernel_config(args),
         plan_cfg=_plan_config(args),
-        k=args.k,
     )
     if args.dot:
         _write_output(to_dot(build_dag(circuit)), args.dot)
@@ -262,11 +261,8 @@ def cmd_estimate(args) -> int:
         coupling,
         parse_noise(args.noise),
         oracle_seed=args.seed,
-        source=source,
-        transpile_seed=args.seed,
         kernel_cfg=_kernel_config(args),
         plan_cfg=_plan_config(args),
-        k=args.k,
         reference_shots=args.reference_shots,
     )
     _write_report(args, circuit, source, record.analyze, record)
@@ -320,7 +316,7 @@ def cmd_sweep(args) -> int:
     factory(2)  # a malformed --coupling exits here, before any row is computed
     text = sweep_csv(
         suite, cfgs, seeds, factory, noise,
-        timing=args.timing, kernel_cfg=_kernel_config(args), k=args.k,
+        timing=args.timing, kernel_cfg=_kernel_config(args),
     )
     _write_output(text, args.out)
     return 0

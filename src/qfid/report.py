@@ -101,7 +101,6 @@ def to_json(obj, indent: int = 0) -> str:
 
 @dataclass
 class AnalyzeReport:
-    source: dict
     circuit: dict
     transpiled: dict
     deformation: DeformationReport
@@ -110,7 +109,6 @@ class AnalyzeReport:
 
     def to_dict(self) -> dict:
         return {
-            "source": self.source,
             "circuit": self.circuit,
             "transpile": self.transpiled,
             "deformation": asdict(self.deformation),
@@ -163,17 +161,16 @@ def _gate_counts(c: Circuit) -> dict:
 def analyze_circuit(
     circuit: Circuit,
     coupling: CouplingMap,
-    source: dict | None = None,
     seed: int = 0,
     kernel_cfg: KernelConfig | None = None,
     plan_cfg: PlanConfig | None = None,
-    k: int | None = None,
 ) -> tuple[AnalyzeReport, TranspileResult]:
     """Shot-free pipeline: transpile, compare DAGs, spectrum, batch size.
 
     Routing takes no seed: ``seed`` is only recorded, as the report's
     ``transpile.seed``.
     """
+    kernel_cfg = kernel_cfg or KernelConfig()
     plan_cfg = plan_cfg or PlanConfig()
     depth0 = circuit_depth(circuit)
     tr = transpile(circuit, coupling)
@@ -183,9 +180,8 @@ def analyze_circuit(
     depth_t = longest_path_len(gt) + 1
     deformation = compare(g0, gt, extra_raw={"depth_0": depth0, "depth_t": depth_t})
     kernel = build_kernel(gt, deformation, kernel_cfg)
-    spectrum = analyze_spectrum(kernel, k)
+    spectrum = analyze_spectrum(kernel, kernel_cfg.k)
     report = AnalyzeReport(
-        source=source or {},
         circuit={
             "num_qubits": circuit.num_qubits,
             "num_clbits": circuit.num_clbits,
@@ -232,11 +228,9 @@ def build_pipeline(
     circuit: Circuit,
     coupling: CouplingMap,
     noise: NoiseModel,
-    source: dict | None = None,
     transpile_seed: int = 0,
     kernel_cfg: KernelConfig | None = None,
     plan_cfg: PlanConfig | None = None,
-    k: int | None = None,
 ) -> Pipeline:
     """Analyze the circuit and compute its exact ideal and noisy distributions.
 
@@ -246,7 +240,7 @@ def build_pipeline(
     from the logical circuit.
     """
     analyze, tr = analyze_circuit(
-        circuit, coupling, source, transpile_seed, kernel_cfg, plan_cfg, k
+        circuit, coupling, transpile_seed, kernel_cfg, plan_cfg
     )
     ideal = ideal_distribution(circuit)
     noisy = noisy_distribution(tr.readout_circuit(), noise)
@@ -284,11 +278,8 @@ def run_estimate(
     coupling: CouplingMap,
     noise: NoiseModel,
     oracle_seed: int,
-    source: dict | None = None,
-    transpile_seed: int = 0,
     kernel_cfg: KernelConfig | None = None,
     plan_cfg: PlanConfig | None = None,
-    k: int | None = None,
     reference_shots: int = 0,
 ) -> RunRecord:
     """``build_pipeline`` then ``sample_pipeline``, plus the outcome bias.
@@ -296,11 +287,12 @@ def run_estimate(
     The oracle's stream does not depend on how its draws are batched, so
     one draw of ``shots_used`` from a fresh oracle on the same seed repeats
     the shots the estimate saw.  A reference of ``reference_shots`` comes
-    from the next seed.
+    from the next seed.  ``oracle_seed`` is also recorded as the report's
+    ``transpile.seed``.
     """
     t_start = time.perf_counter()
     pipeline = build_pipeline(
-        circuit, coupling, noise, source, transpile_seed, kernel_cfg, plan_cfg, k
+        circuit, coupling, noise, oracle_seed, kernel_cfg, plan_cfg
     )
     record = sample_pipeline(pipeline, oracle_seed)
     noisy = pipeline.noisy
@@ -379,7 +371,6 @@ def sweep_rows(
     noise: NoiseModel,
     timing: bool = False,
     kernel_cfg: KernelConfig | None = None,
-    k: int | None = None,
 ) -> list[str]:
     """One CSV row per (spec, seed, delta), ordered deterministically.
 
@@ -393,9 +384,9 @@ def sweep_rows(
     is left blank unless ``timing`` is set, keeping default output
     byte-stable; when it is set, every delta row of a (spec, seed) carries
     the time that (spec, seed) took, its build included when the circuit
-    was not built before.  ``kernel_cfg`` and ``k`` go to every
-    build, as in ``build_pipeline``; each of ``seeds`` picks the circuit and
-    the oracle.  A run that raises leaves a row whose stop_reason cell reads
+    was not built before.  ``kernel_cfg`` goes to every build, its ``k``
+    included, as in ``build_pipeline``; each of ``seeds`` picks the circuit
+    and the oracle.  A run that raises leaves a row whose stop_reason cell reads
     ``error:<Type>: <message>``, with commas and line breaks in the message
     replaced so the row keeps its 17 cells.
     """
@@ -419,7 +410,6 @@ def sweep_rows(
                             noise,
                             kernel_cfg=kernel_cfg,
                             plan_cfg=tightest,
-                            k=k,
                         )
                     except Exception as exc:  # noqa: BLE001 - every seed reports it
                         pipelines[key] = exc

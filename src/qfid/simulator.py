@@ -331,7 +331,6 @@ def _schedule(contractions: list[tuple[np.ndarray, tuple[int, ...]]]) -> tuple[l
     dims: list[int] = []
     size = width = 1
     steps = []
-    sliced: dict[tuple, np.ndarray] = {}  # (id(PTM), digits, dout, din) -> its matrix in a layout
     for s, (m, qubits) in enumerate(contractions):
         gate = list(reversed(qubits))  # m's digits, most significant first
         k = len(gate)
@@ -357,10 +356,7 @@ def _schedule(contractions: list[tuple[np.ndarray, tuple[int, ...]]]) -> tuple[l
         dout = [2 if last[q] == s else 4 for q in lead]
         cols, rows = math.prod(din), math.prod(dout)
         if lead != gate or cols * rows != 16**k:  # m's rows and columns in stored order
-            key = (id(m), tuple(gate.index(q) for q in lead), tuple(dout), tuple(din))
-            if key not in sliced:
-                sliced[key] = m.take(_slice_index(*key[1:]))
-            m = sliced[key]
+            m = m.take(_slice_index(tuple(gate.index(q) for q in lead), tuple(dout), tuple(din)))
         pre = math.prod(dims[:at])
         post = size // (pre * cols)
         if copy or din != dout:  # the layout moved

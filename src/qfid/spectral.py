@@ -49,14 +49,20 @@ class ConvergenceFailure(SpectralError):
 
 @dataclass
 class KernelConfig:
+    """The spectral engine's settings: the kernel's self-loop weight and
+    fan-in quantile, and ``k``, the spectral modes kept (None: min(10, n))."""
+
     self_loop: float = 0.5
     fanin_quantile: float = 0.9
+    k: int | None = None
 
     def __post_init__(self) -> None:
-        if self.self_loop <= 0:
-            raise SpectralError("self_loop weight must be > 0")
+        if not 0 < self.self_loop < math.inf:
+            raise SpectralError("self_loop weight must be finite and > 0")
         if not 0.0 <= self.fanin_quantile <= 1.0:
             raise SpectralError("fanin_quantile must be in [0, 1]")
+        if self.k is not None and self.k < 1:
+            raise SpectralError(f"k must be >= 1, got {self.k}")
 
 
 @dataclass

@@ -17,9 +17,9 @@ from qfid.bench import BenchSpec, generate
 from qfid.cli import build_parser, main, parse_bench, parse_coupling, parse_noise
 from qfid.deformation import DeformationReport
 from qfid.estimator import BatchStat
-from qfid.report import SWEEP_COLUMNS, format_float, run_estimate, to_json
+from qfid.report import SWEEP_COLUMNS, analyze_circuit, format_float, run_estimate, to_json
 from qfid.simulator import NoiseModel
-from qfid.spectral import PropagationSpectrum
+from qfid.spectral import KernelConfig, PropagationSpectrum
 from qfid.transpile import linear_map
 
 
@@ -95,6 +95,18 @@ def test_report_sections_follow_their_dataclasses_and_are_fresh():
     assert to_json(record.to_dict()) == before
 
 
+def test_report_layer_takes_only_what_it_uses():
+    # the CLI adds the report's source; run_estimate's one seed is also the
+    # transpile seed it records; KernelConfig carries the spectrum's k
+    circuit = generate(BenchSpec.make("ghz", 3))
+    report, _ = analyze_circuit(circuit, linear_map(3))
+    assert "source" not in report.to_dict()
+    record = run_estimate(circuit, linear_map(3), NoiseModel(1e-3), oracle_seed=7)
+    assert record.to_dict()["transpile"]["seed"] == 7
+    report, _ = analyze_circuit(circuit, linear_map(3), kernel_cfg=KernelConfig(k=3))
+    assert report.spectrum.k == 3 and len(report.spectrum.eigenvalues) == 3
+
+
 def test_analyze_qft_forces_swaps(capsys):
     code, out, _ = run(["analyze", "--bench", "qft:4", "--coupling", "linear"], capsys)
     assert code == 0
@@ -109,7 +121,7 @@ def test_analyze_bad_qasm_exit_1(tmp_path, capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("noise", ["garbage", "p1=x", "p9=0.1"])
+@pytest.mark.parametrize("noise", ["garbage", "p1=x", "p9=0.1", "p1=1e-3,p1=0.5"])
 def test_analyze_bad_noise_exits_1(noise, tmp_path, capsys):
     # analyze draws no shots, but rejects a malformed --noise as estimate does
     out = tmp_path / "out.json"
@@ -190,19 +202,46 @@ def test_usage_error_exits_1(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _ghz3_argv(command, tmp_path):
+    """``command`` on ghz:3; a sweep runs it as a one-entry suite, at one seed and delta."""
+    if command != "sweep":
+        return [command, "--bench", "ghz:3"]
+    suite = tmp_path / "ghz3.json"
+    suite.write_text('[{"family": "ghz", "n": 3}]')
+    return ["sweep", "--suite", f"@{suite}", "--seeds", "1", "--deltas", "0.05"]
+
+
 @pytest.mark.parametrize("command", ["analyze", "estimate", "sweep"])
 def test_k_below_1_is_a_usage_error(command, tmp_path, capsys):
     # like --self-loop 0: exit 1 before any work, so a sweep writes no row
     out = tmp_path / "out"
-    if command == "sweep":
-        suite = tmp_path / "ghz3.json"
-        suite.write_text('[{"family": "ghz", "n": 3}]')
-        argv = ["sweep", "--suite", f"@{suite}", "--seeds", "1", "--deltas", "0.05"]
-    else:
-        argv = [command, "--bench", "ghz:3"]
-    code, stdout, err = run([*argv, "--k", "0", "--out", str(out)], capsys)
+    argv = [*_ghz3_argv(command, tmp_path), "--k", "0", "--out", str(out)]
+    code, stdout, err = run(argv, capsys)
     assert code == 1
-    assert err == "error: --k must be >= 1, got 0\n"
+    assert err == "error: k must be >= 1, got 0\n"
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["analyze", "estimate", "sweep"])
+def test_non_finite_self_loop_is_a_usage_error(command, value, tmp_path, capsys):
+    # an infinite or NaN self-loop weight would reach the eigensolver as inf/NaN entries
+    out = tmp_path / "out"
+    argv = [*_ghz3_argv(command, tmp_path), "--self-loop", value, "--out", str(out)]
+    code, stdout, err = run(argv, capsys)
+    assert code == 1
+    assert err == "error: self_loop weight must be finite and > 0\n"
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["estimate", "sweep", "reference"])
+def test_repeated_noise_key_is_a_usage_error(command, tmp_path, capsys):
+    # as in analyze: the first p1 must not be dropped in silence for the second
+    out = tmp_path / "out"
+    argv = [*_ghz3_argv(command, tmp_path), "--noise", "p1=1e-3,p1=0.5", "--out", str(out)]
+    code, stdout, err = run(argv, capsys)
+    assert code == 1
+    assert err == "error: bad noise component 'p1=0.5': p1 is given twice\n"
     assert stdout == "" and not out.exists()
 
 

@@ -234,10 +234,11 @@ def test_spectrum_records_the_kernel_settings():
 
 
 def test_kernel_config_validation():
-    with pytest.raises(SpectralError):
-        KernelConfig(self_loop=0.0)
-    with pytest.raises(SpectralError):
-        KernelConfig(fanin_quantile=1.5)
+    for bad in ({"self_loop": 0.0}, {"self_loop": math.inf}, {"self_loop": math.nan},
+                {"fanin_quantile": 1.5}, {"k": 0}):
+        with pytest.raises(SpectralError):
+            KernelConfig(**bad)
+    assert KernelConfig(k=1).k == 1
 
 
 def test_iterative_handles_singular_kernel():

@@ -112,12 +112,14 @@ class BatchStat:
 @dataclass
 class EstimationTrace:
     plan: Plan
-    batches: list[BatchStat] = field(default_factory=list)
-    fhat: float = 0.0
-    sigma: float = 0.0
-    ci: float = math.inf
-    shots_used: int = 0
-    stop_reason: str = ""
+    batches: list[BatchStat]
+    fhat: float
+    sigma: float
+    ci: float
+    shots_used: int
+    stop_reason: str
+    # the outcome index of each used shot, in draw order; reports leave it out
+    outcomes: np.ndarray = field(compare=False, repr=False)
 
 
 # Acklam's rational approximation to the inverse normal CDF, then one
@@ -224,7 +226,8 @@ def estimate(
     T*, so the shots drawn past it, which are dropped, are at most as many
     as the trace used, and never past ``ceil(p_max / batch)`` batches in
     all.  The oracle's stream does not depend on how it is chunked, so
-    neither does the trace.
+    neither does the trace.  The trace keeps the outcome indices of the
+    shots it used, which are the stream's first ``shots_used`` draws.
     """
     cfg, batch = plan.config, plan.batch
     if oracle.num_bits != ideal.num_bits:
@@ -236,13 +239,16 @@ def estimate(
     cap = -(-cfg.p_max // batch)
 
     chunks: list[tuple[np.ndarray, ...]] = []
+    outcomes: list[np.ndarray] = []
     drawn = 0
     earliest = 0.0  # shots at or before which the rule cannot hold
     running = np.zeros(2)  # sum and sum of squares of every value so far
     while True:
         ahead = int(2.0 * earliest) // batch - drawn
         k = min(max(drawn, cfg.min_batches_before_stop, ahead), cap - drawn)
-        values = value_of[oracle.sample(k * batch)].reshape(k, batch)
+        shots = oracle.sample(k * batch)
+        outcomes.append(shots)
+        values = value_of[shots].reshape(k, batch)
         # each row sums pairwise, as a batch's own sum does; the cumsum then
         # adds left to right onto the totals so far, as a running sum does
         sums = np.empty((k + 1, 2))
@@ -272,7 +278,7 @@ def estimate(
     used = drawn + row + 1
     columns = [np.concatenate(column)[:used].tolist() for column in zip(*chunks)]
     batches = list(map(BatchStat, range(used), [batch] * used, *columns))
-    return _stopped(plan, batches, reason)
+    return _stopped(plan, batches, reason, np.concatenate(outcomes))
 
 
 def _stop_flags(ci, index, total_shots, cfg: PlanConfig):
@@ -304,7 +310,11 @@ def stop_reason(stat: BatchStat, cfg: PlanConfig) -> str:
     return "ci_met" if ci_met else "cap_reached" if cap_reached else ""
 
 
-def _stopped(plan: Plan, batches: list[BatchStat], reason: str) -> EstimationTrace:
+def _stopped(
+    plan: Plan, batches: list[BatchStat], reason: str, outcomes: np.ndarray
+) -> EstimationTrace:
+    """The trace that stops after the last of ``batches``; ``outcomes`` holds
+    at least its shots, in draw order."""
     last = batches[-1]
     fhat = last.cum_mean
     if plan.config.estimator == "xeb":
@@ -317,6 +327,7 @@ def _stopped(plan: Plan, batches: list[BatchStat], reason: str) -> EstimationTra
         ci=last.ci,
         shots_used=last.total_shots,
         stop_reason=reason,
+        outcomes=outcomes[: last.total_shots],
     )
 
 
@@ -336,7 +347,7 @@ def truncate(trace: EstimationTrace, plan: Plan) -> EstimationTrace:
     for stat in trace.batches:
         reason = stop_reason(stat, plan.config)
         if reason:
-            return _stopped(plan, trace.batches[: stat.index + 1], reason)
+            return _stopped(plan, trace.batches[: stat.index + 1], reason, trace.outcomes)
     raise EstimationError(f"trace ends before the stop rule holds at delta {plan.config.delta}")
 
 

@@ -284,10 +284,9 @@ def run_estimate(
 ) -> RunRecord:
     """``build_pipeline`` then ``sample_pipeline``, plus the outcome bias.
 
-    The oracle's stream does not depend on how its draws are batched, so
-    one draw of ``shots_used`` from a fresh oracle on the same seed repeats
-    the shots the estimate saw.  A reference of ``reference_shots`` comes
-    from the next seed.  ``oracle_seed`` is also recorded as the report's
+    The outcome bias compares the exact noisy distribution with the shots
+    the trace kept.  A reference of ``reference_shots`` comes from the next
+    seed.  ``oracle_seed`` is also recorded as the report's
     ``transpile.seed``.
     """
     t_start = time.perf_counter()
@@ -296,8 +295,7 @@ def run_estimate(
     )
     record = sample_pipeline(pipeline, oracle_seed)
     noisy = pipeline.noisy
-    shots = DistributionOracle(noisy, oracle_seed).sample(record.trace.shots_used)
-    empirical = empirical_distribution(noisy.num_bits, shots)
+    empirical = empirical_distribution(noisy.num_bits, record.trace.outcomes)
     record.bias["outcome_hellinger"] = hellinger_distance(empirical, noisy)
     if reference_shots > 0:
         ref_shots = DistributionOracle(noisy, oracle_seed + 1).sample(reference_shots)

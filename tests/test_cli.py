@@ -16,9 +16,16 @@ from qfid import cli
 from qfid.bench import BenchSpec, generate
 from qfid.cli import build_parser, main, parse_bench, parse_coupling, parse_noise
 from qfid.deformation import DeformationReport
-from qfid.estimator import BatchStat
-from qfid.report import SWEEP_COLUMNS, analyze_circuit, format_float, run_estimate, to_json
-from qfid.simulator import NoiseModel
+from qfid.estimator import BatchStat, estimate, hellinger_distance
+from qfid.report import (
+    SWEEP_COLUMNS,
+    analyze_circuit,
+    build_pipeline,
+    format_float,
+    run_estimate,
+    to_json,
+)
+from qfid.simulator import DistributionOracle, NoiseModel, empirical_distribution
 from qfid.spectral import KernelConfig, PropagationSpectrum
 from qfid.transpile import linear_map
 
@@ -105,6 +112,30 @@ def test_report_layer_takes_only_what_it_uses():
     assert record.to_dict()["transpile"]["seed"] == 7
     report, _ = analyze_circuit(circuit, linear_map(3), kernel_cfg=KernelConfig(k=3))
     assert report.spectrum.k == 3 and len(report.spectrum.eigenvalues) == 3
+
+
+@pytest.mark.parametrize("reference_shots", [0, 500])
+def test_run_estimate_reads_the_oracle_stream_once(reference_shots, monkeypatch):
+    # the outcome bias reads the shots the trace kept: run_estimate draws what
+    # estimate alone draws, plus the reference
+    circuit = generate(BenchSpec.make("ghz", 3))
+    coupling, noise = linear_map(3), NoiseModel(1e-3, 1e-2, 1e-2)
+    drawn = []
+    sample = DistributionOracle.sample
+
+    def counted(self, batch_size):
+        drawn.append(batch_size)
+        return sample(self, batch_size)
+
+    monkeypatch.setattr(DistributionOracle, "sample", counted)
+    pipeline = build_pipeline(circuit, coupling, noise)
+    estimate(DistributionOracle(pipeline.noisy, 5), pipeline.ideal, pipeline.analyze.plan)
+    alone = sum(drawn)
+    drawn.clear()
+    record = run_estimate(circuit, coupling, noise, oracle_seed=5, reference_shots=reference_shots)
+    assert sum(drawn) == alone + reference_shots
+    empirical = empirical_distribution(pipeline.noisy.num_bits, record.trace.outcomes)
+    assert record.bias["outcome_hellinger"] == hellinger_distance(empirical, pipeline.noisy)
 
 
 def test_analyze_qft_forces_swaps(capsys):
@@ -720,10 +751,9 @@ def test_malformed_suite_file_exits_1(content, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-# `qfid estimate` reports written when the estimate's own shots were recorded
-# for the outcome bias: sha256 of the text without its wall_time_ms line, and
-# the bias block.  The exact-bias digits come from the Pauli-basis simulator;
-# its f_true_exact lies within 1.2e-16 of an extended-precision dense oracle.
+# `qfid estimate` reports, whose outcome bias reads the shots the trace kept:
+# sha256 of the text without its wall_time_ms line, and the bias block.  The
+# exact-bias digits come from the Pauli-basis simulator; its f_true_exact lies within 1.2e-16 of an extended-precision dense oracle.
 _PINNED_ESTIMATES = {
     "bv6-reference-shots": (
         ["--bench", "bv:6", "--reference-shots", "1000"],

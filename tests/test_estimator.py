@@ -291,8 +291,13 @@ def test_truncated_trace_equals_direct_run(
     trace = estimate(DistributionOracle(noisy, seed), ideal, Plan(batch, tight))
     for cfg in cfgs:
         direct = estimate(DistributionOracle(noisy, seed), ideal, Plan(batch, cfg))
+        cut = truncate(trace, Plan(batch, cfg))
         # every BatchStat, fhat, sigma, ci, shots_used and stop_reason
-        assert truncate(trace, Plan(batch, cfg)) == direct
+        assert cut == direct
+        # == leaves out the kept shots: they are the stream's first shots_used draws
+        assert np.array_equal(cut.outcomes, direct.outcomes)
+        fresh = DistributionOracle(noisy, seed).sample(direct.shots_used)
+        assert np.array_equal(direct.outcomes, fresh)
 
 
 def test_truncate_refuses_a_trace_it_cannot_cut():

@@ -399,8 +399,8 @@ def test_oracle_determinism():
 
 
 def test_oracle_stream_does_not_depend_on_batching():
-    # estimate draws its shots in chunks of batches, and run_estimate re-draws
-    # them in one call for its outcome bias
+    # estimate draws its shots in chunks of batches, and its trace, the kept
+    # shots included, must not depend on the chunking
     c = generate(BenchSpec.make("ghz", 3))
     noisy = noisy_distribution(c, NoiseModel(p1=1e-3, p2=1e-2, p_ro=1e-2))
     batched = DistributionOracle(noisy, seed=4)

@@ -1,7 +1,8 @@
 """Command-line surface: analyze | estimate | sweep | reference.
 
 Exit codes: 0 success, 1 parse or usage error, 2 transpile/layout error,
-3 numeric (graph/spectral) error, 4 oracle or estimation error.
+3 numeric (graph/spectral) error, 4 oracle or estimation error, including
+a shot request too large to allocate.
 """
 
 from __future__ import annotations
@@ -428,6 +429,7 @@ _ERROR_CODES = (
     (SpectralError, EXIT_NUMERIC),
     (SimulationError, EXIT_ORACLE),
     (EstimationError, EXIT_ORACLE),
+    (MemoryError, EXIT_ORACLE),  # a shot request too large to allocate
 )
 
 

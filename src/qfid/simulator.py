@@ -35,12 +35,11 @@ the qubits in play: a qubit joins r at its first contraction, as the I = Z = 1
 components of |0><0|, and keeps only its I and Z components after its
 last, which is all the readout reads.  A stored axis thus has four
 entries or two, and r moves between two buffers as wide as the widest r
-the circuit needs, one copy per contraction at most.  Only the active
-qubits -- those a gate or the readout touches -- are simulated, and
-``DENSITY_MAX_QUBITS`` caps their number, so a small circuit routed onto
-a large coupling map stays cheap.  A circuit
-without measurements reads out every qubit, so all of its qubits are
-active; a routed circuit is read out through
+the circuit needs, one copy per contraction at most.  Both simulators
+evolve only the active qubits, those a gate or the readout touches, and cap
+their number, so a small circuit on a large register or coupling map stays
+cheap.  A circuit without measurements reads out every qubit, so all of its
+qubits are active; a routed circuit is read out through
 ``TranspileResult.readout_circuit``, which measures its logical qubits.
 """
 
@@ -409,15 +408,17 @@ def _diagonal(vec: np.ndarray, order: tuple[int, ...], dims: tuple[int, ...], n:
     return out.reshape(-1)
 
 
-def _readout_plan(c: Circuit) -> tuple[list[tuple[int, int]], int]:
-    """Ordered (qubit, clbit) pairs and the clbit count; without measures,
-    every qubit q is read into clbit q.
+def _active_qubits(c: Circuit, cap: int, simulator: str) -> tuple[dict, list, int]:
+    """Each active qubit -- one a gate or the readout touches -- mapped to its
+    index among them, the ordered (index, clbit) readout pairs, and the clbit
+    count; without measures every qubit q is read into clbit q.
 
-    Also validates that no gate touches a qubit after it was measured, and
-    that no qubit is measured and no clbit written twice.
+    Raises ``TooManyQubits`` if more than ``cap`` qubits are active, and
+    rejects a gate on a measured qubit and a qubit or clbit measured twice.
     """
     measured: set[int] = set()
     written: set[int] = set()
+    touched: set[int] = set()
     plan: list[tuple[int, int]] = []
     for op in c.ops:
         if isinstance(op, Measure):
@@ -434,9 +435,15 @@ def _readout_plan(c: Circuit) -> tuple[list[tuple[int, int]], int]:
                     raise MidCircuitMeasurement(
                         f"gate {op.kind!r} acts on qubit {q} after measurement"
                     )
+            touched.update(op.qubits)
+    num_clbits = c.num_clbits
     if not plan:
-        return [(q, q) for q in range(c.num_qubits)], c.num_qubits
-    return plan, c.num_clbits
+        plan, num_clbits = [(q, q) for q in range(c.num_qubits)], c.num_qubits
+    active = sorted(touched.union(q for q, _ in plan))
+    if len(active) > cap:
+        raise TooManyQubits(f"{len(active)} active qubits exceeds {simulator} cap {cap}")
+    local = {q: i for i, q in enumerate(active)}
+    return local, [(local[q], clbit) for q, clbit in plan], num_clbits
 
 
 def _qubit_probs_to_outcome(
@@ -452,17 +459,17 @@ def _qubit_probs_to_outcome(
 
 
 def ideal_distribution(c: Circuit) -> OutcomeDistribution:
-    """Noiseless outcome distribution via statevector simulation."""
-    n = c.num_qubits
-    if n > STATEVECTOR_MAX_QUBITS:
-        raise TooManyQubits(f"{n} qubits exceeds statevector cap {STATEVECTOR_MAX_QUBITS}")
-    plan, num_clbits = _readout_plan(c)
+    """Noiseless outcome distribution: a statevector over the active qubits."""
+    local, plan, num_clbits = _active_qubits(c, STATEVECTOR_MAX_QUBITS, "statevector")
+    n = len(local)
+    axis = {q: n - 1 - i for q, i in local.items()}  # the ket axis of each active qubit
     psi = np.zeros((2,) * n, dtype=complex)
     psi[(0,) * n] = 1.0
     gates = c.gates
     unitaries = _unitaries(gates)
     for gate in gates:
-        psi = _apply_matrix(psi, unitaries[gate.kind, gate.params], _axes(gate.qubits, n))
+        axes = tuple(map(axis.__getitem__, reversed(gate.qubits)))  # as _axes orders them
+        psi = _apply_matrix(psi, unitaries[gate.kind, gate.params], axes)
     qprobs = np.abs(psi.reshape(-1)) ** 2
     return _qubit_probs_to_outcome(qprobs, plan, num_clbits)
 
@@ -539,22 +546,15 @@ def _blocks(
 def noisy_distribution(c: Circuit, nm: NoiseModel) -> OutcomeDistribution:
     """Exact outcome distribution under depolarizing + readout noise.
 
-    Only the active qubits -- those a gate or the readout touches -- are
-    simulated, renumbered in order.  ``_blocks`` plans the contractions and
-    ``_schedule`` lays them out: a qubit joins the Pauli vector at its first
-    contraction and keeps only its I and Z components after its last, and a
-    measured qubit no gate touches joins only at readout.  The vector lives
-    in two buffers as wide as the widest vector any step holds, at most 4^n
-    floats, and nothing else of that size is allocated.
+    ``_blocks`` plans the contractions and ``_schedule`` lays them out: a
+    qubit joins the Pauli vector at its first contraction and keeps only its
+    I and Z components after its last, and a measured qubit no gate touches
+    joins only at readout.  The vector lives in two buffers as wide as the
+    widest vector any step holds, at most 4^n floats for n active qubits,
+    and nothing else of that size is allocated.
     """
-    plan, num_clbits = _readout_plan(c)
-    active = sorted({q for g in c.gates for q in g.qubits} | {q for q, _ in plan})
-    n = len(active)
-    if n > DENSITY_MAX_QUBITS:
-        raise TooManyQubits(
-            f"{n} active qubits exceeds density-matrix cap {DENSITY_MAX_QUBITS}"
-        )
-    local = {q: i for i, q in enumerate(active)}
+    local, plan, num_clbits = _active_qubits(c, DENSITY_MAX_QUBITS, "density-matrix")
+    n = len(local)
     steps, width = _schedule(_blocks(c.gates, local, nm))
     bufs = [np.empty(width), np.empty(width)]
     bufs[0][0] = 1.0  # no qubit stored: the vector is r_I = Tr(rho)
@@ -563,7 +563,6 @@ def noisy_distribution(c: Circuit, nm: NoiseModel) -> OutcomeDistribution:
     order, dims = (steps[-1].order, steps[-1].dims) if steps else ((), ())
     qprobs = _diagonal(bufs[0], order, dims, n)
     qprobs = qprobs / qprobs.sum()  # the channels preserve trace; drop rounding drift
-    plan = [(local[q], clbit) for q, clbit in plan]
     qprobs = _apply_readout_flips(qprobs, [q for q, _ in plan], nm.p_ro)
     return _qubit_probs_to_outcome(qprobs, plan, num_clbits)
 

@@ -550,6 +550,43 @@ def test_qubit_measured_twice_exits_4(tmp_path, capsys):
     assert "SimulationError: qubit 0 measured twice" in err
 
 
+def test_wide_register_simulates_its_active_qubits(tmp_path, capsys):
+    # a compiled circuit declares the device's whole register: GHZ(3) on q[27]
+    # is 3 active qubits to both simulators, not 2^27 amplitudes
+    ghz3 = ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{}];\ncreg c[3];\n'
+            "h q[0];\ncx q[0],q[1];\ncx q[1],q[2];\n"
+            "measure q[0] -> c[0];\nmeasure q[1] -> c[1];\nmeasure q[2] -> c[2];\n")
+    wide, compact = tmp_path / "wide.qasm", tmp_path / "compact.qasm"
+    wide.write_text(ghz3.format(27))
+    compact.write_text(ghz3.format(3))
+    code, _, err = run(["estimate", "--qasm", str(wide), "--coupling", "heavyhex27",
+                        "--out", str(tmp_path / "r.json")], capsys)
+    assert code == 0, err
+    counts = []
+    for path in (wide, compact):
+        code, out, err = run(["reference", "--qasm", str(path), "--coupling", "heavyhex27",
+                              "--shots", "500", "--seed", "3"], capsys)
+        assert code == 0, err
+        counts.append(json.loads(out))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["reference", "--shots", str(10**15)],
+    ["estimate", "--reference-shots", str(10**15)],
+    ["estimate", "--batch-min", str(10**15), "--pmax", str(10**15)],
+], ids=["reference-shots", "estimate-reference-shots", "estimate-batch-min"])
+def test_unallocatable_shot_request_exits_4(argv, tmp_path, capsys):
+    # 10**15 float draws are 7.11 PiB, more than a 48-bit address space holds:
+    # the allocation fails before any memory is touched
+    out = tmp_path / "out.json"
+    code, stdout, err = run([*argv, "--bench", "ghz:3", "--out", str(out)], capsys)
+    assert code == 4
+    assert stdout == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and "MemoryError" in err
+    assert not out.exists()
+
+
 def test_estimate_on_large_maps_matches_linear(capsys):
     # ghz:4 routes with no SWAPs, so only 4 of the 27 (16) map qubits are simulated
     def estimate(coupling):

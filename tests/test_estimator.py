@@ -20,7 +20,6 @@ from qfid.estimator import (
     estimate,
     hellinger_distance,
     shot_values,
-    stop_reason,
     success_set,
     truncate,
     xeb_scale,
@@ -338,7 +337,8 @@ class _BitstringOracle(DistributionOracle):
 
 
 def _bitstring_loop(oracle, ideal, cfg, batch):
-    """The estimate loop as it ran on bitstring shots, verbatim; (batches, reason)."""
+    """The estimate loop as it ran on bitstring shots, verbatim but for its own
+    copy of the stop rule; (batches, reason)."""
     z = cfg.z_alpha
     if cfg.estimator == "success":
         good = success_set(ideal)
@@ -374,9 +374,11 @@ def _bitstring_loop(oracle, ideal, cfg, batch):
             total_shots=total,
         )
         batches.append(stat)
-        reason = stop_reason(stat, cfg)
-        if reason:
-            return batches, reason
+        # the Wald rule, written out rather than shared with the code under test
+        if stat.ci <= cfg.delta and len(batches) >= cfg.min_batches_before_stop:
+            return batches, "ci_met"
+        if total >= cfg.p_max:
+            return batches, "cap_reached"
 
 
 # the ci-deep profile (tests/conftest.py) raises these two tests' example counts

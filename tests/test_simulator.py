@@ -105,10 +105,16 @@ def test_partial_readout_marginalizes():
 
 
 def test_qubit_cap():
-    with pytest.raises(TooManyQubits):
-        ideal_distribution(Circuit(21))
-    with pytest.raises(TooManyQubits):
+    with pytest.raises(TooManyQubits, match="21 active qubits exceeds statevector cap 20"):
+        ideal_distribution(Circuit(21))  # no measure: every qubit is read out
+    with pytest.raises(TooManyQubits, match="13 active qubits exceeds density-matrix cap 12"):
         noisy_distribution(Circuit(13), NoiseModel())
+    c = Circuit(27, 1)  # 21 of 27 qubits active
+    for q in range(20):
+        c.add("cx", (q, q + 1))
+    c.measure(0, 0)
+    with pytest.raises(TooManyQubits, match="21 active qubits"):
+        ideal_distribution(c)
 
 
 def test_gate_after_measure_rejected():
@@ -366,6 +372,9 @@ def test_idle_qubits_leave_distribution_unchanged():
     compact = noisy_distribution(build(3, (0, 1, 2)), nm)
     padded = noisy_distribution(build(13, (2, 7, 11)), nm)  # 3 of 13 qubits active
     assert np.abs(compact.probs - padded.probs).max() <= 1e-12
+    # 3 of 27: over the statevector cap if the declared register were simulated
+    compact = ideal_distribution(build(3, (0, 1, 2)))
+    assert np.array_equal(ideal_distribution(build(27, (2, 7, 26))).probs, compact.probs)
 
 
 def test_density_cap_counts_active_qubits():

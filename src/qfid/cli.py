@@ -24,6 +24,7 @@ from .report import (
     SWEEP_COLUMNS,
     analyze_circuit,
     csv_row,
+    error_name,
     run_estimate,
     sweep_csv,
     to_json,
@@ -453,7 +454,7 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - map module errors to exit codes
         for klass, code in _ERROR_CODES:
             if isinstance(exc, klass):
-                print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+                print(f"error: {error_name(exc)}: {exc}", file=sys.stderr)
                 return code
         raise
 

@@ -418,7 +418,7 @@ def sweep_rows(
                 cuts = [record if cfg == tightest else _record_at(record, cfg) for cfg in cfgs]
             except Exception as exc:  # noqa: BLE001 - partial rows keep the sweep alive
                 # one cell: the message must not split the row or the file
-                message = " ".join(f"{type(exc).__name__}: {exc}".splitlines())
+                message = " ".join(f"{error_name(exc)}: {exc}".splitlines())
                 message = message.replace(",", ";")
                 rows.extend(
                     f"{spec.family},{spec.n},{seed},{format_float(cfg.delta)},"
@@ -433,6 +433,12 @@ def sweep_rows(
             )
             rows.extend(csv_row(spec.family, spec.n, seed, cut.analyze, cut, wall) for cut in cuts)
     return rows
+
+
+def error_name(exc: BaseException) -> str:
+    """The error's class name for messages; a private class (its name starts
+    with ``_``) reads as its first public base."""
+    return next(k.__name__ for k in type(exc).__mro__ if not k.__name__.startswith("_"))
 
 
 def sweep_csv(*args, **kwargs) -> str:

@@ -21,11 +21,12 @@ from qfid.report import (
     SWEEP_COLUMNS,
     analyze_circuit,
     build_pipeline,
+    error_name,
     format_float,
     run_estimate,
     to_json,
 )
-from qfid.simulator import DistributionOracle, NoiseModel, empirical_distribution
+from qfid.simulator import DistributionOracle, NoiseModel, TooManyQubits, empirical_distribution
 from qfid.spectral import KernelConfig, PropagationSpectrum
 from qfid.transpile import linear_map
 
@@ -584,7 +585,16 @@ def test_unallocatable_shot_request_exits_4(argv, tmp_path, capsys):
     assert code == 4
     assert stdout == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and "MemoryError" in err
+    assert err.startswith("error: MemoryError: ")
     assert not out.exists()
+
+
+def test_error_lines_name_a_public_class():
+    class _Private(MemoryError):
+        pass
+
+    assert error_name(_Private("too large")) == "MemoryError"
+    assert error_name(TooManyQubits("13 active qubits")) == "TooManyQubits"
 
 
 def test_estimate_on_large_maps_matches_linear(capsys):
@@ -847,7 +857,7 @@ def test_default_sweep_pinned(tmp_path):
     stop_reason = SWEEP_COLUMNS.split(",").index("stop_reason")
     assert len(rows) == 216
     assert all(row.split(",")[stop_reason] == "ci_met" for row in rows)
-    digest = "380d1f6d9cf9f460932e05b92c77798ccf7710805555513ae41ffdd5ae9f079b"
+    digest = "9be05cf00e37d8f1988b5de52a684238d1d6db79edd853100745df57f5d9d273"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

@@ -687,13 +687,19 @@ def test_noisy_peak_memory_is_two_pauli_vectors():
     for q in range(10):
         c.measure(q, q)
     nm = NoiseModel(p1=1e-3, p2=1e-2, p_ro=1e-2)
-    tracemalloc.start()
-    try:
-        noisy_distribution(c, nm)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.25 * 4**10 * 8
+
+    def peak_bytes(c: Circuit) -> int:
+        tracemalloc.start()
+        try:
+            noisy_distribution(c, nm)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(c) <= 2.25 * 4**10 * 8
+    # ising:10, planned: two buffers of its widest vector, 4^7 floats where
+    # circuit order holds 4^10, and the readout's arrays of 2^10 outcomes
+    assert peak_bytes(_linear("ising:10")) <= 2.25 * 4**7 * 8 + 16 * 2**10 * 8
 
 
 # -- trailing blocks ------------------------------------------------------------
@@ -805,3 +811,87 @@ def test_contraction_counts_on_the_linear_map(spec, contractions):
     blocks = _contractions(c, NoiseModel(p1=1e-3, p2=1e-2))
     assert len(blocks) == contractions
     assert not _refolds_a_held_qubit(blocks)
+
+
+# -- contraction order ---------------------------------------------------------
+
+
+def _linear(spec: str) -> Circuit:
+    """A bench circuit routed onto the linear map, read out on its logical qubits."""
+    from qfid.transpile import linear_map, transpile
+
+    family, n = spec.split(":")
+    logical = generate(BenchSpec.make(family, int(n)))
+    return transpile(logical, linear_map(logical.num_qubits)).readout_circuit()
+
+
+@st.composite
+def mapped_circuits(draw) -> Circuit:
+    """1-10 qubits whose two-qubit gates lie on the edges of a line, a ring or
+    a two-row grid, then measures of a random subset, possibly empty."""
+    from qfid.transpile import grid_map, linear_map, ring_map
+
+    n = draw(st.integers(1, 10))
+    cmap = draw(st.sampled_from([linear_map(n), ring_map(n), grid_map(2, (n + 1) // 2)]))
+    edges = sorted(e for e in cmap.edges if max(e) < n)
+    angle = st.floats(-np.pi, np.pi)
+    gates = []
+    for _ in range(draw(st.integers(0, 30))):
+        if edges and draw(st.booleans()):
+            kind = draw(st.sampled_from(["cx", "cz", "swap"]))
+            gates.append((kind, draw(st.permutations(draw(st.sampled_from(edges)))), []))
+        else:
+            kind, npar = draw(st.sampled_from(_ONE_QUBIT))
+            gates.append((kind, [draw(st.integers(0, n - 1))], [draw(angle) for _ in range(npar)]))
+    measured = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    c = Circuit(n, len(measured))
+    for kind, qubits, params in gates:
+        c.add(kind, qubits, params)
+    for clbit, q in enumerate(measured):
+        c.measure(q, clbit)
+    return c
+
+
+# the ci-deep profile (tests/conftest.py) raises the example count
+@settings(deadline=None)
+@given(mapped_circuits())
+def test_planned_order_matches_circuit_order(c):
+    # the greedy order, taken whatever its flops, against circuit order and,
+    # where it fits, the dense oracle
+    from unittest import mock
+
+    import qfid.simulator as simulator
+
+    for p in (0.0, 1e-2, 1.0):
+        nm = NoiseModel(p1=p, p2=p, p_ro=0.05 if c.measures else 0.0)
+        with mock.patch.object(simulator, "_REORDER_MARGIN", float("inf")):
+            planned = noisy_distribution(c, nm).probs
+        with mock.patch.object(simulator, "_plan", lambda cs: list(range(len(cs)))):
+            in_order = noisy_distribution(c, nm).probs
+        assert np.abs(planned - in_order).max() <= 1e-12, p
+        if c.num_qubits <= 5:
+            assert np.abs(planned - dense_noisy_oracle(c, nm)).max() <= 1e-12, p
+    contractions = _contractions(c, NoiseModel(p1=1e-2, p2=1e-2))
+    with mock.patch.object(simulator, "_REORDER_MARGIN", float("inf")):
+        order = simulator._plan(contractions)
+    assert sorted(order) == list(range(len(contractions)))
+    for q in range(c.num_qubits):
+        on_q = [s for s in order if q in contractions[s][1]]
+        assert on_q == sorted(on_q), q
+
+
+@pytest.mark.parametrize("spec, in_order, planned", [
+    ("ising:10", 4**10, 16_384),
+    ("su2:8", 16_384, 2_048),
+    ("bv:10", 4_096, 4_096),  # greedy counts 18.5x the flops: circuit order stays
+    ("qft:8", 65_536, 65_536),  # every qubit stays live: circuit order stays
+    ("ising:12", 4**12, 65_536),  # laid out only: nothing is allocated
+])
+def test_planned_width_on_the_linear_map(spec, in_order, planned):
+    from qfid.simulator import _plan, _schedule
+
+    contractions = _contractions(_linear(spec), NoiseModel(p1=1e-3, p2=1e-2))
+    order = _plan(contractions)
+    assert (order == list(range(len(contractions)))) == (in_order == planned)
+    assert _schedule(contractions)[1] == in_order
+    assert _schedule([contractions[s] for s in order])[1] == planned

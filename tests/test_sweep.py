@@ -67,6 +67,13 @@ def test_sweep_rows_equal_the_per_row_path(case):
         assert all(",error:TooManyQubits: " in row for row in rows)
 
 
+def test_unallocatable_shot_request_is_a_memory_error_row():
+    # 10**15 float draws are 7.11 PiB: the row names the error and keeps its message
+    cfg = PlanConfig(batch_min=10**15, p_max=10**15)
+    rows = sweep_rows(_suite(["ghz:3"]), [cfg], [1], linear_map, NOISE)
+    assert len(rows) == 1 and ",error:MemoryError: Unable to allocate " in rows[0]
+
+
 def test_sweep_builds_each_distinct_circuit_once_per_entry(monkeypatch):
     calls = {"transpile": 0, "noisy": 0}
 

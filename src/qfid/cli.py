@@ -305,6 +305,10 @@ def cmd_sweep(args) -> int:
         raise CliError(f"bad sweep axis: {exc}", EXIT_PARSE) from None
     if not deltas or not seeds:
         raise CliError("sweep needs nonempty --deltas and --seeds", EXIT_PARSE)
+    for flag, values in (("--deltas", deltas), ("--seeds", seeds)):
+        repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if repeated is not None:  # a repeat would write duplicate rows
+            raise CliError(f"bad sweep axis: {flag} gives {repeated} twice", EXIT_PARSE)
     for seed in seeds:
         _check_oracle_seed("--seeds", seed)
     noise = parse_noise(args.noise)

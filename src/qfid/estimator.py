@@ -22,12 +22,16 @@ the sum of squared deviations so far.  The rule cannot hold at or before
 T*: SS never shrinks, so the half-width at any later count T exceeds
 z_alpha * sqrt(SS) / T, which is at least delta up to T*.  So the loop may
 draw past its stop point, up to the shots it used and never past the cap.
+
+A trace keeps its per-batch statistics as the columns of a ``BatchTable``,
+one row per batch, as the loop computes them; ``truncate`` cuts a trace
+back to a looser delta by applying the stop rule once to those columns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -100,6 +104,8 @@ class Plan:
 
 @dataclass
 class BatchStat:
+    """One batch's row of a trace: its statistics after the batch is added."""
+
     index: int
     size: int
     batch_mean: float
@@ -109,10 +115,66 @@ class BatchStat:
     total_shots: int
 
 
+_COLUMNS = tuple(f.name for f in fields(BatchStat))[2:]  # all but index and size
+
+
+@dataclass(frozen=True, eq=False)
+class BatchTable:
+    """A trace's batches as read-only columns, one row per batch.
+
+    A row's index is its row number and every batch holds ``size`` shots.
+    ``len``, indexing (negative too) and iteration give ``BatchStat`` rows of
+    Python numbers; tables are equal when their columns are, exactly.  The
+    columns cannot be written, and a writeable array is copied in, so
+    nothing a caller holds can edit a trace.
+    """
+
+    size: int
+    batch_mean: np.ndarray
+    cum_mean: np.ndarray
+    cum_std: np.ndarray
+    ci: np.ndarray
+    total_shots: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in _COLUMNS:
+            column = np.asarray(getattr(self, name), np.int64 if name == "total_shots" else float)
+            if column.flags.writeable:  # a column a caller could still write is copied
+                column = column.copy()
+                column.flags.writeable = False
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.ci)
+
+    def __getitem__(self, i: int) -> BatchStat:
+        i = range(len(self))[i]
+        return BatchStat(i, self.size, *(getattr(self, name).item(i) for name in _COLUMNS))
+
+    def rows(self):
+        """Each row's values in ``BatchStat`` field order, as Python numbers."""
+        n = len(self)
+        return zip(range(n), [self.size] * n, *(getattr(self, name).tolist() for name in _COLUMNS))
+
+    def __iter__(self):
+        return (BatchStat(*row) for row in self.rows())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BatchTable):
+            return NotImplemented
+        return self.size == other.size and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS
+        )
+
+    def head(self, rows: int) -> BatchTable:
+        """The table of the first ``rows`` batches."""
+        return BatchTable(self.size, *(getattr(self, name)[:rows] for name in _COLUMNS))
+
+
 @dataclass
 class EstimationTrace:
     plan: Plan
-    batches: list[BatchStat]
+    batches: BatchTable
     fhat: float
     sigma: float
     ci: float
@@ -222,12 +284,14 @@ def estimate(
     cannot hold (``_earliest_stop``), whichever is more.  A chunk's
     statistics are computed as arrays, batch for batch as a loop over its
     batches would compute them, and the loop stops at the first batch where
-    the stop rule holds.  That batch lies past every batch drawn before the chunk and past
-    T*, so the shots drawn past it, which are dropped, are at most as many
-    as the trace used, and never past ``ceil(p_max / batch)`` batches in
-    all.  The oracle's stream does not depend on how it is chunked, so
-    neither does the trace.  The trace keeps the outcome indices of the
-    shots it used, which are the stream's first ``shots_used`` draws.
+    the stop rule holds.  That batch lies past every batch drawn before the
+    chunk and past T*, so the shots drawn past it, which are dropped, are
+    at most as many as the trace used, and never past ``ceil(p_max /
+    batch)`` batches in all.  The oracle's stream does not depend on how it
+    is chunked, so neither does the trace.  The trace's ``BatchTable``
+    holds the chunks' arrays up to the stop, with no per-batch object
+    built, and the trace keeps the outcome indices of the shots it used,
+    which are the stream's first ``shots_used`` draws.
     """
     cfg, batch = plan.config, plan.batch
     if oracle.num_bits != ideal.num_bits:
@@ -265,20 +329,17 @@ def estimate(
         std = np.sqrt(np.where((total > 1) & (var > 0.0), var, 0.0))
         ci = z * std / np.sqrt(total)
         chunks.append((batch_sum / batch, mean, std, ci, total))
-        ci_met, cap_reached = _stop_flags(ci, index, total, cfg)
-        stops = ci_met | cap_reached
-        if stops.any():
-            row = int(stops.argmax())
-            reason = "ci_met" if ci_met[row] else "cap_reached"
+        stop = _first_stop(ci, index, total, cfg)
+        if stop is not None:
             break
         drawn += k
         running = cum[-1]
         earliest = _earliest_stop(*running, drawn * batch, cfg)
 
+    row, reason = stop
     used = drawn + row + 1
-    columns = [np.concatenate(column)[:used].tolist() for column in zip(*chunks)]
-    batches = list(map(BatchStat, range(used), [batch] * used, *columns))
-    return _stopped(plan, batches, reason, np.concatenate(outcomes))
+    table = BatchTable(batch, *(np.concatenate(column)[:used] for column in zip(*chunks)))
+    return _stopped(plan, table, reason, np.concatenate(outcomes))
 
 
 def _stop_flags(ci, index, total_shots, cfg: PlanConfig):
@@ -288,6 +349,16 @@ def _stop_flags(ci, index, total_shots, cfg: PlanConfig):
     """
     ci_met = (ci <= cfg.delta) & (index + 1 >= cfg.min_batches_before_stop)
     return ci_met, total_shots >= cfg.p_max
+
+
+def _first_stop(ci, index, total_shots, cfg: PlanConfig) -> tuple[int, str] | None:
+    """(row, reason) of the first of a run of batches where the stop rule holds, or None."""
+    ci_met, cap_reached = _stop_flags(ci, index, total_shots, cfg)
+    stops = ci_met | cap_reached
+    if not stops.any():
+        return None
+    row = int(stops.argmax())
+    return row, "ci_met" if ci_met[row] else "cap_reached"
 
 
 def _earliest_stop(total: float, total_sq: float, shots: int, cfg: PlanConfig) -> float:
@@ -311,7 +382,7 @@ def stop_reason(stat: BatchStat, cfg: PlanConfig) -> str:
 
 
 def _stopped(
-    plan: Plan, batches: list[BatchStat], reason: str, outcomes: np.ndarray
+    plan: Plan, batches: BatchTable, reason: str, outcomes: np.ndarray
 ) -> EstimationTrace:
     """The trace that stops after the last of ``batches``; ``outcomes`` holds
     at least its shots, in draw order."""
@@ -337,18 +408,23 @@ def truncate(trace: EstimationTrace, plan: Plan) -> EstimationTrace:
     ``trace`` must come from the same oracle seed and a plan equal to
     ``plan`` except for a tolerance no looser than its delta: the batches
     then agree, and the loop under ``plan`` stops at the first batch where
-    ``stop_reason`` holds, which is no later than the end of ``trace``.
+    the stop rule holds, which is no later than the end of ``trace``.  The
+    rule is applied once to the trace's columns, as the loop applies it to a
+    chunk's, and the table is cut after the first row where it holds.
     """
     ran = trace.plan
     # field by field: rebuilding a PlanConfig would rerun its checks and z_quantile
     at_delta = vars(plan.config) | {"delta": ran.config.delta}
     if plan.batch != ran.batch or at_delta != vars(ran.config):
         raise EstimationError(f"trace ran under {ran}, not {plan} up to delta")
-    for stat in trace.batches:
-        reason = stop_reason(stat, plan.config)
-        if reason:
-            return _stopped(plan, trace.batches[: stat.index + 1], reason, trace.outcomes)
-    raise EstimationError(f"trace ends before the stop rule holds at delta {plan.config.delta}")
+    table = trace.batches
+    stop = _first_stop(table.ci, np.arange(len(table)), table.total_shots, plan.config)
+    if stop is None:
+        raise EstimationError(
+            f"trace ends before the stop rule holds at delta {plan.config.delta}"
+        )
+    row, reason = stop
+    return _stopped(plan, table.head(row + 1), reason, trace.outcomes)
 
 
 def hellinger_distance(p: OutcomeDistribution, q: OutcomeDistribution) -> float:

@@ -27,14 +27,18 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from json.encoder import encode_basestring
+
+import numpy as np
 
 from .bench import BenchSpec, generate
 from .circuit import Circuit, Gate, circuit_depth
 from .dag import build_dag, longest_path_len
 from .deformation import DeformationReport, compare
 from .estimator import (
+    BatchStat,
+    BatchTable,
     EstimationTrace,
     Plan,
     PlanConfig,
@@ -96,7 +100,30 @@ def to_json(obj, indent: int = 0) -> str:
             f'{inner}"{k}": {to_json(v, indent + 1)}' for k, v in obj.items()
         )
         return f"{{\n{items}\n{pad}}}"
+    if isinstance(obj, BatchTable):
+        return _batch_rows(obj, indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _batch_rows(table: BatchTable, indent: int) -> str:
+    """``table`` as ``to_json`` writes a list of its rows as dicts, in one pass.
+
+    A row template writes ``%d`` for the integer fields and ``%.17g`` for
+    the float ones, which is ``format_float``'s text for every finite float;
+    a table holding NaN or an infinity goes through ``format_float``.
+    """
+    if not len(table):
+        return "[]"
+    if not all(np.isfinite(column).all()
+               for column in (table.batch_mean, table.cum_mean, table.cum_std, table.ci)):
+        return to_json([dict(vars(row)) for row in table], indent)
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    row = ",\n".join(
+        f'{inner}  "{f.name}": {"%d" if f.type == "int" else "%.17g"}' for f in fields(BatchStat)
+    )
+    row = f"{inner}{{\n{row}\n{inner}}}"
+    return "[\n" + ",\n".join([row % values for values in table.rows()]) + f"\n{pad}]"
 
 
 @dataclass
@@ -140,7 +167,7 @@ class RunRecord:
                 "sigma": self.trace.sigma,
                 "ci": self.trace.ci,
                 "num_batches": len(self.trace.batches),
-                "batches": [dict(vars(b)) for b in self.trace.batches],
+                "batches": self.trace.batches,
             },
             "bias": self.bias,
         }

@@ -3,8 +3,9 @@
 The ``ci`` profile derives every example from the test itself, so a CI run
 draws the same examples each time; without the variable the default
 profile keeps drawing new ones.  ``ci-deep`` is ``ci`` with 2000 examples
-for the tests that ask the profile for their count (the estimator's
-draw-ahead bound and its chunked loop against the per-batch one).
+for the tests that ask the profile for their count (among them the
+estimator's draw-ahead bound, its chunked loop against the per-batch one,
+its truncated traces, and the batch table's JSON rows).
 """
 
 import os

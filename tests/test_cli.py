@@ -93,10 +93,14 @@ def test_report_sections_follow_their_dataclasses_and_are_fresh():
     assert list(data["spectrum"]) == [k for k in names(PropagationSpectrum) if k != "residual"]
     assert '"residual"' not in to_json(data)
     assert list(data["deformation"]) == names(DeformationReport)
-    assert all(list(b) == names(BatchStat) for b in data["estimate"]["batches"])
-    # the sections are copies: editing them leaves the record as it was
+    rows = json.loads(to_json(data))["estimate"]["batches"]
+    assert rows and all(list(b) == names(BatchStat) for b in rows)
+    # the sections are copies or read-only: editing them leaves the record as it was
     before = to_json(record.to_dict())
-    data["estimate"]["batches"][0]["ci"] = -1.0
+    with pytest.raises(ValueError):
+        data["estimate"]["batches"].ci[0] = -1.0
+    next(iter(data["estimate"]["batches"])).ci = -1.0
+    data["estimate"]["batches"][0].ci = -1.0
     data["deformation"]["delta_deg"] = -1.0
     data["deformation"]["raw"]["depth_t"] = -1
     data["spectrum"]["eigenvalues"].append(-1.0)
@@ -633,6 +637,10 @@ def test_sweep_error_row_carries_message(tmp_path, capsys):
     [
         *(pytest.param(["--deltas", f"0.01,{bad}"], "delta must be in (0,1)", id=bad)
           for bad in ("1.5", "0", "nan")),
+        # a repeated value, compared as parsed, would write duplicate rows
+        pytest.param(["--deltas", "0.01,0.02,1e-2"], "--deltas gives 0.01 twice",
+                     id="deltas-repeated"),
+        pytest.param(["--seeds", "1,2,01"], "--seeds gives 1 twice", id="seeds-repeated"),
         # a map is parsed once, before any entry is routed on it
         pytest.param(["--coupling", "bogus"], "unknown coupling", id="coupling-bogus"),
         pytest.param(["--coupling", "grid:0x2"], "grid spec", id="coupling-grid:0x2"),

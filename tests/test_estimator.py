@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qfid.estimator import (
     BatchStat,
+    BatchTable,
     DimensionMismatch,
     DomainError,
     EstimationError,
@@ -20,11 +21,13 @@ from qfid.estimator import (
     estimate,
     hellinger_distance,
     shot_values,
+    stop_reason,
     success_set,
     truncate,
     xeb_scale,
     z_quantile,
 )
+from qfid.report import to_json
 from qfid.simulator import DistributionOracle, OutcomeDistribution
 
 # Phi^-1(1 - alpha/2) reference values (Abramowitz & Stegun style table)
@@ -258,8 +261,8 @@ def test_bernoulli_hellinger():
     assert bernoulli_hellinger(1.04, 1.0) == 0.0  # clamped xeb report
 
 
-@settings(max_examples=120, deadline=None)
-@given(
+# the truncation cases; the ci-deep profile (tests/conftest.py) raises their count
+_TRUNCATION_CASES = dict(
     weights=st.lists(st.integers(1, 40), min_size=4, max_size=4),
     noise=st.lists(st.integers(0, 40), min_size=4, max_size=4).filter(any),
     batch=st.integers(1, 60),
@@ -269,17 +272,24 @@ def test_bernoulli_hellinger():
     deltas=st.lists(st.floats(0.005, 0.4), min_size=1, max_size=4),
     seed=st.integers(0, 2**16),
 )
-@example(weights=[9, 1, 1, 1], noise=[1, 1, 1, 1], batch=20, min_batches=2, p_max=200,
-         estimator="xeb", deltas=[0.01, 0.3], seed=0)
-@example(weights=[1, 30, 1, 1], noise=[0, 1, 0, 0], batch=7, min_batches=4, p_max=50,
-         estimator="success", deltas=[0.2, 0.001, 0.05], seed=1)
-def test_truncated_trace_equals_direct_run(
-    weights, noise, batch, min_batches, p_max, estimator, deltas, seed
-):
-    """Cutting the tightest-delta trace gives the trace of a run at each delta."""
+
+
+def _truncation_examples(test):
+    test = example(weights=[9, 1, 1, 1], noise=[1, 1, 1, 1], batch=20, min_batches=2,
+                   p_max=200, estimator="xeb", deltas=[0.01, 0.3], seed=0)(test)
+    test = example(weights=[1, 30, 1, 1], noise=[0, 1, 0, 0], batch=7, min_batches=4,
+                   p_max=50, estimator="success", deltas=[0.2, 0.001, 0.05], seed=1)(test)
+    return settings(max_examples=max(120, settings().max_examples), deadline=None)(
+        given(**_TRUNCATION_CASES)(test)
+    )
+
+
+def _truncation_run(weights, noise, batch, min_batches, p_max, estimator, deltas, seed):
+    """(ideal, noisy, the plan configs, the trace at the tightest delta), or
+    None where xeb is undefined."""
     ideal = dist(np.array(weights) / sum(weights))
     if estimator == "xeb" and len(set(weights)) == 1:
-        return  # xeb is undefined on a uniform ideal
+        return None  # xeb is undefined on a uniform ideal
     noisy = dist(np.array(noise) / sum(noise))
     cfgs = [
         PlanConfig(delta=d, p_max=p_max, batch_min=1, min_batches_before_stop=min_batches,
@@ -287,16 +297,44 @@ def test_truncated_trace_equals_direct_run(
         for d in deltas
     ]
     tight = min(cfgs, key=lambda cfg: cfg.delta)
-    trace = estimate(DistributionOracle(noisy, seed), ideal, Plan(batch, tight))
+    return ideal, noisy, cfgs, estimate(DistributionOracle(noisy, seed), ideal, Plan(batch, tight))
+
+
+@_truncation_examples
+def test_truncated_trace_equals_direct_run(
+    weights, noise, batch, min_batches, p_max, estimator, deltas, seed
+):
+    """Cutting the tightest-delta trace gives the trace of a run at each delta."""
+    run = _truncation_run(weights, noise, batch, min_batches, p_max, estimator, deltas, seed)
+    if run is None:
+        return
+    ideal, noisy, cfgs, trace = run
     for cfg in cfgs:
         direct = estimate(DistributionOracle(noisy, seed), ideal, Plan(batch, cfg))
         cut = truncate(trace, Plan(batch, cfg))
-        # every BatchStat, fhat, sigma, ci, shots_used and stop_reason
+        # every batch row, fhat, sigma, ci, shots_used and stop_reason
         assert cut == direct
         # == leaves out the kept shots: they are the stream's first shots_used draws
         assert np.array_equal(cut.outcomes, direct.outcomes)
         fresh = DistributionOracle(noisy, seed).sample(direct.shots_used)
         assert np.array_equal(direct.outcomes, fresh)
+
+
+@_truncation_examples
+def test_truncated_trace_cuts_where_stop_reason_first_holds(
+    weights, noise, batch, min_batches, p_max, estimator, deltas, seed
+):
+    """The column cut stops at the row, and for the reason, that ``stop_reason``
+    finds walking the rows one by one."""
+    run = _truncation_run(weights, noise, batch, min_batches, p_max, estimator, deltas, seed)
+    if run is None:
+        return
+    _, _, cfgs, trace = run
+    for cfg in cfgs:
+        walked = next((stat, why) for stat in trace.batches if (why := stop_reason(stat, cfg)))
+        cut = truncate(trace, Plan(batch, cfg))
+        assert (cut.batches[-1], cut.stop_reason) == walked
+        assert len(cut.batches) == walked[0].index + 1
 
 
 def test_truncate_refuses_a_trace_it_cannot_cut():
@@ -415,7 +453,7 @@ def test_index_shots_match_bitstring_loop(
                      min_batches_before_stop=min_batches, estimator=estimator)
     trace = estimate(DistributionOracle(noisy, seed), ideal, Plan(batch, cfg))
     batches, reason = _bitstring_loop(_BitstringOracle(noisy, seed), ideal, cfg, batch)
-    assert trace.batches == batches
+    assert list(trace.batches) == batches
     assert trace.stop_reason == reason
 
 
@@ -472,6 +510,93 @@ def test_chunks_grow_to_the_earliest_possible_stop():
     oracle = _CountingOracle(noisy, 0)
     trace = estimate(oracle, ideal, Plan(20, cfg))
     assert (trace.stop_reason, trace.shots_used) == ("ci_met", 3340)
-    assert trace.batches == _bitstring_loop(_BitstringOracle(noisy, 0), ideal, cfg, 20)[0]
+    assert list(trace.batches) == _bitstring_loop(_BitstringOracle(noisy, 0), ideal, cfg, 20)[0]
     assert oracle.calls <= 3
     assert oracle.requested <= 2 * trace.shots_used
+
+
+def test_batch_table_reads_as_rows_of_python_numbers():
+    ci = np.array([0.3, 0.02, 0.01])
+    table = BatchTable(20, [0.5, 1.0, 0.75], [0.5, 0.75, 0.75], [0.1, 0.2, 0.3], ci, [20, 40, 60])
+    assert len(table) == 3
+    assert table[-1] == table[2] == BatchStat(2, 20, 0.75, 0.75, 0.3, 0.01, 60)
+    assert table[-3] == table[0]
+    assert [type(v) for v in vars(table[0]).values()] == [int, int, float, float, float, float, int]
+    assert list(table) == [table[0], table[1], table[2]]
+    for i in (3, -4):
+        with pytest.raises(IndexError):
+            table[i]
+    # equality is exact, column by column, and the size counts
+    columns = [table.batch_mean, table.cum_mean, table.cum_std, table.ci, table.total_shots]
+    assert table == BatchTable(20, *columns)
+    assert table != BatchTable(21, *columns)
+    nudged = np.nextafter(table.ci, 1.0)
+    assert table != BatchTable(20, *columns[:3], nudged, columns[4])
+    assert table.head(2) == BatchTable(20, *(c[:2] for c in columns))
+    assert list(table.head(2)) == list(table)[:2]
+    # the columns are copied in and read-only
+    ci[0] = -1.0
+    assert table[0].ci == 0.3
+    with pytest.raises(ValueError):
+        table.ci[0] = -1.0
+    with pytest.raises(ValueError):
+        table.head(1).total_shots[0] = 0
+    with pytest.raises(AttributeError):
+        table.ci = ci
+
+
+def test_truncate_cuts_the_table_after_the_first_stop():
+    ideal = dist([0.5, 0.0, 0.0, 0.5])
+    noisy = dist([0.45, 0.05, 0.05, 0.45])
+    trace = estimate(DistributionOracle(noisy, seed=3), ideal, Plan(20, PlanConfig(delta=0.02)))
+    cfg = PlanConfig(delta=0.05)
+    cut = truncate(trace, Plan(20, cfg))
+    rows = len(cut.batches)
+    assert 2 <= rows < len(trace.batches)
+    assert cut.batches == trace.batches.head(rows)
+    assert [stop_reason(stat, cfg) for stat in list(trace.batches)[:rows]] == [""] * (rows - 1) + [
+        "ci_met"
+    ]
+    assert (cut.fhat, cut.sigma, cut.ci, cut.shots_used) == (
+        cut.batches[-1].cum_mean, cut.batches[-1].cum_std, cut.batches[-1].ci, rows * 20
+    )
+
+
+# floats over the whole finite range: subnormals, signed zeros, the extremes,
+# and integers near 2^53, where the 17-digit text needs every digit
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308, 0.1, 1e16, 1e-5]),
+    st.integers(-(2**53) - 8, -(2**53) + 8).map(float),
+    st.integers(2**53 - 8, 2**53 + 8).map(float),
+)
+
+
+@settings(max_examples=max(200, settings().max_examples), deadline=None)
+@given(
+    size=st.integers(1, 10**9),
+    rows=st.lists(st.tuples(_FLOATS, _FLOATS, _FLOATS, _FLOATS, st.integers(0, 10**9)),
+                  min_size=1, max_size=60),
+    indent=st.integers(0, 4),
+)
+def test_batch_rows_render_as_generic_json(size, rows, indent):
+    """``to_json`` writes a table as it writes its rows as plain dicts."""
+    table = BatchTable(size, *zip(*rows))
+    as_dicts = [
+        {"index": i, "size": size, "batch_mean": m, "cum_mean": c, "cum_std": s, "ci": ci,
+         "total_shots": t}
+        for i, (m, c, s, ci, t) in enumerate(rows)
+    ]
+    assert to_json(table, indent) == to_json(as_dicts, indent)
+    assert to_json({"batches": table}, indent) == to_json({"batches": as_dicts}, indent)
+
+
+def test_batch_rows_render_non_finite_values_as_format_float_does():
+    table = BatchTable(20, [math.nan, 0.5], [math.inf, 0.5], [-math.inf, 0.1], [0.1, 0.2], [20, 40])
+    text = to_json(table)
+    assert text == to_json([dict(vars(row)) for row in table])
+    assert '"batch_mean": NaN' in text
+    assert '"cum_mean": Infinity' in text
+    assert '"cum_std": -Infinity' in text
+    assert '"ci": 0.10000000000000001' in text

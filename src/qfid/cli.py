@@ -36,7 +36,6 @@ from .simulator import (
     counts_from_shots,
     ideal_distribution,
     noisy_distribution,
-    write_counts_file,
 )
 from .spectral import KernelConfig, SpectralError
 from .transpile import (
@@ -298,17 +297,20 @@ def _load_suite(text: str) -> list[BenchSpec]:
 
 def cmd_sweep(args) -> int:
     suite = _load_suite(args.suite)
-    try:
-        deltas = [float(x) for x in args.deltas.split(",") if x]
-        seeds = [int(x) for x in args.seeds.split(",") if x]
-    except ValueError as exc:
-        raise CliError(f"bad sweep axis: {exc}", EXIT_PARSE) from None
-    if not deltas or not seeds:
-        raise CliError("sweep needs nonempty --deltas and --seeds", EXIT_PARSE)
-    for flag, values in (("--deltas", deltas), ("--seeds", seeds)):
+    axes = []
+    for flag, text, kind in (("--deltas", args.deltas, float), ("--seeds", args.seeds, int)):
+        items = text.split(",")
+        if "" in items:  # a doubled or trailing comma, or no value at all
+            raise CliError(f"bad sweep axis: {flag} has an empty item in {text!r}", EXIT_PARSE)
+        try:
+            values = [kind(x) for x in items]
+        except ValueError as exc:
+            raise CliError(f"bad sweep axis: {flag}: {exc}", EXIT_PARSE) from None
         repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
         if repeated is not None:  # a repeat would write duplicate rows
             raise CliError(f"bad sweep axis: {flag} gives {repeated} twice", EXIT_PARSE)
+        axes.append(values)
+    deltas, seeds = axes
     for seed in seeds:
         _check_oracle_seed("--seeds", seed)
     noise = parse_noise(args.noise)
@@ -369,10 +371,7 @@ def cmd_reference(args) -> int:
         dist = noisy_distribution(routed.readout_circuit(), noise)
     shots = DistributionOracle(dist, args.seed).sample(args.shots)
     counts = counts_from_shots(shots, dist.num_bits)
-    if args.out:
-        write_counts_file(args.out, dist.num_bits, counts)
-    else:
-        sys.stdout.write(to_json({"n": dist.num_bits, "counts": counts}) + "\n")
+    _write_output(to_json({"n": dist.num_bits, "counts": counts}) + "\n", args.out)
     return 0
 
 

@@ -201,17 +201,19 @@ _PPF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
           3.754408661907416e00)
 
 
-def _norm_ppf(p: float) -> float:
-    if not 0.0 < p < 1.0:
+def z_quantile(alpha: float) -> float:
+    """Two-sided normal quantile Phi^-1(1 - alpha/2).
+
+    p = 1 - alpha/2 is at least 0.5, so only the central and upper regions
+    of the approximation are needed.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"alpha must be in (0,1), got {alpha}")
+    p = 1.0 - alpha / 2.0
+    if p == 1.0:  # alpha below 2^-53
         raise DomainError(f"probability must be in (0,1), got {p}")
     a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    elif p <= 1.0 - p_low:
+    if p <= 1.0 - 0.02425:
         q = p - 0.5
         r = q * q
         x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
@@ -225,13 +227,6 @@ def _norm_ppf(p: float) -> float:
     err = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
     u = err * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
     return x - u / (1.0 + x * u / 2.0)
-
-
-def z_quantile(alpha: float) -> float:
-    """Two-sided normal quantile Phi^-1(1 - alpha/2)."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0,1), got {alpha}")
-    return _norm_ppf(1.0 - alpha / 2.0)
 
 
 def batch_size(complexity: float, depth_t: int, cfg: PlanConfig) -> int:

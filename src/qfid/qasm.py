@@ -17,11 +17,8 @@ Number literals are ASCII and complete: ``1e`` or ``²`` is a syntax error,
 and so is a literal or an operation whose value overflows a 64-bit float.
 The tokenizer is one regular expression; a token is a (kind, text, offset)
 tuple, and line and column are computed from the offset only for an error.
-A register argument written ``ID[INT]`` with no space or comment inside is
-one "arg" token whose text is the (register, index digits) pair.  Where the
-grammar reads anything but an argument or a declaration there, the parser
-splits it back into the id, "[", number and "]" tokens it stands for, so
-every other spelling and every error reads as it would token by token.
+There is one token per lexeme: a register argument ``q[3]`` is the four
+tokens id, "[", number and "]", however it is spaced.
 
 A register is declared before its first use, as OpenQASM 2.0 requires, so
 each statement is lowered into the circuit as soon as it is read, and the
@@ -78,16 +75,16 @@ class UnsupportedFeature(QasmError):
 
 _UNSUPPORTED_KEYWORDS = {"gate", "if", "reset", "opaque"}
 
-# One token per match, with the whitespace and // comments after it.  "arg"
-# is a register argument with no space or comment inside.  Number literals
-# are ASCII and complete: "partial" is one whose exponent has no digits.
-# "bad" takes any other character, so matches run back to back.
+# One token per match, with the whitespace and // comments after it.  Number
+# literals are ASCII and complete: "partial" is one whose exponent has no
+# digits.  "bad" takes any other character, so matches run back to back.
+# "symbol" is tried first as the most frequent token: no other alternative
+# but "bad" starts with a symbol's character, so the order changes no match.
 _TOKEN = re.compile(
-    r"""(?:(?P<arg>(?P<reg>[^\W\d]\w*)\[(?P<index>[0-9]+)\])
+    r"""(?:(?P<symbol>->|==|[()\[\],;+\-*/{}])
          |(?P<id>[^\W\d]\w*)
          |(?P<partial>(?:[0-9]+\.?[0-9]*|\.[0-9]+)[eE](?![+-]?[0-9])[+-]?)
          |(?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
-         |(?P<symbol>->|==|[()\[\],;+\-*/{}])
          |"(?P<string>[^"\n]*)"
          |(?P<bad>.)
        )[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*""",
@@ -96,10 +93,9 @@ _TOKEN = re.compile(
 _LEADING_SKIP = re.compile(r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*")
 _ERRORS = frozenset({"partial", "bad"})
 
-# (kind, text, offset): kind is arg | id | number | string | symbol | eof; an
-# arg's text is its (register, index digits) pair, a string's leaves out its
-# quotes, and a string's offset is the opening quote
-_Token = tuple[str, str | tuple[str, str], int]
+# (kind, text, offset): kind is id | number | string | symbol | eof; a
+# string's text leaves out its quotes, and its offset is the opening quote
+_Token = tuple[str, str, int]
 
 
 def _location(text: str, offset: int) -> tuple[int, int]:
@@ -114,8 +110,7 @@ def _tokenize(text: str) -> list[_Token]:
         if kind in _ERRORS:
             _check_id_starts(text, tokens)
             raise _bad_token(text, m.group(kind), m.start())
-        word = m.group("reg", "index") if kind == "arg" else m.group(kind)
-        tokens.append((kind, word, m.start()))
+        tokens.append((kind, m.group(kind), m.start()))
     _check_id_starts(text, tokens)
     tokens.append(("eof", "", len(text)))
     return tokens
@@ -127,11 +122,7 @@ def _check_id_starts(text: str, tokens: list[_Token]) -> None:
     if text.isascii():
         return
     for kind, word, offset in tokens:
-        if kind == "arg":
-            word = word[0]
-        elif kind != "id":
-            continue
-        if not (word[0].isalpha() or word[0] == "_"):
+        if kind == "id" and not (word[0].isalpha() or word[0] == "_"):
             raise _bad_token(text, word[0], offset)
 
 
@@ -172,34 +163,7 @@ class _Parser:
         return _location(self.text, offset)
 
     def peek(self) -> _Token:
-        """The next token, where no register argument can stand."""
-        if self.tokens[self.pos][0] == "arg":
-            self.split()
         return self.tokens[self.pos]
-
-    def split(self) -> None:
-        """Replace the arg token at the current position by its id "[" number "]"."""
-        _, (reg, index), offset = self.tokens[self.pos]
-        at = offset + len(reg)
-        self.tokens[self.pos:self.pos + 1] = [
-            ("id", reg, offset), ("symbol", "[", at), ("number", index, at + 1),
-            ("symbol", "]", at + 1 + len(index)),
-        ]
-
-    def take_arg(self) -> _Arg | None:
-        """Consume an arg token and return it as an ``_Arg``; return None,
-        consuming nothing, if the next token is no arg or its index is too
-        long for ``int``."""
-        kind, text, offset = self.tokens[self.pos]
-        if kind != "arg":
-            return None
-        try:
-            index = int(text[1])
-        except ValueError:
-            self.split()  # the number token's path reports it
-            return None
-        self.pos += 1
-        return text[0], index, offset
 
     def next(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -220,9 +184,6 @@ class _Parser:
     def expect(self, kind: str, text: str | None = None) -> _Token:
         tok = self.tokens[self.pos]
         if tok[0] != kind or (text is not None and tok[1] != text):
-            if tok[0] == "arg":
-                self.split()
-                return self.expect(kind, text)
             raise self.unexpected(tok, expected=(text if text is not None else kind,))
         self.pos += 1
         return tok
@@ -274,14 +235,10 @@ class _Parser:
 
     def parse_decl(self) -> None:
         _, kw, _ = self.next()
-        arg = self.take_arg()
-        if arg is not None:
-            name, width, offset = arg
-        else:
-            _, name, offset = self.expect("id")
-            self.expect("symbol", "[")
-            width = self.parse_int("register width")
-            self.expect("symbol", "]")
+        _, name, offset = self.expect("id")
+        self.expect("symbol", "[")
+        width = self.parse_int("register width")
+        self.expect("symbol", "]")
         self.expect("symbol", ";")
         if width < 1:
             raise RegisterError(f"register {name!r} has width {width} < 1", *self.at(offset))
@@ -296,9 +253,6 @@ class _Parser:
             c.num_clbits += width
 
     def parse_arg(self) -> _Arg:
-        arg = self.take_arg()
-        if arg is not None:
-            return arg
         _, name, offset = self.expect("id")
         index = None
         if self.symbol() == "[":

@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -694,10 +693,3 @@ def empirical_distribution(num_bits: int, shots: np.ndarray) -> OutcomeDistribut
     if len(shots) == 0:
         raise SimulationError("cannot form a distribution from zero shots")
     return OutcomeDistribution(num_bits, np.bincount(shots, minlength=2**num_bits) / len(shots))
-
-
-def write_counts_file(path: str, num_bits: int, counts: dict[str, int]) -> None:
-    payload = {"n": num_bits, "counts": {k: counts[k] for k in sorted(counts)}}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

@@ -329,9 +329,14 @@ def transpile(c: Circuit, cmap: CouplingMap) -> TranspileResult:
     """
     num_qubits = c.num_qubits
     n_phys = cmap.num_physical_qubits
-    if num_qubits > n_phys:
-        raise LayoutError(f"circuit needs {num_qubits} qubits, map has {n_phys}")
-    l2p = list(range(num_qubits))
+    needed = num_qubits
+    if needed > n_phys and c.measures:
+        # only the qubits a gate or measure touches need a place on the map; a
+        # circuit without measures reads out, and so touches, every qubit
+        needed = 1 + max([q for g in c.gates for q in g.qubits] + [m.qubit for m in c.measures])
+    if needed > n_phys:
+        raise LayoutError(f"circuit needs {needed} qubits, map has {n_phys}")
+    l2p = [q if q < n_phys else -1 for q in range(num_qubits)]  # -1: untouched, off the map
     p2l = [i if i < num_qubits else -1 for i in range(n_phys)]
     initial_layout = tuple(l2p)
     out = Circuit(n_phys, c.num_clbits)

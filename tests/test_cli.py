@@ -564,16 +564,20 @@ def test_wide_register_simulates_its_active_qubits(tmp_path, capsys):
     wide, compact = tmp_path / "wide.qasm", tmp_path / "compact.qasm"
     wide.write_text(ghz3.format(27))
     compact.write_text(ghz3.format(3))
-    code, _, err = run(["estimate", "--qasm", str(wide), "--coupling", "heavyhex27",
-                        "--out", str(tmp_path / "r.json")], capsys)
-    assert code == 0, err
-    counts = []
-    for path in (wide, compact):
-        code, out, err = run(["reference", "--qasm", str(path), "--coupling", "heavyhex27",
-                              "--shots", "500", "--seed", "3"], capsys)
+    # only the touched qubits need a place on the map, so grid:4x4 holds it too
+    for coupling in ("heavyhex27", "grid:4x4"):
+        code, out, err = run(["estimate", "--qasm", str(wide), "--coupling", coupling], capsys)
         assert code == 0, err
-        counts.append(json.loads(out))
-    assert counts[0] == counts[1]
+        layout = json.loads(out)["transpile"]["initial_layout"]
+        n_phys = 27 if coupling == "heavyhex27" else 16
+        assert layout == [q if q < n_phys else -1 for q in range(27)]
+        counts = []
+        for path in (wide, compact):
+            code, out, err = run(["reference", "--qasm", str(path), "--coupling", coupling,
+                                  "--shots", "500", "--seed", "3"], capsys)
+            assert code == 0, err
+            counts.append(json.loads(out))
+        assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -641,6 +645,12 @@ def test_sweep_error_row_carries_message(tmp_path, capsys):
         pytest.param(["--deltas", "0.01,0.02,1e-2"], "--deltas gives 0.01 twice",
                      id="deltas-repeated"),
         pytest.param(["--seeds", "1,2,01"], "--seeds gives 1 twice", id="seeds-repeated"),
+        # an empty item is refused, not dropped
+        pytest.param(["--deltas", "0.05,,0.1"], "bad sweep axis: --deltas",
+                     id="deltas-doubled-comma"),
+        pytest.param(["--seeds", "1,"], "bad sweep axis: --seeds", id="seeds-trailing-comma"),
+        pytest.param(["--deltas", ""], "bad sweep axis: --deltas", id="deltas-empty"),
+        pytest.param(["--seeds", ""], "bad sweep axis: --seeds", id="seeds-empty"),
         # a map is parsed once, before any entry is routed on it
         pytest.param(["--coupling", "bogus"], "unknown coupling", id="coupling-bogus"),
         pytest.param(["--coupling", "grid:0x2"], "grid spec", id="coupling-grid:0x2"),
@@ -917,6 +927,16 @@ def test_reference_counts_file_bytes_pinned(tmp_path, capsys):
                       "--seed", "5", "--shots", "500", "--out", str(out)], capsys)
     assert code == 0
     assert out.read_text() == _GHZ3_COUNTS_SEED5
+
+
+def test_reference_out_file_matches_stdout(tmp_path, capsys):
+    argv = ["reference", "--bench", "ghz:3", "--noise", "p1=1e-3,p2=1e-2,ro=1e-2",
+            "--seed", "5", "--shots", "500"]
+    code, stdout, _ = run(argv, capsys)
+    assert code == 0
+    out = tmp_path / "counts.json"
+    assert run([*argv, "--out", str(out)], capsys)[0] == 0
+    assert out.read_bytes() == stdout.encode()
 
 
 @pytest.mark.parametrize("noise", ["", "p1=1e-3"])

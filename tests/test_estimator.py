@@ -51,6 +51,24 @@ def test_z_quantile_table():
         assert z_quantile(alpha) == pytest.approx(expected, abs=1e-6)
 
 
+# z_quantile's bits at a short grid of alpha: central region, its edge at
+# alpha = 0.0485, and the upper tail; every JSON report prints z_alpha
+_Z_PINNED = {
+    0.5: 0.674489750196082,
+    0.05: 1.9599639845400538,
+    0.0485: 1.972961051311885,
+    0.01: 2.575829303548903,
+    1e-12: 7.1304946053385825,
+}
+
+
+def test_z_quantile_pinned_bits():
+    assert {alpha: z_quantile(alpha) for alpha in _Z_PINNED} == _Z_PINNED
+    # 1 - alpha/2 rounds to 1.0 below alpha = 2^-53
+    with pytest.raises(DomainError, match=r"probability must be in \(0,1\), got 1\.0"):
+        z_quantile(1e-17)
+
+
 def test_z_quantile_edges():
     assert z_quantile(0.999999) < 1e-4
     with pytest.raises(DomainError):

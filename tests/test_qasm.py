@@ -179,9 +179,9 @@ def test_end_of_input_after_a_comment_is_located_after_it():
     assert (info.value.line, info.value.col) == (4, 23)
 
 
-# (class, message, line, col) of errors where a register argument "ID[INT]"
-# is one token, or nearly is; each was recorded from the token-by-token
-# parser, and a merged token must not move any of them
+# (class, message, line, col) of errors in or next to a register argument
+# "ID[INT]": they pin the texts and locations the parser gives, read token by
+# token
 _MERGED_TOKEN_ERRORS = {
     "arguments without a comma": (
         HEADER + "qreg q[2];\ncx q[0] q[1];\n",

@@ -283,6 +283,25 @@ def test_disconnected_map():
         transpile(c, cmap)
 
 
+def test_untouched_qubits_may_lie_beyond_the_map():
+    # q3 and q4 are declared but touched by nothing but a barrier: they get -1
+    c = Circuit(5, 2)
+    c.add("cx", (0, 2))
+    c.barrier()
+    c.measure(0, 0)
+    c.measure(2, 1)
+    res = transpile(c, linear_map(3))
+    assert res.swap_count == 1
+    assert res.initial_layout == (0, 1, 2, -1, -1)
+    assert res.final_layout == (1, 0, 2, -1, -1)
+    c.add("x", (3,))
+    with pytest.raises(LayoutError, match="circuit needs 4 qubits, map has 3"):
+        transpile(c, linear_map(3))
+    # without measures every qubit is read out, so every qubit needs a place
+    with pytest.raises(LayoutError, match="circuit needs 5 qubits, map has 3"):
+        transpile(Circuit(5), linear_map(3))
+
+
 def test_transpile_empty_circuit():
     res = transpile(Circuit(2), linear_map(2))
     assert circuit_depth(res.circuit_t) == 0

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuit import GATE_SIGNATURES, Circuit
+from .circuit import Circuit
 
 
 class InvalidSpec(ValueError):
@@ -305,29 +305,3 @@ def default_suite(include_ten: bool = False) -> list[BenchSpec]:
     sizes = [4, 6, 8] + ([10] if include_ten else [])
     return [BenchSpec.make(family, n, seed=1) for family in FAMILIES for n in sizes]
 
-
-def random_circuit(
-    num_qubits: int,
-    num_gates: int,
-    seed: int,
-    measure: bool = False,
-    gate_pool: tuple[str, ...] = (
-        "h", "x", "y", "z", "s", "t", "sx", "rx", "ry", "rz", "cx", "cz", "swap",
-    ),
-) -> Circuit:
-    """Seeded random circuit for structural fuzzing and property tests."""
-    if num_qubits < 1:
-        raise InvalidSpec("random circuits need at least one qubit")
-    rng = np.random.default_rng(seed)
-    c = Circuit(num_qubits, num_qubits if measure else 0)
-    for _ in range(num_gates):
-        kind = gate_pool[rng.integers(0, len(gate_pool))]
-        nq, npar = GATE_SIGNATURES[kind]
-        if nq > num_qubits:
-            kind, nq, npar = "h", 1, 0
-        qubits = tuple(int(q) for q in rng.choice(num_qubits, size=nq, replace=False))
-        params = tuple(float(rng.uniform(-math.pi, math.pi)) for _ in range(npar))
-        c.add(kind, qubits, params)
-    if measure:
-        _measure_all(c)
-    return c

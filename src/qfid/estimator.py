@@ -13,15 +13,11 @@ estimate.  Two value semantics are available:
   (2^n * p_ideal(x) - 1) / (2^n * sum p^2 - 1) so mean, deviation and CI
   share one linear scale.
 
-Sampling stops once z_alpha * sigma / sqrt(|T|) <= delta (after a minimum
-number of batches), or when the shot cap is reached.  The loop reads shots
-in chunks of whole batches and looks at every batch of a chunk in order.
-After the first chunk, each one reads up to twice the shots drawn so far
-or up to twice T* = z_alpha * sqrt(SS) / delta, whichever is more, with SS
-the sum of squared deviations so far.  The rule cannot hold at or before
-T*: SS never shrinks, so the half-width at any later count T exceeds
-z_alpha * sqrt(SS) / T, which is at least delta up to T*.  So the loop may
-draw past its stop point, up to the shots it used and never past the cap.
+Sampling stops under the Wald rule, which ``PlanConfig`` holds as three
+elementwise methods: ``interval`` (the running mean, its deviation and the
+half-width z_alpha * sigma / sqrt(|T|)), ``holds`` (the stop test) and
+``earliest`` (a bound T* on the first stop, which sizes the loop's chunks
+of shots).
 
 A trace keeps its per-batch statistics as the columns of a ``BatchTable``,
 one row per batch, as the loop computes them; ``truncate`` cuts a trace
@@ -84,6 +80,40 @@ class PlanConfig:
         if self.estimator not in ("success", "xeb"):
             raise DomainError(f"estimator must be success|xeb, got {self.estimator!r}")
         object.__setattr__(self, "z_alpha", z_quantile(self.alpha))
+
+    # The Wald stop rule.  Each method is elementwise, so it reads one look's
+    # scalars or a run of looks' arrays, and reads z_alpha as computed above.
+
+    def interval(self, total, total_sq, shots):
+        """(mean, std, half_width) of ``shots`` values with sum ``total`` and
+        sum of squares ``total_sq``: the half-width is z_alpha * std / sqrt(shots)."""
+        mean = total / shots
+        var = (total_sq - shots * mean * mean) / np.maximum(shots - 1, 1)
+        std = np.sqrt(np.where((shots > 1) & (var > 0.0), var, 0.0))
+        return mean, std, self.z_alpha * std / np.sqrt(shots)
+
+    def holds(self, half_width, looks, shots):
+        """The stop test after ``looks`` looks and ``shots`` shots: (ci_met, cap_reached).
+
+        ``ci_met`` once the half-width is at most delta and at least
+        ``min_batches_before_stop`` looks have run; ``cap_reached`` once the
+        shots reach ``p_max``.
+        """
+        ci_met = (half_width <= self.delta) & (looks >= self.min_batches_before_stop)
+        return ci_met, shots >= self.p_max
+
+    def earliest(self, total, total_sq, shots):
+        """T*: a shot count at or before which the rule cannot hold, from the
+        sum and sum of squares of the first ``shots`` values.
+
+        The sum of squared deviations SS never shrinks as shots are added, so
+        at any later count T the half-width z*sqrt(SS_T / (T - 1)) / sqrt(T)
+        exceeds z*sqrt(SS) / T, which is at least delta up to T* = z*sqrt(SS) /
+        delta.  SS gives up 1e-9 of the sum of squares and T* 1e-9 of itself, far
+        more than the rounding of the running sums and of the half-width.
+        """
+        ss = total_sq - total * total / shots - 1e-9 * total_sq
+        return (1.0 - 1e-9) * self.z_alpha * np.sqrt(np.maximum(ss, 0.0)) / self.delta
 
 
 @dataclass(frozen=True)
@@ -270,30 +300,27 @@ def shot_values(ideal: OutcomeDistribution, estimator: str) -> np.ndarray:
 def estimate(
     oracle: DistributionOracle, ideal: OutcomeDistribution, plan: Plan
 ) -> EstimationTrace:
-    """Run the adaptive loop under ``plan`` until the CI criterion or the shot cap.
+    """Run the adaptive loop under ``plan`` until the stop rule holds.
 
-    Shots are read in chunks of whole batches, each one ``oracle.sample``
-    call: first ``min_batches_before_stop`` batches, since no stop comes
-    earlier, then up to twice the batches drawn so far, or the whole
-    batches within twice the shot count T* at or before which the rule
-    cannot hold (``_earliest_stop``), whichever is more.  A chunk's
-    statistics are computed as arrays, batch for batch as a loop over its
-    batches would compute them, and the loop stops at the first batch where
-    the stop rule holds.  That batch lies past every batch drawn before the
-    chunk and past T*, so the shots drawn past it, which are dropped, are
-    at most as many as the trace used, and never past ``ceil(p_max /
-    batch)`` batches in all.  The oracle's stream does not depend on how it
-    is chunked, so neither does the trace.  The trace's ``BatchTable``
-    holds the chunks' arrays up to the stop, with no per-batch object
-    built, and the trace keeps the outcome indices of the shots it used,
-    which are the stream's first ``shots_used`` draws.
+    Shots are read in chunks of whole batches, one ``oracle.sample`` call
+    each: first ``min_batches_before_stop`` batches, since no stop comes
+    earlier, then up to twice the batches drawn so far or the whole batches
+    within twice the rule's ``earliest`` bound, whichever is more.  A
+    chunk's statistics are computed as arrays, batch for batch as a loop
+    over its batches would compute them, and the loop stops at the first
+    batch where the rule holds.  That batch lies past every batch drawn
+    before the chunk and past the bound, so the shots drawn past it, which
+    are dropped, are at most as many as the trace used, and never past
+    ``ceil(p_max / batch)`` batches in all.  The trace does not depend on
+    how the stream is chunked.  Its ``BatchTable`` holds the chunks' arrays
+    up to the stop, and it keeps the outcome indices of the shots it used,
+    the stream's first ``shots_used`` draws.
     """
     cfg, batch = plan.config, plan.batch
     if oracle.num_bits != ideal.num_bits:
         raise DimensionMismatch(
             f"oracle has {oracle.num_bits} bits, ideal has {ideal.num_bits}"
         )
-    z = cfg.z_alpha
     value_of = shot_values(ideal, cfg.estimator)
     cap = -(-cfg.p_max // batch)
 
@@ -316,20 +343,16 @@ def estimate(
         sums[1:, 0] = batch_sum
         sums[1:, 1] = np.square(values).sum(axis=1)
         cum = np.cumsum(sums, axis=0)
-        cum_sum, cum_sumsq = cum[1:].T
-        index = np.arange(drawn, drawn + k)
-        total = (index + 1) * batch
-        mean = cum_sum / total
-        var = (cum_sumsq - total * mean * mean) / np.maximum(total - 1, 1)
-        std = np.sqrt(np.where((total > 1) & (var > 0.0), var, 0.0))
-        ci = z * std / np.sqrt(total)
+        looks = np.arange(drawn + 1, drawn + k + 1)
+        total = looks * batch
+        mean, std, ci = cfg.interval(*cum[1:].T, total)
         chunks.append((batch_sum / batch, mean, std, ci, total))
-        stop = _first_stop(ci, index, total, cfg)
+        stop = _first_stop(cfg, ci, looks, total)
         if stop is not None:
             break
         drawn += k
         running = cum[-1]
-        earliest = _earliest_stop(*running, drawn * batch, cfg)
+        earliest = cfg.earliest(*running, drawn * batch)
 
     row, reason = stop
     used = drawn + row + 1
@@ -337,43 +360,14 @@ def estimate(
     return _stopped(plan, table, reason, np.concatenate(outcomes))
 
 
-def _stop_flags(ci, index, total_shots, cfg: PlanConfig):
-    """The stop rule after batch ``index``: (ci_met, cap_reached).
-
-    Elementwise, so it reads one batch's scalars or a run of batches' arrays.
-    """
-    ci_met = (ci <= cfg.delta) & (index + 1 >= cfg.min_batches_before_stop)
-    return ci_met, total_shots >= cfg.p_max
-
-
-def _first_stop(ci, index, total_shots, cfg: PlanConfig) -> tuple[int, str] | None:
-    """(row, reason) of the first of a run of batches where the stop rule holds, or None."""
-    ci_met, cap_reached = _stop_flags(ci, index, total_shots, cfg)
+def _first_stop(cfg: PlanConfig, half_width, looks, shots) -> tuple[int, str] | None:
+    """(row, reason) of the first of a run of looks where the rule holds, or None."""
+    ci_met, cap_reached = cfg.holds(half_width, looks, shots)
     stops = ci_met | cap_reached
     if not stops.any():
         return None
     row = int(stops.argmax())
     return row, "ci_met" if ci_met[row] else "cap_reached"
-
-
-def _earliest_stop(total: float, total_sq: float, shots: int, cfg: PlanConfig) -> float:
-    """T*: a shot count at or before which the stop rule cannot hold, from the
-    sum and sum of squares of the first ``shots`` values.
-
-    The sum of squared deviations SS never shrinks as shots are added, so
-    at any later count T the half-width z*sqrt(SS_T / (T - 1)) / sqrt(T)
-    exceeds z*sqrt(SS) / T, which is at least delta up to T* = z*sqrt(SS) /
-    delta.  SS gives up 1e-9 of the sum of squares and T* 1e-9 of itself, far
-    more than the rounding of the running sums and of the half-width.
-    """
-    ss = total_sq - total * total / shots - 1e-9 * total_sq
-    return (1.0 - 1e-9) * cfg.z_alpha * math.sqrt(max(ss, 0.0)) / cfg.delta
-
-
-def stop_reason(stat: BatchStat, cfg: PlanConfig) -> str:
-    """Why sampling stops after this batch: ``ci_met``, ``cap_reached`` or ""."""
-    ci_met, cap_reached = _stop_flags(stat.ci, stat.index, stat.total_shots, cfg)
-    return "ci_met" if ci_met else "cap_reached" if cap_reached else ""
 
 
 def _stopped(
@@ -413,7 +407,7 @@ def truncate(trace: EstimationTrace, plan: Plan) -> EstimationTrace:
     if plan.batch != ran.batch or at_delta != vars(ran.config):
         raise EstimationError(f"trace ran under {ran}, not {plan} up to delta")
     table = trace.batches
-    stop = _first_stop(table.ci, np.arange(len(table)), table.total_shots, plan.config)
+    stop = _first_stop(plan.config, table.ci, np.arange(1, len(table) + 1), table.total_shots)
     if stop is None:
         raise EstimationError(
             f"trace ends before the stop rule holds at delta {plan.config.delta}"

@@ -130,15 +130,6 @@ class OutcomeDistribution:
 # components are kept; ``_Step`` records which qubit each axis holds.
 
 
-def _axes(qubits: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """Ket axes of a gate's qubits, most significant local bit first.
-
-    Local bit j of a gate matrix belongs to ``qubits[j]``, so the last qubit
-    carries the most significant bit.
-    """
-    return tuple(n - 1 - q for q in reversed(qubits))
-
-
 @functools.lru_cache(maxsize=None)
 def _axis_order(axes: tuple[int, ...], ndim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The transpose that brings ``axes`` to the front, and its inverse."""
@@ -196,11 +187,6 @@ def _ptms(us: np.ndarray, p: float) -> np.ndarray:
     r[:, 0, 0] = 1.0
     r[:, 1:] *= 1.0 - p
     return r
-
-
-def _ptm(u: np.ndarray, p: float) -> np.ndarray:
-    """The Pauli transfer matrix of one gate's unitary, as ``_ptms`` builds it."""
-    return _ptms(u[None], p)[0]
 
 
 def _unitaries(gates: list[Gate]) -> dict[tuple, np.ndarray]:
@@ -545,7 +531,7 @@ def ideal_distribution(c: Circuit) -> OutcomeDistribution:
     gates = c.gates
     unitaries = _unitaries(gates)
     for gate in gates:
-        axes = tuple(map(axis.__getitem__, reversed(gate.qubits)))  # as _axes orders them
+        axes = tuple(map(axis.__getitem__, reversed(gate.qubits)))  # the last qubit is the most significant bit
         psi = _apply_matrix(psi, unitaries[gate.kind, gate.params], axes)
     qprobs = np.abs(psi.reshape(-1)) ** 2
     return _qubit_probs_to_outcome(qprobs, plan, num_clbits)
@@ -647,17 +633,6 @@ def noisy_distribution(c: Circuit, nm: NoiseModel) -> OutcomeDistribution:
     qprobs = qprobs / qprobs.sum()  # the channels preserve trace; drop rounding drift
     qprobs = _apply_readout_flips(qprobs, [q for q, _ in plan], nm.p_ro)
     return _qubit_probs_to_outcome(qprobs, plan, num_clbits)
-
-
-def circuit_unitary(c: Circuit) -> np.ndarray:
-    """Full 2^n unitary of the circuit's gates (measures/barriers skipped)."""
-    n = c.num_qubits
-    if n > 10:
-        raise TooManyQubits(f"{n} qubits is too large for a dense unitary")
-    u = np.eye(2**n, dtype=complex).reshape((2,) * (2 * n))
-    for gate in c.gates:
-        u = _apply_matrix(u, gate_unitary(gate), _axes(gate.qubits, n))
-    return u.reshape(2**n, 2**n)
 
 
 # -- shot oracle -------------------------------------------------------------

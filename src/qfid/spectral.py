@@ -162,12 +162,6 @@ def build_kernel(
     )
 
 
-def operator_rows(kernel: WeightedKernel) -> np.ndarray:
-    """Dense row-stochastic operator P = D^-1 K (for inspection and tests)."""
-    k = kernel.matrix
-    return k / k.sum(axis=1)[:, None]
-
-
 def _symmetric_similar(kernel: WeightedKernel) -> np.ndarray:
     """Dense S = D^-1/2 K D^-1/2, sharing P's spectrum but symmetric.
 

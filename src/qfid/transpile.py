@@ -68,13 +68,6 @@ class CouplingMap:
             adj[b].append(a)
         return {q: sorted(nbrs) for q, nbrs in adj.items()}
 
-    def are_connected(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
-
-    def shortest_path(self, src: int, dst: int) -> list[int]:
-        """BFS shortest path; ties resolved by lowest physical index first."""
-        return _bfs_path(self.adjacency(), src, dst)
-
 
 def _bfs_path(adj: dict[int, list[int]], src: int, dst: int) -> list[int]:
     """BFS shortest path over sorted adjacency lists, so ties go to the lowest index."""
@@ -381,9 +374,3 @@ def transpile(c: Circuit, cmap: CouplingMap) -> TranspileResult:
         swap_count=swap_count,
     )
 
-
-def check_coupling(circuit: Circuit, cmap: CouplingMap) -> bool:
-    """True iff every 2-qubit gate of ``circuit`` sits on an edge of ``cmap``."""
-    return all(
-        cmap.are_connected(*g.qubits) for g in circuit.gates if len(g.qubits) == 2
-    )

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from qfid.bench import BenchSpec, default_suite, generate, random_circuit
+from qfid.bench import BenchSpec, default_suite, generate
 from qfid.circuit import Circuit, circuit_depth, gate_unitary
 from qfid.dag import build_dag
 from qfid.deformation import DeformationReport, compare
@@ -29,7 +29,6 @@ from qfid.qasm import QasmError, emit_qasm, parse_qasm
 from qfid.simulator import (
     DistributionOracle,
     NoiseModel,
-    circuit_unitary,
     ideal_distribution,
     noisy_distribution,
 )
@@ -37,9 +36,10 @@ from qfid.spectral import (
     _symmetric_similar,
     analyze_spectrum,
     build_kernel,
-    operator_rows,
 )
-from qfid.transpile import check_coupling, linear_map, transpile
+from qfid.transpile import linear_map, transpile
+
+from helpers import check_coupling, circuit_unitary, operator_rows, ptm, random_circuit
 
 NOISE = NoiseModel(p1=1e-3, p2=1e-2, p_ro=1e-2)
 TREND_FAMILIES = ("bv", "ghz", "qft", "xeb")
@@ -209,14 +209,14 @@ def test_criterion_4_simulator_exactness():
     uniform = noisy_distribution(c, NoiseModel(p1=1.0))
     depol_err = float(np.abs(uniform.probs - 0.5).max())
 
-    from qfid.simulator import _contract, _diagonal, _ptm, _schedule
+    from qfid.simulator import _contract, _diagonal, _schedule
 
     # the Pauli vector of noisy_distribution, one gate at a time: its identity
     # component r_I and the sum of the diagonal it reads out are both Tr(rho)
     qft6 = generate(BenchSpec.make("qft", 6))
     n = qft6.num_qubits
     steps, width = _schedule([
-        (_ptm(gate_unitary(op), NOISE.p1 if len(op.qubits) == 1 else NOISE.p2), op.qubits)
+        (ptm(gate_unitary(op), NOISE.p1 if len(op.qubits) == 1 else NOISE.p2), op.qubits)
         for op in qft6.gates
     ])
     bufs = [np.zeros(width), np.empty(width)]

@@ -17,6 +17,8 @@ from qfid.circuit import (
     gate_unitary,
 )
 
+from helpers import random_circuit
+
 
 def test_x_matrix():
     assert np.array_equal(gate_unitary(Gate("x", (0,))), np.array([[0, 1], [1, 0]]))
@@ -162,8 +164,6 @@ def test_depth_single_wire_equals_gate_count():
 @given(st.integers(0, 10_000))
 @settings(max_examples=100, deadline=None)
 def test_depth_at_most_op_count(seed):
-    from qfid.bench import random_circuit
-
     rng = np.random.default_rng(seed)
     c = random_circuit(int(rng.integers(1, 6)), int(rng.integers(0, 30)), seed)
     assert circuit_depth(c) <= len(c.ops)

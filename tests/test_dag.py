@@ -6,9 +6,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfid.bench import random_circuit
 from qfid.circuit import Barrier, Circuit, Gate, circuit_depth
 from qfid.dag import GateDag, build_dag, degree_histogram, longest_path_len, to_dot
+
+from helpers import random_circuit
 
 
 def edges_of(dag: GateDag) -> list[tuple[int, int, int]]:

@@ -2,11 +2,13 @@
 
 import pytest
 
-from qfid.bench import BenchSpec, generate, random_circuit
+from qfid.bench import BenchSpec, generate
 from qfid.circuit import Circuit
 from qfid.dag import EmptyGraph, GateDag, build_dag
 from qfid.deformation import compare, delta_conn, delta_deg, delta_path
 from qfid.transpile import linear_map, transpile
+
+from helpers import random_circuit
 
 
 def dag_of(circ: Circuit) -> GateDag:

@@ -21,7 +21,6 @@ from qfid.estimator import (
     estimate,
     hellinger_distance,
     shot_values,
-    stop_reason,
     success_set,
     truncate,
     xeb_scale,
@@ -148,8 +147,12 @@ def test_constant_stream_stops_at_min_batches():
 
 def test_ci_formula_example():
     # sigma = 0.25, |T| = 2500 -> CI = 1.959964 * 0.25 / 50 = 0.009800 <= 0.01
-    z = z_quantile(0.05)
-    assert z * 0.25 / math.sqrt(2500) == pytest.approx(0.0098, abs=1e-6)
+    cfg = PlanConfig(delta=0.01, alpha=0.05)
+    # 2500 values of mean 0.5 whose squared deviations sum to 0.25^2 * 2499
+    mean, std, ci = cfg.interval(1250.0, 0.25**2 * 2499 + 2500 * 0.5**2, 2500)
+    assert (mean, std) == pytest.approx((0.5, 0.25))
+    assert ci == pytest.approx(0.0098, abs=1e-6)
+    assert cfg.holds(ci, 2, 2500)[0]
 
 
 def test_stopping_matches_reference_loop():
@@ -215,10 +218,12 @@ def test_stop_condition_holds_on_recorded_trace():
 
 
 def test_ci_recomputed_every_batch_and_monotone_in_t():
-    z = z_quantile(0.05)
     sigma = 0.4
-    cis = [z * sigma / math.sqrt(t) for t in (100, 400, 1600)]
-    assert cis == sorted(cis, reverse=True)
+    t = np.array([100, 400, 1600])
+    # zero-mean values whose squared deviations sum to sigma^2 * (t - 1)
+    _, std, ci = PlanConfig(alpha=0.05).interval(np.zeros(3), sigma**2 * (t - 1), t)
+    assert std == pytest.approx(sigma)
+    assert list(ci) == sorted(ci, reverse=True)
 
 
 def test_success_fhat_in_unit_interval():
@@ -277,6 +282,12 @@ def test_bernoulli_hellinger():
     two_cell = hellinger_distance(dist([0.8, 0.2]), dist([0.7, 0.3]))
     assert bernoulli_hellinger(0.2, 0.3) == pytest.approx(two_cell, abs=1e-12)
     assert bernoulli_hellinger(1.04, 1.0) == 0.0  # clamped xeb report
+
+
+def _stop_test(cfg, stat):
+    """The rule's stop test on one row, as the reason it names, or ""."""
+    ci_met, cap_reached = cfg.holds(stat.ci, stat.index + 1, stat.total_shots)
+    return "ci_met" if ci_met else "cap_reached" if cap_reached else ""
 
 
 # the truncation cases; the ci-deep profile (tests/conftest.py) raises their count
@@ -342,14 +353,14 @@ def test_truncated_trace_equals_direct_run(
 def test_truncated_trace_cuts_where_stop_reason_first_holds(
     weights, noise, batch, min_batches, p_max, estimator, deltas, seed
 ):
-    """The column cut stops at the row, and for the reason, that ``stop_reason``
-    finds walking the rows one by one."""
+    """The column cut stops at the row, and for the reason, that the rule's
+    stop test finds walking the rows one by one."""
     run = _truncation_run(weights, noise, batch, min_batches, p_max, estimator, deltas, seed)
     if run is None:
         return
     _, _, cfgs, trace = run
     for cfg in cfgs:
-        walked = next((stat, why) for stat in trace.batches if (why := stop_reason(stat, cfg)))
+        walked = next((stat, why) for stat in trace.batches if (why := _stop_test(cfg, stat)))
         cut = truncate(trace, Plan(batch, cfg))
         assert (cut.batches[-1], cut.stop_reason) == walked
         assert len(cut.batches) == walked[0].index + 1
@@ -572,7 +583,7 @@ def test_truncate_cuts_the_table_after_the_first_stop():
     rows = len(cut.batches)
     assert 2 <= rows < len(trace.batches)
     assert cut.batches == trace.batches.head(rows)
-    assert [stop_reason(stat, cfg) for stat in list(trace.batches)[:rows]] == [""] * (rows - 1) + [
+    assert [_stop_test(cfg, stat) for stat in list(trace.batches)[:rows]] == [""] * (rows - 1) + [
         "ci_met"
     ]
     assert (cut.fhat, cut.sigma, cut.ci, cut.shots_used) == (

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfid.bench import BenchSpec, generate, random_circuit
+from qfid.bench import BenchSpec, generate
 from qfid.circuit import GATE_SIGNATURES, Circuit, Gate, gate_unitary
 from qfid.simulator import (
     DistributionOracle,
@@ -21,6 +21,8 @@ from qfid.simulator import (
     ideal_distribution,
     noisy_distribution,
 )
+
+from helpers import ptm, random_circuit
 
 
 def kron_unitary(gate: Gate, n: int) -> np.ndarray:
@@ -205,12 +207,12 @@ def test_density_trace_preserved_gate_by_gate():
     # the Pauli vector that noisy_distribution evolves, stepped one gate at a time;
     # it is real, so the rho it stands for is Hermitian by construction
     c = generate(BenchSpec.make("qft", 4))
-    from qfid.simulator import _contract, _diagonal, _ptm, _schedule
+    from qfid.simulator import _contract, _diagonal, _schedule
 
     nm = NoiseModel(p1=1e-3, p2=1e-2)
     n = c.num_qubits
     steps, width = _schedule([
-        (_ptm(gate_unitary(op), nm.p1 if len(op.qubits) == 1 else nm.p2), op.qubits)
+        (ptm(gate_unitary(op), nm.p1 if len(op.qubits) == 1 else nm.p2), op.qubits)
         for op in c.gates
     ])
     bufs = [np.zeros(width), np.empty(width)]
@@ -487,14 +489,12 @@ def explicit_ptm(u: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("kind", sorted(GATE_SIGNATURES))
 def test_ptm_of_every_gate_kind(kind):
-    from qfid.simulator import _ptm
-
     width, npar = GATE_SIGNATURES[kind]
     params = np.random.default_rng(width + npar).uniform(-np.pi, np.pi, size=npar)
     u = gate_unitary(Gate(kind, tuple(range(width)), tuple(params)))
     expected = explicit_ptm(u)
     for p in (0.0, 0.3):
-        r = _ptm(u, p)
+        r = ptm(u, p)
         assert r.dtype == np.float64
         assert np.array_equal(r[0], np.eye(4**width)[0])  # trace preserved
         scale = np.r_[1.0, np.full(4**width - 1, 1.0 - p)][:, None]

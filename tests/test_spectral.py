@@ -11,7 +11,6 @@ import pytest
 
 import qfid
 from qfid import spectral
-from qfid.bench import random_circuit
 from qfid.circuit import Circuit
 from qfid.dag import EmptyGraph, GateDag, build_dag, longest_path_len
 from qfid.deformation import DeformationReport
@@ -21,9 +20,10 @@ from qfid.spectral import (
     _symmetric_similar,
     analyze_spectrum,
     build_kernel,
-    operator_rows,
     spectral_complexity,
 )
+
+from helpers import operator_rows, random_circuit
 
 ZERO = DeformationReport(0.0, 0.0, 0.0)
 

@@ -5,18 +5,17 @@ import hashlib
 import numpy as np
 import pytest
 
-from qfid.bench import FAMILIES, BenchSpec, default_suite, generate, random_circuit
+from qfid.bench import FAMILIES, BenchSpec, default_suite, generate
 from qfid.circuit import Circuit, Gate, Measure, circuit_depth, gate_unitary
 from qfid.qasm import emit_qasm
 from qfid.report import analyze_circuit
-from qfid.simulator import circuit_unitary, ideal_distribution
+from qfid.simulator import ideal_distribution
 from qfid.transpile import (
     BASIS_GATES,
     CouplingMap,
     DisconnectedMap,
     LayoutError,
     TranspileError,
-    check_coupling,
     coupling_from_json,
     grid_map,
     heavy_hex_27,
@@ -24,6 +23,8 @@ from qfid.transpile import (
     ring_map,
     transpile,
 )
+
+from helpers import check_coupling, circuit_unitary, random_circuit, shortest_path
 
 
 def in_basis(c: Circuit) -> bool:
@@ -93,7 +94,7 @@ def test_map_from_json():
 def test_shortest_path_lowest_index_ties():
     # two equal-length routes 0-1-3 and 0-2-3: BFS must pick via 1
     cmap = CouplingMap.from_edges(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    assert cmap.shortest_path(0, 3) == [0, 1, 3]
+    assert shortest_path(cmap, 0, 3) == [0, 1, 3]
 
 
 # -- decomposition ----------------------------------------------------------

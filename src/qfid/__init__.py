@@ -8,7 +8,7 @@ confidence-interval early stopping.
 """
 
 from .bench import BenchSpec, default_suite, generate
-from .circuit import Circuit, Gate, circuit_depth, gate_unitary
+from .circuit import Circuit, Gate, gate_unitary
 from .dag import build_dag, degree_histogram, longest_path_len
 from .deformation import compare as deformation_report
 from .estimator import Plan, PlanConfig, batch_size, estimate, hellinger_distance, z_quantile
@@ -33,7 +33,6 @@ __all__ = [
     "batch_size",
     "build_dag",
     "build_kernel",
-    "circuit_depth",
     "default_suite",
     "deformation_report",
     "degree_histogram",

@@ -221,26 +221,3 @@ def gate_unitary(g: Gate | Measure | Barrier) -> np.ndarray:
         return m
     raise CircuitError(f"no unitary rule for gate kind {k!r}")
 
-
-def circuit_depth(c: Circuit) -> int:
-    """Critical-path length in layers; ops conflict iff they share a qubit.
-
-    Measures occupy one layer; barriers synchronize their qubits without
-    occupying a layer of their own.
-    """
-    level = [0] * c.num_qubits
-    depth = 0
-    for op in c.ops:
-        if isinstance(op, Barrier):
-            if op.qubits:
-                sync = max(level[q] for q in op.qubits)
-                for q in op.qubits:
-                    level[q] = sync
-            continue
-        qubits = op.qubits if isinstance(op, Gate) else (op.qubit,)
-        layer = max([level[q] for q in qubits]) + 1
-        for q in qubits:
-            level[q] = layer
-        if layer > depth:
-            depth = layer
-    return depth

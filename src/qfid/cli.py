@@ -15,8 +15,8 @@ import os
 import sys
 
 from .bench import BenchSpec, InvalidSpec, default_suite, generate
-from .circuit import CircuitError, circuit_depth
-from .dag import DagError, build_dag, to_dot
+from .circuit import CircuitError
+from .dag import DagError, build_dag, depth, to_dot
 from .deformation import DeformationError
 from .estimator import EstimationError, PlanConfig
 from .qasm import QasmError, emit_qasm, parse_qasm
@@ -345,7 +345,7 @@ def cmd_bench(args) -> int:
                 "num_qubits": circuit.num_qubits,
                 "num_clbits": circuit.num_clbits,
                 "ops": len(circuit.ops),
-                "depth": circuit_depth(circuit),
+                "depth": depth(build_dag(circuit)),
             }
         )
         if args.out_dir:

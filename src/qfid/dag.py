@@ -120,6 +120,12 @@ def longest_path_len(dag: GateDag) -> int:
     return max(dag.longest_dists[0])
 
 
+def depth(dag: GateDag) -> int:
+    """The circuit's depth: the longest path counted in nodes, 0 for an empty
+    graph.  Barriers add no node, so they add no layer."""
+    return longest_path_len(dag) + 1 if dag.nodes else 0
+
+
 def to_dot(dag: GateDag, name: str = "gatedag") -> str:
     lines = [f"digraph {name} {{"]
     for op in dag.nodes:

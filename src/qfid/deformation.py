@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dag import EmptyGraph, GateDag, degree_histogram, longest_path_len
+from .dag import EmptyGraph, GateDag, degree_histogram, depth, longest_path_len
 
 
 class DeformationError(ValueError):
@@ -46,11 +46,7 @@ def delta_path(g0: GateDag, gt: GateDag) -> tuple[float, bool]:
     value is 0 if the transpiled graph is also edgeless, else the absolute
     transpiled length, with the degenerate flag set.
     """
-    return _path_growth(longest_path_len(g0), longest_path_len(gt))
-
-
-def _path_growth(l0: int, lt: int) -> tuple[float, bool]:
-    """``delta_path`` from the two longest-path lengths."""
+    l0, lt = longest_path_len(g0), longest_path_len(gt)
     if l0 == 0:
         return (0.0 if lt == 0 else float(lt)), True
     return (lt - l0) / l0, False
@@ -72,20 +68,20 @@ def delta_conn(g0: GateDag, gt: GateDag) -> tuple[float, bool]:
     return dt / d0 - 1.0, False
 
 
-def compare(g0: GateDag, gt: GateDag, extra_raw: dict[str, int] | None = None) -> DeformationReport:
-    """Full deformation report between a logical and a transpiled DAG."""
+def compare(g0: GateDag, gt: GateDag) -> DeformationReport:
+    """Full deformation report between a logical and a transpiled DAG; its raw
+    counts include both graphs' depths, the only depths a report gives."""
     dd = delta_deg(g0, gt)
-    l0, lt = longest_path_len(g0), longest_path_len(gt)
-    dp, p_flag = _path_growth(l0, lt)
+    dp, p_flag = delta_path(g0, gt)
     dc, c_flag = delta_conn(g0, gt)
     raw = {
         "nodes_0": g0.num_nodes,
         "edges_0": g0.num_edges,
         "nodes_t": gt.num_nodes,
         "edges_t": gt.num_edges,
-        "longest_0": l0,
-        "longest_t": lt,
+        "longest_0": longest_path_len(g0),
+        "longest_t": longest_path_len(gt),
+        "depth_0": depth(g0),
+        "depth_t": depth(gt),
     }
-    if extra_raw:
-        raw.update(extra_raw)
     return DeformationReport(dd, dp, dc, p_flag, c_flag, raw)

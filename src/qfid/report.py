@@ -33,8 +33,8 @@ from json.encoder import encode_basestring
 import numpy as np
 
 from .bench import BenchSpec, generate
-from .circuit import Circuit, Gate, circuit_depth
-from .dag import build_dag, longest_path_len
+from .circuit import Circuit, Gate
+from .dag import build_dag
 from .deformation import DeformationReport, compare
 from .estimator import (
     BatchStat,
@@ -199,25 +199,23 @@ def analyze_circuit(
     """
     kernel_cfg = kernel_cfg or KernelConfig()
     plan_cfg = plan_cfg or PlanConfig()
-    depth0 = circuit_depth(circuit)
     tr = transpile(circuit, coupling)
     g0 = build_dag(circuit)
     gt = build_dag(tr.circuit_t)
-    # routing drops barriers, so the routed depth is the longest path in nodes
-    depth_t = longest_path_len(gt) + 1
-    deformation = compare(g0, gt, extra_raw={"depth_0": depth0, "depth_t": depth_t})
+    deformation = compare(g0, gt)
+    raw = deformation.raw
     kernel = build_kernel(gt, deformation, kernel_cfg)
     spectrum = analyze_spectrum(kernel, kernel_cfg.k)
     report = AnalyzeReport(
         circuit={
             "num_qubits": circuit.num_qubits,
             "num_clbits": circuit.num_clbits,
-            "depth": depth0,
+            "depth": raw["depth_0"],
             **_gate_counts(circuit),
         },
         transpiled={
             "num_physical_qubits": coupling.num_physical_qubits,
-            "depth": depth_t,
+            "depth": raw["depth_t"],
             "swap_count": tr.swap_count,
             "initial_layout": list(tr.initial_layout),
             "final_layout": list(tr.final_layout),
@@ -226,7 +224,7 @@ def analyze_circuit(
         },
         deformation=deformation,
         spectrum=spectrum,
-        plan=Plan(batch_size(spectrum.complexity, depth_t, plan_cfg), plan_cfg),
+        plan=Plan(batch_size(spectrum.complexity, raw["depth_t"], plan_cfg), plan_cfg),
     )
     return report, tr
 

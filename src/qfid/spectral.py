@@ -166,7 +166,9 @@ def _symmetric_similar(kernel: WeightedKernel) -> np.ndarray:
     """Dense S = D^-1/2 K D^-1/2, sharing P's spectrum but symmetric.
 
     Degrees are dense row sums, a fixed summation order; scaling is in place,
-    by row blocks of np.outer(isq, isq), so no second n x n array is live.
+    by row blocks of np.outer(isq, isq).  eigvalsh copies S anyway, but a
+    whole n x n temporary of 4 MiB or more gets huge pages from numpy, which
+    raised peak RSS; a block is at most 1 MiB.
     """
     s = kernel.matrix
     isq = 1.0 / np.sqrt(s.sum(axis=1))

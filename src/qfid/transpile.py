@@ -317,8 +317,8 @@ def transpile(c: Circuit, cmap: CouplingMap) -> TranspileResult:
 
     The BFS path choice (lowest physical index first) breaks every tie, so
     identical inputs always give identical results.  The result holds only
-    what routing decides; the routed depth is the longest path of the routed
-    circuit's DAG, which ``report.analyze_circuit`` reads off.
+    what routing decides; the routed depth is the routed DAG's, which
+    ``deformation.compare`` records.
     """
     num_qubits = c.num_qubits
     n_phys = cmap.num_physical_qubits

@@ -1,5 +1,5 @@
-"""Test-only references: random circuits, dense unitaries and operators,
-one gate's transfer matrix, and coupling-map checks.
+"""Test-only references: random circuits, a layer count, dense unitaries and
+operators, one gate's transfer matrix, and coupling-map checks.
 
 No command of the package reaches these; tests import them from here.
 """
@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from qfid.circuit import GATE_SIGNATURES, Circuit, gate_unitary
+from qfid.circuit import GATE_SIGNATURES, Barrier, Circuit, Gate, gate_unitary
 from qfid.simulator import TooManyQubits, _apply_matrix, _ptms
 from qfid.spectral import WeightedKernel
 from qfid.transpile import CouplingMap, _bfs_path
@@ -38,6 +38,25 @@ def random_circuit(
         for q in range(num_qubits):
             c.measure(q, q)
     return c
+
+
+def layer_depth(c: Circuit) -> int:
+    """Critical-path length in layers, walked wire by wire: an independent
+    count of ``dag.depth`` for barrier-free circuits.
+
+    Ops conflict iff they share a qubit, and a measure occupies one layer.
+    """
+    level = [0] * c.num_qubits
+    depth = 0
+    for op in c.ops:
+        if isinstance(op, Barrier):
+            continue
+        qubits = op.qubits if isinstance(op, Gate) else (op.qubit,)
+        layer = max(level[q] for q in qubits) + 1
+        for q in qubits:
+            level[q] = layer
+        depth = max(depth, layer)
+    return depth
 
 
 def circuit_unitary(c: Circuit) -> np.ndarray:

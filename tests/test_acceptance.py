@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from qfid.bench import BenchSpec, default_suite, generate
-from qfid.circuit import Circuit, circuit_depth, gate_unitary
+from qfid.circuit import Circuit, gate_unitary
 from qfid.dag import build_dag
 from qfid.deformation import DeformationReport, compare
 from qfid.estimator import (
@@ -39,7 +39,7 @@ from qfid.spectral import (
 )
 from qfid.transpile import linear_map, transpile
 
-from helpers import check_coupling, circuit_unitary, operator_rows, ptm, random_circuit
+from helpers import check_coupling, circuit_unitary, layer_depth, operator_rows, ptm, random_circuit
 
 NOISE = NoiseModel(p1=1e-3, p2=1e-2, p_ro=1e-2)
 TREND_FAMILIES = ("bv", "ghz", "qft", "xeb")
@@ -318,7 +318,7 @@ def suite_runs():
                     deformation = compare(build_dag(circuit), gt)
                     spectrum_k = build_kernel(gt, deformation)
                     spectrum = analyze_spectrum(spectrum_k)
-                    batch = batch_size(spectrum.complexity, circuit_depth(tr.circuit_t), cfg)
+                    batch = batch_size(spectrum.complexity, layer_depth(tr.circuit_t), cfg)
                     ideal = ideal_distribution(circuit)
                     noisy = noisy_distribution(tr.circuit_t, NOISE)
                     good = sorted(success_set(ideal))

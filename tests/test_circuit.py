@@ -1,4 +1,4 @@
-"""Circuit IR: gate unitaries, depth convention, validation."""
+"""Circuit IR: gate unitaries, the DAG depth convention, validation."""
 
 import math
 
@@ -13,9 +13,9 @@ from qfid.circuit import (
     CircuitError,
     Gate,
     NonUnitaryOp,
-    circuit_depth,
     gate_unitary,
 )
+from qfid.dag import build_dag, depth
 
 from helpers import random_circuit
 
@@ -115,11 +115,15 @@ def test_gate_ids_strictly_increasing():
     assert [op.id for op in c.ops] == [0, 1, 2]
 
 
+def _depth(c: Circuit) -> int:
+    return depth(build_dag(c))
+
+
 def test_depth_parallel_gates():
     c = Circuit(2)
     c.add("h", (0,))
     c.add("h", (1,))
-    assert circuit_depth(c) == 1
+    assert _depth(c) == 1
 
 
 def test_depth_shared_qubit_chain():
@@ -127,38 +131,38 @@ def test_depth_shared_qubit_chain():
     c.add("h", (0,))
     c.add("cx", (0, 1))
     c.add("h", (1,))
-    assert circuit_depth(c) == 3
+    assert _depth(c) == 3
 
 
 def test_depth_empty():
-    assert circuit_depth(Circuit(1)) == 0
+    assert _depth(Circuit(1)) == 0
 
 
 def test_depth_measure_counts():
     c = Circuit(1, 1)
     c.add("h", (0,))
     c.measure(0, 0)
-    assert circuit_depth(c) == 2
+    assert _depth(c) == 2
 
 
-def test_depth_barrier_synchronizes_without_layer():
+def test_depth_barrier_adds_no_layer():
     c = Circuit(2)
     c.add("h", (0,))
     c.barrier(0, 1)
     c.add("h", (1,))
-    assert circuit_depth(c) == 2
-    # without the barrier the two H's are parallel
+    assert _depth(c) == 1
+    # the same as without the barrier: the two H's are parallel
     c2 = Circuit(2)
     c2.add("h", (0,))
     c2.add("h", (1,))
-    assert circuit_depth(c2) == 1
+    assert _depth(c2) == 1
 
 
 def test_depth_single_wire_equals_gate_count():
     c = Circuit(1)
     for _ in range(7):
         c.add("h", (0,))
-    assert circuit_depth(c) == 7
+    assert _depth(c) == 7
 
 
 @given(st.integers(0, 10_000))
@@ -166,4 +170,4 @@ def test_depth_single_wire_equals_gate_count():
 def test_depth_at_most_op_count(seed):
     rng = np.random.default_rng(seed)
     c = random_circuit(int(rng.integers(1, 6)), int(rng.integers(0, 30)), seed)
-    assert circuit_depth(c) <= len(c.ops)
+    assert _depth(c) <= len(c.ops)

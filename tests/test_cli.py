@@ -149,6 +149,22 @@ def test_analyze_qft_forces_swaps(capsys):
     assert json.loads(out)["transpile"]["swap_count"] > 0
 
 
+def test_analyze_barrier_adds_no_depth(tmp_path, capsys):
+    # both depths are their DAG's longest path in nodes, and a barrier is no
+    # node: the two H's stay parallel, so the logical depth is 2, not 3
+    path = tmp_path / "barrier.qasm"
+    path.write_text(
+        'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\ncreg c[2];\n'
+        "h q[0];\nbarrier q[0],q[1];\nh q[1];\nmeasure q[0] -> c[0];\nmeasure q[1] -> c[1];\n"
+    )
+    code, out, _ = run(["analyze", "--qasm", str(path)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    raw = report["deformation"]["raw"]
+    assert report["circuit"]["depth"] == raw["depth_0"] == raw["longest_0"] + 1 == 2
+    assert report["transpile"]["depth"] == raw["depth_t"] == raw["longest_t"] + 1
+
+
 def test_analyze_bad_qasm_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.qasm"
     bad.write_text("OPENQASM 2.0; qreg q[2]; h q[9];")

@@ -6,10 +6,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfid.circuit import Barrier, Circuit, Gate, circuit_depth
-from qfid.dag import GateDag, build_dag, degree_histogram, longest_path_len, to_dot
+from qfid.circuit import Barrier, Circuit, Gate
+from qfid.dag import GateDag, build_dag, degree_histogram, depth, longest_path_len, to_dot
 
-from helpers import random_circuit
+from helpers import layer_depth, random_circuit
 
 
 def edges_of(dag: GateDag) -> list[tuple[int, int, int]]:
@@ -139,7 +139,7 @@ def test_longest_path_consistent_with_depth(seed):
     rng = np.random.default_rng(seed)
     c = random_circuit(int(rng.integers(1, 7)), int(rng.integers(1, 40)), seed)
     dag = build_dag(c)
-    assert longest_path_len(dag) + 1 >= circuit_depth(c)
+    assert depth(dag) == longest_path_len(dag) + 1 == layer_depth(c)
 
 
 def test_dot_export():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qfid.bench import FAMILIES, BenchSpec, default_suite, generate
-from qfid.circuit import Circuit, Gate, Measure, circuit_depth, gate_unitary
+from qfid.circuit import Circuit, Gate, Measure, gate_unitary
 from qfid.qasm import emit_qasm
 from qfid.report import analyze_circuit
 from qfid.simulator import ideal_distribution
@@ -24,7 +24,7 @@ from qfid.transpile import (
     transpile,
 )
 
-from helpers import check_coupling, circuit_unitary, random_circuit, shortest_path
+from helpers import check_coupling, circuit_unitary, layer_depth, random_circuit, shortest_path
 
 
 def in_basis(c: Circuit) -> bool:
@@ -305,7 +305,7 @@ def test_untouched_qubits_may_lie_beyond_the_map():
 
 def test_transpile_empty_circuit():
     res = transpile(Circuit(2), linear_map(2))
-    assert circuit_depth(res.circuit_t) == 0
+    assert layer_depth(res.circuit_t) == 0
     assert res.swap_count == 0
 
 
@@ -348,7 +348,7 @@ def test_route_tracks_depth_through_barriers_and_measures():
     # layer 2, the swap's 3 cx take wires 0-1 to layer 5 and cx(1,2) to 6;
     # logical 1 now sits on physical 0, so its measure also ends at layer 6
     assert report.transpiled["depth"] == report.deformation.raw["depth_t"] == 6
-    assert circuit_depth(tr.circuit_t) == 6
+    assert layer_depth(tr.circuit_t) == 6
 
 
 def _with_barriers_and_measures(c: Circuit, rng) -> Circuit:
@@ -375,8 +375,10 @@ def test_report_reads_the_routed_depth_off_the_routed_dag():
     for c in circuits:
         for name, make in _STREAM_MAPS.items():
             report, tr = analyze_circuit(c, make(c.num_qubits))
-            depth = circuit_depth(tr.circuit_t)
-            assert report.transpiled["depth"] == report.deformation.raw["depth_t"] == depth, name
+            raw = report.deformation.raw
+            assert report.transpiled["depth"] == raw["depth_t"] == layer_depth(tr.circuit_t), name
+            # the logical depth too: a barrier adds no layer
+            assert report.circuit["depth"] == raw["depth_0"] == layer_depth(c), name
 
 
 def test_determinism():
@@ -391,7 +393,7 @@ def test_bv_depth_and_legality_on_linear():
     c = generate(BenchSpec.make("bv", 4, secret="111"))
     cmap = linear_map(4)
     res = transpile(c, cmap)
-    assert circuit_depth(res.circuit_t) >= circuit_depth(c) - len(c.measures)
+    assert layer_depth(res.circuit_t) >= layer_depth(c) - len(c.measures)
     assert check_coupling(res.circuit_t, cmap)
 
 
